@@ -41,3 +41,9 @@ class MetricError(SpecnetError):
     """A statistic is undefined for the given confusion matrix."""
 
     code = "E_METRIC"
+
+
+class NumericError(SpecnetError):
+    """A computed value that must be finite is not, such as a diverged loss."""
+
+    code = "E_NUMERIC"

@@ -5,7 +5,11 @@ Each block computes y = ReLU(ConvN(x)), z = ConvN_1(y), out = z + y (an
 identity skip from the post-ReLU main convolution to the 1x1x1 projection
 output), then average-pools the depth axis in blocks 1 and 2.  No
 activation follows the residual addition, and the classifier consumes the
-flattened block-4 output directly.
+flattened block-4 output directly, in (c, h, w, d) order.
+
+Activations stay channels-last in memory through the whole block stack;
+they travel between layers as the (n, c, h, w, d) views the ops take and
+return (see ops), so no layer copies to change layout.
 """
 
 import json
@@ -24,7 +28,7 @@ from .ops import (
     relu,
     relu_backward,
 )
-from .tensor import AXES, Conv3dSpec, Pool3dSpec, out_dim
+from .tensor import Conv3dSpec, Pool3dSpec
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -120,11 +124,9 @@ class Model:
         return self.fc_weights.shape[1]
 
 
-def _stage_dims(stage, dims, kernel, stride, padding):
-    return tuple(
-        out_dim(s, k, st, p, axis=f"{stage} {ax}")
-        for s, k, st, p, ax in zip(dims, kernel, stride, padding, AXES[2:])
-    )
+def _pool_spec(conv_name):
+    """The depth pool closing the block whose main conv is ConvN: PoolN."""
+    return Pool3dSpec(**_POOL, name=f"Pool{conv_name[len('Conv'):]}")
 
 
 def shape_trace(config: ModelConfig):
@@ -138,15 +140,14 @@ def shape_trace(config: ModelConfig):
     channels = 1
     trace = [("input", (channels, *dims))]
     for name, out_channels, kernel, stride, padding, pooled in _BLOCK_PLAN:
-        dims = _stage_dims(name, dims, kernel, stride, padding)
+        conv = Conv3dSpec(name, out_channels, channels, kernel, stride, padding)
+        dims = conv.output_dims(dims)
         channels = out_channels
         trace.append((name, (channels, *dims)))
         if pooled:
-            pool_name = f"Pool{name[-1]}"
-            dims = _stage_dims(
-                pool_name, dims, _POOL["kernel"], _POOL["stride"], _POOL["padding"]
-            )
-            trace.append((pool_name, (channels, *dims)))
+            pool = _pool_spec(name)
+            dims = pool.output_dims(dims)
+            trace.append((pool.name, (channels, *dims)))
     flat = channels * dims[0] * dims[1] * dims[2]
     trace.append(("flatten", flat))
     return trace
@@ -183,7 +184,7 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
                 rng, (out_channels, out_channels, 1, 1, 1), out_channels
             ),
         )
-        pool = Pool3dSpec(**_POOL) if pooled else None
+        pool = _pool_spec(name) if pooled else None
         blocks.append(ResidualBlockSpec(main, proj, pool))
         in_channels = out_channels
 
@@ -264,12 +265,14 @@ def backward(model: Model, cache, grad_logits):
             saved["y"], block.proj, g, cols=saved["proj_cols"]
         )
         if use_skip:
-            gy = gy + g
+            gy += g
         grads[f"{block.proj.name}.weight"] = gw_proj
         grads[f"{block.proj.name}.bias"] = gb_proj
         gpre = relu_backward(saved["pre"], gy)
+        # nothing consumes the gradient of the network input
         g, gw_main, gb_main = conv3d_backward(
-            saved["x_in"], block.main, gpre, cols=saved["main_cols"]
+            saved["x_in"], block.main, gpre, cols=saved["main_cols"],
+            input_grad=block is not model.blocks[0],
         )
         grads[f"{block.main.name}.weight"] = gw_main
         grads[f"{block.main.name}.bias"] = gb_main

@@ -1,39 +1,46 @@
 """Forward and backward numeric kernels the network is composed from.
 
-Convolution and pooling are realized as strided window views plus a
-contraction.  Forward contractions go through un-optimized np.einsum on
-purpose: its per-row accumulation order depends only on the reduction
-axis, so a sample's activations are bitwise identical no matter how many
-other samples share the batch.  Backward contractions carry no such
-contract and use the faster BLAS matmul.
+Activations are stored channels-last, (n, h, w, d, c), while every function
+here keeps the (n, c, h, w, d) axis order in its signature: it works on its
+argument's channels-last view and hands back the (n, c, h, w, d) view of a
+channels-last result.  One layer's output therefore feeds the next without
+a copy; an input laid out any other way is copied once, where a contiguous
+operand is needed.
+
+A convolution is an im2col patch stack times one weight matrix.  Patch
+columns run in (kh, kw, kd, c) order, so each column block is a copy of a
+contiguous (kd, c) run of the input.  The forward contraction is a single
+np.matmul of the (n, h'*w'*d', k) patch stack against the (k, out) weight
+matrix: numpy issues one BLAS GEMM of the same shape per sample, and a
+GEMM's blocking, fixed by that shape, fixes each output's accumulation
+order.  A sample's activations are thus bitwise identical whatever batch
+it is computed in, for a fixed numpy/BLAS build and BLAS thread count;
+another build or thread count may change the last bits.  Backward
+contractions carry no such contract and multiply whole-batch matrices.
 """
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import MismatchError, ShapeError
 from .tensor import as_tensor5, Conv3dSpec, Pool3dSpec
 
 
+def _channels_last(x):
+    """(n, c, h, w, d) -> (n, h, w, d, c) view."""
+    return x.transpose(0, 2, 3, 4, 1)
+
+
+def _channels_first(x):
+    """(n, h, w, d, c) -> (n, c, h, w, d) view."""
+    return x.transpose(0, 4, 1, 2, 3)
+
+
 def _pad_spatial(x, padding):
+    """Zero-pad the three spatial axes of a channels-last array."""
     ph, pw, pd = padding
     if ph == 0 and pw == 0 and pd == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw), (pd, pd)))
-
-
-def _window_view(xp, kernel, stride, out_dims):
-    """Read-only (n, c, h', w', d', kh, kw, kd) view over the padded input."""
-    n, c = xp.shape[:2]
-    kh, kw, kd = kernel
-    sh, sw, sd = stride
-    ho, wo, do = out_dims
-    sn, sc, sH, sW, sD = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, ho, wo, do, kh, kw, kd),
-        strides=(sn, sc, sH * sh, sW * sw, sD * sd, sH, sW, sD),
-        writeable=False,
-    )
+    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (pd, pd), (0, 0)))
 
 
 def _offset_slices(kernel, stride, out_dims):
@@ -49,37 +56,56 @@ def _offset_slices(kernel, stride, out_dims):
                 yield rows, cols, slice(c, c + sd * do, sd)
 
 
-def _im2col(x, spec: Conv3dSpec):
-    """Contiguous (n*h'*w'*d', in_channels*kh*kw*kd) patch matrix.
+def _is_pointwise(spec: Conv3dSpec):
+    """A 1x1x1, stride 1, unpadded conv: its patch matrix is its input."""
+    return spec.kernel == spec.stride == (1, 1, 1) and spec.padding == (0, 0, 0)
 
-    The contiguous copy pins einsum's reduction order to the k axis alone,
-    keeping each row's result independent of the batch it was computed in.
-    """
-    n = x.shape[0]
-    out_dims = spec.output_dims(x.shape[2:])
-    xp = _pad_spatial(x, spec.padding)
-    win = _window_view(xp, spec.kernel, spec.stride, out_dims)
-    m = n * out_dims[0] * out_dims[1] * out_dims[2]
-    return np.ascontiguousarray(
-        win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(m, -1)
+
+def _im2col(xl, spec: Conv3dSpec, out_dims):
+    """Contiguous (n, h'*w'*d', kh*kw*kd*c) patch stack of channels-last xl,
+    columns in (kh, kw, kd, c) order."""
+    n, c = xl.shape[0], xl.shape[-1]
+    m = out_dims[0] * out_dims[1] * out_dims[2]
+    if _is_pointwise(spec):
+        return np.ascontiguousarray(xl).reshape(n, m, c)
+    xp = _pad_spatial(xl, spec.padding)
+    sn, sH, sW, sD, sC = xp.strides
+    sh, sw, sd = spec.stride
+    win = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, *out_dims, *spec.kernel, c),
+        strides=(sn, sH * sh, sW * sw, sD * sd, sH, sW, sD, sC),
+        writeable=False,
+    )
+    return np.ascontiguousarray(win).reshape(n, m, -1)
+
+
+def _weight_matrix(spec: Conv3dSpec):
+    """(kh*kw*kd*in, out) weights, rows in patch-column order."""
+    return np.ascontiguousarray(spec.weights.transpose(2, 3, 4, 1, 0)).reshape(
+        -1, spec.out_channels
     )
 
 
-def _conv3d_forward_cols(x, spec: Conv3dSpec):
-    """conv3d_forward that also hands back its patch matrix for reuse."""
+def _check_conv_input(x, spec: Conv3dSpec):
+    """Validate a (n, c, h, w, d) conv input against the layer's channels."""
     x = as_tensor5(x)
-    n, cin, h, w, d = x.shape
-    if cin != spec.in_channels:
+    if x.shape[1] != spec.in_channels:
         raise ShapeError(
-            f"{spec.name}: input has {cin} channels, layer expects {spec.in_channels}"
+            f"{spec.name}: input has {x.shape[1]} channels, layer expects {spec.in_channels}"
         )
-    ho, wo, do = spec.output_dims((h, w, d))
-    cols = _im2col(x, spec)
-    wmat = np.ascontiguousarray(spec.weights.reshape(spec.out_channels, -1))
-    out = np.einsum("mk,ok->mo", cols, wmat)
+    return x
+
+
+def _conv3d_forward_cols(x, spec: Conv3dSpec):
+    """conv3d_forward that also hands back its patch stack for reuse."""
+    x = _check_conv_input(x, spec)
+    out_dims = spec.output_dims(x.shape[2:])
+    cols = _im2col(_channels_last(x), spec, out_dims)
+    out = np.matmul(cols, _weight_matrix(spec))
     out += spec.bias
-    out = out.reshape(n, ho, wo, do, spec.out_channels)
-    return np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3)), cols
+    out = out.reshape((x.shape[0], *out_dims, spec.out_channels))
+    return _channels_first(out), cols
 
 
 def conv3d_forward(x, spec: Conv3dSpec):
@@ -88,21 +114,17 @@ def conv3d_forward(x, spec: Conv3dSpec):
     return out
 
 
-def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None):
+def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
     """Exact partials of sum(upstream * conv3d_forward(x, spec)).
 
     Returns (grad_x, grad_weights, grad_bias) with the shapes of x,
-    spec.weights and spec.bias.  cols may reuse the patch matrix an earlier
-    forward built for the same x and spec.
+    spec.weights and spec.bias; grad_x is None when input_grad is False.
+    cols may reuse the patch stack an earlier forward built for the same x
+    and spec.
     """
-    x = as_tensor5(x)
+    x = _check_conv_input(x, spec)
     n, cin, h, w, d = x.shape
-    if cin != spec.in_channels:
-        raise ShapeError(
-            f"{spec.name}: input has {cin} channels, layer expects {spec.in_channels}"
-        )
     out_dims = spec.output_dims((h, w, d))
-    ho, wo, do = out_dims
     expected = (n, spec.out_channels) + out_dims
     upstream = np.asarray(upstream)
     if upstream.shape != expected:
@@ -111,41 +133,48 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None):
         )
 
     if cols is None:
-        cols = _im2col(x, spec)
-    g = np.ascontiguousarray(upstream.transpose(0, 2, 3, 4, 1)).reshape(-1, spec.out_channels)
+        cols = _im2col(_channels_last(x), spec, out_dims)
+    cols = cols.reshape(-1, cols.shape[-1])
+    g = np.ascontiguousarray(_channels_last(upstream)).reshape(-1, spec.out_channels)
 
     grad_bias = g.sum(axis=0)
-    grad_weights = (g.T @ cols).reshape(spec.weights.shape)
+    grad_weights = np.ascontiguousarray(
+        (g.T @ cols).reshape((spec.out_channels, *spec.kernel, cin)).transpose(0, 4, 1, 2, 3)
+    )
+    if not input_grad:
+        return None, grad_weights, grad_bias
 
-    wmat = spec.weights.reshape(spec.out_channels, -1)
-    grad_cols = (g @ wmat).reshape(
-        (n, ho, wo, do, spec.in_channels, -1)
-    )
-    # scatter into a channels-last buffer so both sides of the += share
-    # their memory layout, then permute once at the end
+    wmat = _weight_matrix(spec)
+    if _is_pointwise(spec):
+        grad_x = (g @ wmat.T).reshape(n, h, w, d, cin)
+        return _channels_first(grad_x), grad_weights, grad_bias
+    # col2im one kernel offset at a time: offset q's rows of the weight
+    # matrix turn g into a contiguous (n, h', w', d', c) slab, which is
+    # added into the input positions that offset's window sweep read
     ph, pw, pd = spec.padding
-    grad_padded = np.zeros(
-        (n, h + 2 * ph, w + 2 * pw, d + 2 * pd, spec.in_channels),
-        dtype=grad_cols.dtype,
-    )
+    dtype = np.result_type(g, wmat)
+    grad_padded = np.zeros((n, h + 2 * ph, w + 2 * pw, d + 2 * pd, cin), dtype=dtype)
+    slab = np.empty((n, *out_dims, cin), dtype=dtype)
     for q, (rows, cols_s, depths) in enumerate(
         _offset_slices(spec.kernel, spec.stride, out_dims)
     ):
-        grad_padded[:, rows, cols_s, depths, :] += grad_cols[..., q]
-    grad_x = grad_padded[:, ph:ph + h, pw:pw + w, pd:pd + d, :]
-    return np.ascontiguousarray(grad_x.transpose(0, 4, 1, 2, 3)), grad_weights, grad_bias
+        np.matmul(g, wmat[q * cin:(q + 1) * cin].T, out=slab.reshape(-1, cin))
+        grad_padded[:, rows, cols_s, depths] += slab
+    grad_x = grad_padded[:, ph:ph + h, pw:pw + w, pd:pd + d]
+    return _channels_first(grad_x), grad_weights, grad_bias
 
 
 def avgpool3d_forward(x, spec: Pool3dSpec):
     """Include-pad average pooling: window sum over the zero-padded input
     divided by the full kernel volume."""
-    x = as_tensor5(x)
-    out_dims = spec.output_dims(x.shape[2:])
-    xp = _pad_spatial(x, spec.padding)
-    acc = np.zeros((x.shape[0], x.shape[1]) + out_dims, dtype=x.dtype)
+    xl = _channels_last(as_tensor5(x))
+    out_dims = spec.output_dims(xl.shape[1:4])
+    xp = _pad_spatial(xl, spec.padding)
+    acc = np.zeros((xl.shape[0], *out_dims, xl.shape[-1]), dtype=xl.dtype)
     for rows, cols, depths in _offset_slices(spec.kernel, spec.stride, out_dims):
-        acc += xp[:, :, rows, cols, depths]
-    return acc / spec.volume
+        acc += xp[:, rows, cols, depths]
+    acc /= spec.volume
+    return _channels_first(acc)
 
 
 def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream):
@@ -162,13 +191,13 @@ def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream):
         raise ShapeError(
             f"pool upstream shape {upstream.shape} != pooled output {expected}"
         )
-    g = upstream / spec.volume
+    g = _channels_last(upstream) / spec.volume
     ph, pw, pd = spec.padding
-    grad_padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw, d + 2 * pd), dtype=g.dtype)
+    grad_padded = np.zeros((n, h + 2 * ph, w + 2 * pw, d + 2 * pd, c), dtype=g.dtype)
     for rows, cols, depths in _offset_slices(spec.kernel, spec.stride, out_dims):
-        grad_padded[:, :, rows, cols, depths] += g
-    grad_x = grad_padded[:, :, ph:ph + h, pw:pw + w, pd:pd + d]
-    return np.ascontiguousarray(grad_x)
+        grad_padded[:, rows, cols, depths] += g
+    grad_x = grad_padded[:, ph:ph + h, pw:pw + w, pd:pd + d]
+    return _channels_first(grad_x)
 
 
 def relu(x):
@@ -248,7 +277,9 @@ def softmax_cross_entropy(logits, target):
     if target.shape != (n,):
         raise ShapeError(f"targets shape {target.shape} != ({n},)")
     if target.min() < 0 or target.max() >= c:
-        raise ValueError(f"target class out of range [0, {c})")
+        raise MismatchError(
+            f"target class out of range [0, {c}) of a {c}-class model"
+        )
 
     z = logits.astype(np.float64)
     z = z - z.max(axis=1, keepdims=True)

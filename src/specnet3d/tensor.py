@@ -118,15 +118,17 @@ class Pool3dSpec:
     kernel: tuple
     stride: tuple = (1, 1, 1)
     padding: tuple = (0, 0, 0)
+    name: str = "pool"
 
     def __post_init__(self):
-        self.kernel = _check_triple("pool kernel", self.kernel, 1)
-        self.stride = _check_triple("pool stride", self.stride, 1)
-        self.padding = _check_triple("pool padding", self.padding, 0)
+        self.kernel = _check_triple(f"{self.name} kernel", self.kernel, 1)
+        self.stride = _check_triple(f"{self.name} stride", self.stride, 1)
+        self.padding = _check_triple(f"{self.name} padding", self.padding, 0)
         for axis, k, p in zip(AXES[2:], self.kernel, self.padding):
             if p >= k:
                 raise ShapeError(
-                    f"pool padding along {axis} must be < kernel extent, got p={p}, k={k}"
+                    f"{self.name} padding along {axis} must be < kernel extent, "
+                    f"got p={p}, k={k}"
                 )
 
     @property
@@ -136,7 +138,7 @@ class Pool3dSpec:
 
     def output_dims(self, in_dims):
         return tuple(
-            out_dim(s, k, st, p, axis=f"pool {ax}")
+            out_dim(s, k, st, p, axis=f"{self.name} {ax}")
             for s, k, st, p, ax in zip(
                 in_dims, self.kernel, self.stride, self.padding, AXES[2:]
             )

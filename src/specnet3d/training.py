@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
-from .errors import ConfigError, MismatchError, ShapeError, SplitError
+from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy
 from .network import Model, backward, forward, save_checkpoint
 from .ops import softmax_cross_entropy
@@ -124,6 +124,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     The cube is min-max normalized from training-pixel statistics before
     any patch is cut.  Returns the per-epoch history; each entry carries
     the mean training loss and, with eval_test, the test overall accuracy.
+    A non-finite batch loss raises NumericError before any checkpoint is
+    written.
     """
     if model.config.spectral_depth != cube.bands:
         raise MismatchError(
@@ -150,13 +152,19 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train_pixels))
             loss_sum = 0.0
-            for batch_idx in _batched(order, config.batch_size):
+            for batch_no, batch_idx in enumerate(_batched(order, config.batch_size), 1):
                 coords = [train_pixels[i][:2] for i in batch_idx]
                 targets = np.asarray([train_pixels[i][2] - 1 for i in batch_idx])
                 patches = _patch_batch(norm, coords, window)
                 logits, cache = forward(model, patches, keep_intermediates=True)
                 losses, grad_logits = softmax_cross_entropy(logits, targets)
-                loss_sum += float(losses.sum())
+                batch_loss = float(losses.sum())
+                if not np.isfinite(batch_loss):
+                    raise NumericError(
+                        f"epoch {epoch}, batch {batch_no}: training loss is "
+                        f"{batch_loss}; the run diverged (lower the learning rate)"
+                    )
+                loss_sum += batch_loss
                 grads = backward(model, cache, grad_logits / len(batch_idx))
                 sgd_step(params, grads, opt)
             entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_pixels)}

@@ -45,6 +45,12 @@ def conv3d_reference(x, weights, bias, stride, padding):
     return out
 
 
+def channels_last(x):
+    """x's values stored channels-last, (n, h, w, d, c) in memory, seen through
+    the (n, c, h, w, d) view the package's ops take and return."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 4, 1)).transpose(0, 4, 1, 2, 3)
+
+
 def avgpool3d_reference(x, kernel, stride, padding):
     """Windowed sum over the zero-padded input divided by the kernel volume."""
     n, c, h, w, d = x.shape

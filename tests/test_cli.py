@@ -108,6 +108,20 @@ class TestTrainCommand:
         assert set(report) >= {"matrix", "overall_accuracy", "kappa",
                                "per_class_accuracy"}
 
+    def test_divergence_exits_with_numeric_code(self, tmp_path, scene_dir, capsys):
+        out_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                       "--labels", str(scene_dir / "scene.lbl.json"),
+                       "--split", str(scene_dir / "all.split.json"),
+                       "--out-dir", str(out_dir), "--epochs", "5",
+                       "--learning-rate", "1e6", "--model-seed", "3",
+                       "--shuffle-seed", "5"])
+        assert rc == 1
+        assert "error[E_NUMERIC]" in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt.json").exists()
+        assert not (out_dir / "model.ckpt.raw").exists()
+
     def test_default_hyperparameter_echo(self, tmp_path, capsys):
         rc = main(["train", "--cube", str(tmp_path / "missing.hsc.json"),
                    "--labels", str(tmp_path / "missing.lbl.json"),

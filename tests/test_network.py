@@ -146,13 +146,23 @@ class TestForward:
         got = cache["flat"]
         assert np.array_equal(got, want)
 
-    def test_batch_independence_bitwise(self):
+    # batch sizes around BLAS tile edges, plus the eval/map batch of 256
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 256])
+    def test_batch_independence_bitwise(self, n):
         model = small_model(seed=4)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 1, 7, 7, 20)).astype(np.float32)
+        x = rng.standard_normal((n, 1, 7, 7, 20)).astype(np.float32)
         full, _ = forward(model, x)
-        singles = np.concatenate([forward(model, x[i:i + 1])[0] for i in range(3)])
+        singles = np.concatenate([forward(model, x[i:i + 1])[0] for i in range(n)])
         assert np.array_equal(full, singles)
+
+    def test_eval_batch_ends_match_single_pixel(self):
+        model = build_model(ModelConfig(103, 9, 7), 8)
+        x = np.random.default_rng(9).random((256, 1, 7, 7, 103)).astype(np.float32)
+        full, _ = forward(model, x)
+        for i in (0, 255):
+            alone, _ = forward(model, x[i:i + 1])
+            assert np.array_equal(full[i], alone[0]), f"pixel {i}"
 
     def test_deterministic(self):
         model = small_model(seed=6)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from specnet3d.errors import ShapeError
+from specnet3d.errors import MismatchError, ShapeError
+from specnet3d.network import _BLOCK_PLAN
 from specnet3d.ops import (
     avgpool3d_backward,
     avgpool3d_forward,
@@ -15,7 +16,19 @@ from specnet3d.ops import (
 )
 from specnet3d.tensor import Conv3dSpec, Pool3dSpec, as_tensor5, out_dim
 
-from oracles import assert_close, avgpool3d_reference, conv3d_reference, finite_difference
+from oracles import (
+    assert_close,
+    avgpool3d_reference,
+    channels_last,
+    conv3d_reference,
+    finite_difference,
+)
+
+# (kernel, stride, padding) of every main conv, plus the 1x1x1 projections
+BLOCK_GEOMETRIES = sorted(
+    {(kernel, stride, padding) for _, _, kernel, stride, padding, _ in _BLOCK_PLAN}
+    | {((1, 1, 1), (1, 1, 1), (0, 0, 0))}
+)
 
 
 def random_conv(rng, n, cin, cout, dims, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
@@ -65,6 +78,10 @@ class TestTensor5:
     def test_spec_parameter_count(self):
         spec = Conv3dSpec("c", 35, 20, (3, 3, 3))
         assert spec.parameter_count() == 35 * (20 * 27 + 1)
+
+    def test_pool_error_names_stage(self):
+        with pytest.raises(ShapeError, match="Pool2 depth"):
+            Pool3dSpec((1, 1, 3), (1, 1, 2), name="Pool2").output_dims((3, 3, 2))
 
     def test_pool_padding_must_stay_below_kernel(self):
         with pytest.raises(ShapeError):
@@ -131,11 +148,27 @@ class TestConv3dForward:
         split = alpha * conv3d_forward(x, spec) + beta * conv3d_forward(y, spec)
         assert_close(combined, split, 1e-5, "linearity")
 
-    def test_batch_independence_bitwise(self):
+    @pytest.mark.parametrize("kernel, stride, padding", BLOCK_GEOMETRIES)
+    def test_channels_last_input_matches_oracle(self, kernel, stride, padding):
+        rng = np.random.default_rng(9)
+        x, spec = random_conv(rng, 2, 3, 4, (5, 5, 7), kernel, stride, padding)
+        got = conv3d_forward(channels_last(x), spec)
+        want = conv3d_reference(x, spec.weights, spec.bias, stride, padding)
+        assert_close(got, want, 1e-5, f"{kernel} channels-last")
+        assert np.array_equal(got, conv3d_forward(x, spec))
+
+        up = rng.standard_normal(got.shape).astype(np.float32)
+        for a, b in zip(conv3d_backward(channels_last(x), spec, channels_last(up)),
+                        conv3d_backward(x, spec, up)):
+            assert np.array_equal(a, b)
+
+    # batch sizes around BLAS tile edges, plus the eval/map batch of 256
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 256])
+    def test_batch_independence_bitwise(self, n):
         rng = np.random.default_rng(8)
-        x, spec = random_conv(rng, 4, 3, 5, (5, 6, 7), (3, 3, 3), (1, 2, 1), (1, 0, 1))
+        x, spec = random_conv(rng, n, 3, 5, (5, 6, 7), (3, 3, 3), (1, 2, 1), (1, 0, 1))
         full = conv3d_forward(x, spec)
-        singles = np.concatenate([conv3d_forward(x[i:i + 1], spec) for i in range(4)])
+        singles = np.concatenate([conv3d_forward(x[i:i + 1], spec) for i in range(n)])
         assert np.array_equal(full, singles)
 
 
@@ -333,7 +366,7 @@ class TestSoftmaxCrossEntropy:
         assert loss < 1e-9
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MismatchError):
             softmax_cross_entropy(np.zeros(4, np.float32), 4)
 
     def test_grad_matches_finite_differences(self):

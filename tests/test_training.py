@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specnet3d.data import HsiCube, LabelGrid, SplitManifest, normalize
-from specnet3d.errors import ConfigError, MismatchError, ShapeError, SplitError
+from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from specnet3d.metrics import overall_accuracy
 from specnet3d.network import ModelConfig, build_model, forward
 from specnet3d.ops import softmax_cross_entropy
@@ -95,6 +95,17 @@ class TestTrainLoop:
         matrix = evaluate(model, norm, labels, split.train)
         assert overall_accuracy(matrix) == 1.0
         assert np.array_equal(matrix.counts, np.diag(np.diag(matrix.counts)))
+
+    def test_divergence_stops_without_checkpoint(self, tmp_path):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 3)
+        ckpt = tmp_path / "m.ckpt.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+                train(model, cube, labels, split, TrainConfig(epochs=5, shuffle_seed=5),
+                      OptimizerState(learning_rate=1e6), checkpoint_path=ckpt)
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.raw").exists()
 
     def test_descent_smoke_step(self):
         cube, labels, split = overfit_scene()
