@@ -31,7 +31,6 @@ class HsiCube:
             raise ShapeError(f"cube must be (height, width, bands), got ndim={self.values.ndim}")
         if min(self.values.shape) < 1:
             raise ShapeError(f"cube axes must be >= 1, got {self.values.shape}")
-        self._band_stats = None
 
     @property
     def height(self):
@@ -44,13 +43,6 @@ class HsiCube:
     @property
     def bands(self):
         return self.values.shape[2]
-
-    def band_stats(self):
-        """Per-band (min, max) over the whole scene, computed on first use."""
-        if self._band_stats is None:
-            flat = self.values.reshape(-1, self.bands)
-            self._band_stats = (flat.min(axis=0), flat.max(axis=0))
-        return self._band_stats
 
 
 @dataclass
@@ -112,7 +104,7 @@ class SplitManifest:
 def _raw_path(json_path):
     s = str(json_path)
     if not s.endswith(".json"):
-        raise FormatError(f"header path must end in .json: {s}")
+        raise FormatError(f"header or manifest path must end in .json: {s}")
     return s[: -len(".json")] + ".raw"
 
 

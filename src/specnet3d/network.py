@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _raw_path
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
     _conv3d_forward_cols,
@@ -194,20 +195,9 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
                  fc_bias=fc_bias, rng_seed=rng_seed)
 
 
-def forward(model: Model, x, keep_intermediates=False, use_skip=True):
-    """Run the network; returns (logits, cache), cache None unless kept.
-
-    x must have dims (n, 1, window, window, S) matching model.config.
-    """
-    x = np.asarray(x)
-    w = model.config.spatial_window
-    expected_tail = (1, w, w, model.config.spectral_depth)
-    if x.ndim != 5 or x.shape[1:] != expected_tail:
-        raise ShapeError(
-            f"input dims {x.shape} do not match (n, 1, {w}, {w}, "
-            f"{model.config.spectral_depth})"
-        )
-    cache = {"blocks": [], "use_skip": use_skip} if keep_intermediates else None
+def _run_blocks(model: Model, x, cache=None, use_skip=True):
+    """The four residual blocks over a (n, 1, h, w, S) input; appends each
+    block's saved activations to cache when one is given."""
     out = x
     for block in model.blocks:
         x_in = out
@@ -229,6 +219,24 @@ def forward(model: Model, x, keep_intermediates=False, use_skip=True):
                     "proj_cols": proj_cols,
                 }
             )
+    return out
+
+
+def forward(model: Model, x, keep_intermediates=False, use_skip=True):
+    """Run the network; returns (logits, cache), cache None unless kept.
+
+    x must have dims (n, 1, window, window, S) matching model.config.
+    """
+    x = np.asarray(x)
+    w = model.config.spatial_window
+    expected_tail = (1, w, w, model.config.spectral_depth)
+    if x.ndim != 5 or x.shape[1:] != expected_tail:
+        raise ShapeError(
+            f"input dims {x.shape} do not match (n, 1, {w}, {w}, "
+            f"{model.config.spectral_depth})"
+        )
+    cache = {"blocks": [], "use_skip": use_skip} if keep_intermediates else None
+    out = _run_blocks(model, x, cache, use_skip)
     flat = out.reshape(out.shape[0], -1)
     if flat.shape[1] != model.feature_length:
         raise ShapeError(
@@ -240,6 +248,34 @@ def forward(model: Model, x, keep_intermediates=False, use_skip=True):
         cache["flat"] = flat
         cache["final_dims"] = out.shape
     return logits, cache
+
+
+def forward_dense(model: Model, tile):
+    """Logits of every pixel of a tile in one fully-convolutional pass.
+
+    tile is the (1, 1, R + window - 1, C + window - 1, S) zero-filled
+    neighbourhood of R x C output pixels.  Every conv is spatially valid
+    and every pool depth-only, so the block stack runs once over the whole
+    tile; each pixel's classifier input is then the (window - 4)^2 block-4
+    neighbourhood below it, gathered in the (c, h, w, d) order forward
+    flattens a patch in.  Returns (R, C, classes) logits.
+    """
+    tile = np.asarray(tile)
+    w = model.config.spatial_window
+    if (tile.ndim != 5 or tile.shape[:2] != (1, 1) or min(tile.shape[2:4]) < w
+            or tile.shape[4] != model.config.spectral_depth):
+        raise ShapeError(
+            f"tile dims {tile.shape} do not match (1, 1, >={w}, >={w}, "
+            f"{model.config.spectral_depth})"
+        )
+    rows, cols = tile.shape[2] - w + 1, tile.shape[3] - w + 1
+    out = _run_blocks(model, tile)[0]
+    k = out.shape[1] - rows + 1  # block-4 neighbourhood of one pixel
+    # (c, R, C, d, k, k) windows -> (R, C, c, k, k, d) rows of features
+    windows = np.lib.stride_tricks.sliding_window_view(out, (k, k), axis=(1, 2))
+    features = windows.transpose(1, 2, 0, 4, 5, 3).reshape(rows * cols, -1)
+    logits = linear_forward(features, model.fc_weights, model.fc_bias)
+    return logits.reshape(rows, cols, -1)
 
 
 def backward(model: Model, cache, grad_logits):
@@ -298,13 +334,6 @@ def _layer_arrays(model: Model):
             out.append((spec.name, spec.weights, spec.bias))
     out.append(("FC", model.fc_weights, model.fc_bias))
     return out
-
-
-def _raw_path(json_path):
-    s = str(json_path)
-    if not s.endswith(".json"):
-        raise FormatError(f"checkpoint manifest path must end in .json: {s}")
-    return s[: -len(".json")] + ".raw"
 
 
 def save_checkpoint(model: Model, json_path):

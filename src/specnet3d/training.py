@@ -5,6 +5,16 @@ The loop is strictly sequential: batches are visited in the shuffled
 order drawn from one seeded generator, and every kernel accumulates in a
 fixed order, so identical seeds reproduce checkpoints and histories
 bitwise.
+
+Inference (evaluate and predict_map) runs the network densely, one
+fully-convolutional pass per tile of TILE output pixels on a grid
+anchored at pixel (0, 0) and clipped at the scene edge.  Each tile's input
+is its zero-filled neighbourhood cut straight from the cube, so memory is
+bounded by the tile, not the scene.  The grid depends only on the scene
+shape, so a pixel's logits are bitwise the same whichever pixels are
+requested with it, and evaluate agrees bitwise with predict_map.  They
+match forward on the pixel's patch to float32 rounding, not bitwise: the
+two paths hand BLAS GEMMs of different shapes.
 """
 
 import json
@@ -15,7 +25,7 @@ import numpy as np
 from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy
-from .network import Model, backward, forward, save_checkpoint
+from .network import Model, backward, forward, forward_dense, save_checkpoint
 from .ops import softmax_cross_entropy
 
 
@@ -42,7 +52,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     shuffle_seed: int = 0
-    per_class_train: int = 200
     log_every: int = 1
 
     def __post_init__(self):
@@ -73,6 +82,10 @@ def sgd_step(params, grads, state: OptimizerState):
 
 def _check_pixel(labels: LabelGrid, entry):
     row, col = int(entry[0]), int(entry[1])
+    if not (0 <= row < labels.height and 0 <= col < labels.width):
+        raise SplitError(
+            f"pixel ({row}, {col}) lies outside the {labels.height}x{labels.width} scene"
+        )
     cls = int(labels.labels[row, col])
     if cls == 0:
         raise SplitError(f"pixel ({row}, {col}) is unlabeled")
@@ -96,24 +109,36 @@ def _patch_batch(cube: HsiCube, coords, window):
     return batch
 
 
-def _forward_batch(model: Model, cube: HsiCube, coords, window):
-    logits, _ = forward(model, _patch_batch(cube, coords, window))
-    return logits
+# Output pixels (rows, cols) of one dense inference tile.
+TILE = (8, 8)
 
 
-def _predict_pixels(model: Model, cube: HsiCube, coords, batch_size=256):
-    """Argmax class (ties to the lowest index) for each (row, col), batched.
-
-    Forward activations are bitwise batch-independent, so the grouping
-    cannot change any prediction.
-    """
+def _tile_logits(model: Model, cube: HsiCube, r0, c0):
+    """(rows, cols, classes) logits of the tile whose first pixel is
+    (r0, c0), clipped at the scene edge."""
     window = model.config.spatial_window
-    preds = np.empty(len(coords), dtype=np.int64)
-    for start in range(0, len(coords), batch_size):
-        chunk = coords[start:start + batch_size]
-        logits = _forward_batch(model, cube, chunk, window)
-        preds[start:start + len(chunk)] = np.argmax(logits, axis=1) + 1
-    return preds
+    half = window // 2
+    rows, cols = min(TILE[0], cube.height - r0), min(TILE[1], cube.width - c0)
+    tile = np.zeros((1, 1, rows + window - 1, cols + window - 1, cube.bands),
+                    dtype=cube.values.dtype)
+    a0, a1 = max(0, r0 - half), min(cube.height, r0 + rows + half)
+    b0, b1 = max(0, c0 - half), min(cube.width, c0 + cols + half)
+    tile[0, 0, a0 - r0 + half:a1 - r0 + half, b0 - c0 + half:b1 - c0 + half] = (
+        cube.values[a0:a1, b0:b1]
+    )
+    return forward_dense(model, tile)
+
+
+def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):
+    if model.config.spectral_depth != cube.bands:
+        raise MismatchError(
+            f"model expects {model.config.spectral_depth} bands, cube has {cube.bands}"
+        )
+    if labels is not None and (labels.height, labels.width) != (cube.height, cube.width):
+        raise MismatchError(
+            f"labels {labels.height}x{labels.width} do not match cube "
+            f"{cube.height}x{cube.width}"
+        )
 
 
 def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
@@ -127,15 +152,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     A non-finite batch loss raises NumericError before any checkpoint is
     written.
     """
-    if model.config.spectral_depth != cube.bands:
-        raise MismatchError(
-            f"model expects {model.config.spectral_depth} bands, cube has {cube.bands}"
-        )
-    if (labels.height, labels.width) != (cube.height, cube.width):
-        raise MismatchError(
-            f"labels {labels.height}x{labels.width} do not match cube "
-            f"{cube.height}x{cube.width}"
-        )
+    _check_scene(model, cube, labels)
     train_pixels = [_check_pixel(labels, e) for e in split.train]
     test_pixels = [_check_pixel(labels, e) for e in split.test]
     if not train_pixels:
@@ -186,23 +203,32 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
 
 def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> ConfusionMatrix:
     """Confusion matrix over a labeled pixel set (pass the cube already
-    normalized the same way training saw it)."""
-    pixels = [_check_pixel(labels, e) for e in pixel_set]
+    normalized the same way training saw it).
+
+    Only the tiles holding a requested pixel run; each pixel's prediction
+    is bitwise the one predict_map gives it.
+    """
+    _check_scene(model, cube, labels)
+    by_tile = {}
+    for r, c, cls in (_check_pixel(labels, e) for e in pixel_set):
+        by_tile.setdefault((r - r % TILE[0], c - c % TILE[1]), []).append((r, c, cls))
     matrix = ConfusionMatrix.zeros(model.config.num_classes, labels.class_names)
-    coords = [(r, c) for r, c, _ in pixels]
-    preds = _predict_pixels(model, cube, coords)
-    for (_, _, cls), pred in zip(pixels, preds):
-        matrix.add(cls, int(pred))
+    for (r0, c0), members in sorted(by_tile.items()):
+        classes = np.argmax(_tile_logits(model, cube, r0, c0), axis=2) + 1
+        for r, c, cls in members:
+            matrix.add(cls, int(classes[r - r0, c - c0]))
     return matrix
 
 
 def predict_map(model: Model, cube: HsiCube) -> np.ndarray:
-    """Classify every pixel of the scene (zero-filled patches at borders);
-    returns a (height, width) grid of classes in [1, C]."""
-    if model.config.spectral_depth != cube.bands:
-        raise MismatchError(
-            f"model expects {model.config.spectral_depth} bands, cube has {cube.bands}"
-        )
-    coords = [(r, c) for r in range(cube.height) for c in range(cube.width)]
-    preds = _predict_pixels(model, cube, coords)
-    return preds.reshape(cube.height, cube.width)
+    """Classify every pixel of the scene, tile by tile (zero-filled
+    neighbourhoods at borders); returns a (height, width) grid of classes
+    in [1, C], ties going to the lowest class."""
+    _check_scene(model, cube)
+    grid = np.empty((cube.height, cube.width), dtype=np.int64)
+    for r0 in range(0, cube.height, TILE[0]):
+        for c0 in range(0, cube.width, TILE[1]):
+            logits = _tile_logits(model, cube, r0, c0)
+            rows, cols = logits.shape[:2]
+            grid[r0:r0 + rows, c0:c0 + cols] = np.argmax(logits, axis=2) + 1
+    return grid

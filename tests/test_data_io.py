@@ -74,12 +74,6 @@ class TestCubeContainer:
         with pytest.raises(FormatError, match="format_version"):
             load_cube(path)
 
-    def test_band_stats_lazy(self):
-        cube = seeded_cube((3, 3, 4))
-        mins, maxs = cube.band_stats()
-        assert np.array_equal(mins, cube.values.reshape(-1, 4).min(axis=0))
-        assert np.array_equal(maxs, cube.values.reshape(-1, 4).max(axis=0))
-
 
 class TestLabelContainer:
     def test_round_trip(self, tmp_path):

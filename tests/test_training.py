@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from specnet3d.data import HsiCube, LabelGrid, SplitManifest, normalize
+from specnet3d import training
+from specnet3d.data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
-from specnet3d.metrics import overall_accuracy
+from specnet3d.metrics import ConfusionMatrix, overall_accuracy
 from specnet3d.network import ModelConfig, build_model, forward
 from specnet3d.ops import softmax_cross_entropy
 from specnet3d.training import (
+    TILE,
     OptimizerState,
     TrainConfig,
     evaluate,
@@ -14,6 +18,7 @@ from specnet3d.training import (
     sgd_step,
     train,
     _patch_batch,
+    _tile_logits,
 )
 
 from synth import overfit_scene
@@ -204,15 +209,36 @@ class TestEvaluate:
         with pytest.raises(MismatchError):
             evaluate(model, cube, labels, [wrong])
 
+    def test_band_mismatch_rejected(self):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands + 1, 9, 7), 0)
+        with pytest.raises(MismatchError):
+            evaluate(model, cube, labels, split.train)
+
+    def test_label_grid_mismatch_rejected(self):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 0)
+        taller = LabelGrid(labels=np.vstack([labels.labels, labels.labels]))
+        with pytest.raises(MismatchError):
+            evaluate(model, cube, taller, split.train)
+
+    @pytest.mark.parametrize("pixel", [(-1, 0), (0, -1), (8, 0), (0, 4)])
+    def test_pixel_outside_scene_rejected(self, pixel):
+        cube, labels, _ = overfit_scene()  # 8x4
+        model = build_model(ModelConfig(cube.bands, 9, 7), 0)
+        with pytest.raises(SplitError, match="outside"):
+            evaluate(model, cube, labels, [pixel])
+
 
 class TestPredictMap:
     def test_grid_covers_classes(self):
         rng = np.random.default_rng(30)
-        cube = HsiCube(values=rng.standard_normal((10, 10, 8)).astype(np.float32))
         model = build_model(ModelConfig(8, 4, 7), 7)
-        grid = predict_map(model, cube)
-        assert grid.shape == (10, 10)
-        assert grid.min() >= 1 and grid.max() <= 4
+        for shape in [(10, 10), (1, 17), (17, 1), (20, 13)]:
+            cube = HsiCube(values=rng.standard_normal((*shape, 8)).astype(np.float32))
+            grid = predict_map(model, cube)
+            assert grid.shape == shape
+            assert grid.min() >= 1 and grid.max() <= 4
 
     def test_matches_evaluate_prediction(self):
         cube, labels, split = overfit_scene()
@@ -235,3 +261,96 @@ class TestPredictMap:
         model = build_model(ModelConfig(9, 3, 7), 0)
         with pytest.raises(MismatchError):
             predict_map(model, cube)
+
+
+def _scene_logits(model, cube):
+    """(height, width, classes) logits assembled from every dense tile."""
+    out = np.empty((cube.height, cube.width, model.config.num_classes), np.float32)
+    for r0 in range(0, cube.height, TILE[0]):
+        for c0 in range(0, cube.width, TILE[1]):
+            logits = _tile_logits(model, cube, r0, c0)
+            out[r0:r0 + logits.shape[0], c0:c0 + logits.shape[1]] = logits
+    return out
+
+
+class TestDenseInference:
+    # a scene inside one tile, one not a multiple of the tile on either axis,
+    # a single row and a single column, each at windows 5 and 7
+    @pytest.mark.parametrize("window", [5, 7])
+    @pytest.mark.parametrize("shape", [
+        (TILE[0] - 3, TILE[1] - 2),
+        (2 * TILE[0] + 3, TILE[1] + 5),
+        (1, 2 * TILE[1] + 3),
+        (2 * TILE[0] + 3, 1),
+    ])
+    def test_matches_patch_forward(self, shape, window):
+        rng = np.random.default_rng(40)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        model = build_model(ModelConfig(10, 5, window), 41)
+        dense = _scene_logits(model, cube)
+        patches = np.concatenate([
+            extract_patch(cube, r, c, window)
+            for r in range(cube.height) for c in range(cube.width)
+        ])
+        patch_logits, _ = forward(model, patches)
+        patch_logits = patch_logits.reshape(dense.shape)
+        np.testing.assert_allclose(dense, patch_logits, rtol=1e-4, atol=1e-5)
+        assert np.array_equal(dense.argmax(axis=2), patch_logits.argmax(axis=2))
+
+    def test_prediction_independent_of_requested_pixels(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        shape = (2 * TILE[0] + 3, 2 * TILE[1] + 1)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        labels = LabelGrid(labels=rng.integers(1, 5, size=shape).astype(np.uint8))
+        model = build_model(ModelConfig(10, 4, 7), 43)
+
+        runs = []
+        original = training._tile_logits
+
+        def recording(model, cube, r0, c0):
+            logits = original(model, cube, r0, c0)
+            runs.append(((r0, c0), logits.copy()))
+            return logits
+
+        monkeypatch.setattr(training, "_tile_logits", recording)
+        grid = predict_map(model, cube)
+        full_pass = dict(runs)
+        assert len(full_pass) == len(runs)
+
+        def from_grid(pixels):
+            matrix = ConfusionMatrix.zeros(model.config.num_classes)
+            for r, c, cls in pixels:
+                matrix.add(cls, int(grid[r, c]))
+            return matrix.counts
+
+        everything = [(r, c, int(labels.labels[r, c]))
+                      for r in range(shape[0]) for c in range(shape[1])]
+        chosen = rng.choice(len(everything), size=len(everything) // 7, replace=False)
+        subset = [everything[i] for i in sorted(chosen)]
+        # single pixels run their tile alone; the last tile is clipped on both axes
+        singles = [[everything[r * shape[1] + c]] for r, c in
+                   [(0, 0), (TILE[0], TILE[1] - 1), (shape[0] - 1, shape[1] - 1)]]
+        for pixels in singles + [subset, everything]:
+            runs.clear()
+            counts = evaluate(model, cube, labels, pixels).counts
+            assert np.array_equal(counts, from_grid(pixels))
+            assert len(runs) == len({(r - r % TILE[0], c - c % TILE[1])
+                                     for r, c, _ in pixels})
+            for origin, logits in runs:
+                assert logits.tobytes() == full_pass[origin].tobytes(), origin
+
+    def test_working_set_bounded_by_tile(self):
+        # one tile's working set outweighs a padded copy of a 96x96 scene;
+        # 192x192 is large enough for a scene-sized copy to break the bound
+        rng = np.random.default_rng(44)
+        model = build_model(ModelConfig(16, 4, 7), 45)
+        peaks = []
+        for side in (24, 96, 192):
+            cube = HsiCube(values=rng.standard_normal((side, side, 16)).astype(np.float32))
+            tracemalloc.start()
+            try:
+                predict_map(model, cube)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[1:]) <= 1.5 * peaks[0]
