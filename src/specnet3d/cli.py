@@ -64,12 +64,6 @@ def build_parser():
                     "image classification.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker hint, mirrored by SPECNET3D_THREADS; this build always "
-             "runs the sequential reference path, so results are identical "
-             "for any value (default: 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="write a stratified train/test manifest")
@@ -363,12 +357,6 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        env = os.environ.get("SPECNET3D_THREADS")
-        args.threads = int(env) if env else 1
-    if args.threads < 1:
-        print("error[E_CONFIG]: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         _load_config_file(args)
         return _COMMANDS[args.command](args)

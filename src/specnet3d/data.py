@@ -1,13 +1,19 @@
 """Hyperspectral cube and label persistence, normalization, patch
 extraction, and the per-class stratified split protocol.
 
-On-disk containers pair a small JSON header with a raw little-endian
-payload: cubes as band-sequential float32 (`.hsc.json` + `.hsc.raw`),
-labels as row-major unsigned bytes (`.lbl.json` + `.lbl.raw`), and split
-manifests as plain JSON (`.split.json`).
+Every artifact the package writes (cube, labels, split, checkpoint and
+report) goes through the one container writer and reader here.  A
+container is a JSON header carrying format_version, written with
+two-space indent, sorted keys and a trailing newline; an artifact with a
+payload stores it as raw little-endian scalars in the `.raw` file beside
+its `.json` header, which must hold exactly the scalars the header
+declares.  Cubes are band-sequential float32 (`.hsc.json` + `.hsc.raw`),
+labels row-major unsigned bytes (`.lbl.json` + `.lbl.raw`), and split
+manifests header only (`.split.json`).
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,54 +114,80 @@ def _raw_path(json_path):
     return s[: -len(".json")] + ".raw"
 
 
+def _write_container(header_path, version, header, payload=(), dtype=None):
+    """Write header, plus format_version, as indented sorted-key JSON with a
+    trailing newline; the payload arrays, when given, go back to back as
+    C-order dtype scalars into the .raw beside it.  Returns the header as
+    written."""
+    header = {"format_version": version, **header}
+    raw_path = _raw_path(header_path) if payload else None
+    with open(header_path, "w", encoding="utf-8") as fh:
+        json.dump(header, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if payload:
+        with open(raw_path, "wb") as fh:
+            for array in payload:
+                fh.write(np.ascontiguousarray(array, dtype=dtype))
+    return header
+
+
+def _read_header(header_path, kind, version):
+    """A container's JSON header, checked to carry the given format_version."""
+    with open(header_path, "r", encoding="utf-8") as fh:
+        header = json.load(fh)
+    if header.get("format_version") != version:
+        raise FormatError(f"unknown {kind} format_version {header.get('format_version')!r}")
+    return header
+
+
+def _read_payload(header_path, kind, dtype, count):
+    """The count dtype scalars stored in the .raw beside header_path, which
+    must hold exactly that many; the size is checked before any allocation,
+    so a header declaring huge dims cannot exhaust memory."""
+    itemsize = np.dtype(dtype).itemsize
+    with open(_raw_path(header_path), "rb") as fh:
+        nbytes = os.fstat(fh.fileno()).st_size
+        if nbytes != count * itemsize:
+            raise FormatError(
+                f"{kind} payload holds {nbytes // itemsize} scalars, "
+                f"its header requires exactly {count}"
+            )
+        payload = np.empty(count, dtype=dtype)
+        if fh.readinto(payload) != nbytes:
+            raise FormatError(f"{kind} payload changed while being read")
+    return payload
+
+
 def save_cube(cube: HsiCube, header_path):
     """Write the JSON header and the band-sequential f32le payload."""
     header = {
-        "format_version": CUBE_FORMAT_VERSION,
         "height": cube.height,
         "width": cube.width,
         "bands": cube.bands,
         "dtype": "f32le",
         "order": "bsq",
     }
-    payload = np.ascontiguousarray(
-        cube.values.transpose(2, 0, 1), dtype="<f4"
-    ).tobytes()
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(_raw_path(header_path), "wb") as fh:
-        fh.write(payload)
+    _write_container(header_path, CUBE_FORMAT_VERSION, header,
+                     [cube.values.transpose(2, 0, 1)], "<f4")
 
 
 def load_cube(header_path) -> HsiCube:
     """Load a cube, validating version, payload size, and finiteness."""
-    with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("format_version") != CUBE_FORMAT_VERSION:
-        raise FormatError(f"unknown cube format_version {header.get('format_version')!r}")
+    header = _read_header(header_path, "cube", CUBE_FORMAT_VERSION)
     if header.get("dtype") != "f32le" or header.get("order") != "bsq":
         raise FormatError(
             f"unsupported cube encoding {header.get('dtype')!r}/{header.get('order')!r}"
         )
     p, q, s = int(header["height"]), int(header["width"]), int(header["bands"])
-    with open(_raw_path(header_path), "rb") as fh:
-        raw = fh.read()
-    expected = p * q * s
-    if len(raw) != expected * 4:
-        raise FormatError(
-            f"cube payload holds {len(raw) // 4} scalars, "
-            f"declared dims {p}x{q}x{s} require exactly {expected}"
-        )
-    values = np.frombuffer(raw, dtype="<f4").reshape(s, p, q).transpose(1, 2, 0)
+    bsq = _read_payload(header_path, "cube", "<f4", s * p * q).reshape(s, p, q)
+    values = np.ascontiguousarray(bsq.transpose(1, 2, 0))
     if not np.isfinite(values).all():
         raise FormatError("cube payload contains non-finite values")
-    return HsiCube(values=np.ascontiguousarray(values))
+    return HsiCube(values=values)
 
 
 def save_labels(grid: LabelGrid, header_path):
     header = {
-        "format_version": LABELS_FORMAT_VERSION,
         "height": grid.height,
         "width": grid.width,
         "dtype": "u8",
@@ -163,53 +195,32 @@ def save_labels(grid: LabelGrid, header_path):
     }
     if grid.class_names:
         header["class_names"] = list(grid.class_names)
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(_raw_path(header_path), "wb") as fh:
-        fh.write(np.ascontiguousarray(grid.labels, dtype=np.uint8).tobytes())
+    _write_container(header_path, LABELS_FORMAT_VERSION, header, [grid.labels], np.uint8)
 
 
 def load_labels(header_path) -> LabelGrid:
-    with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("format_version") != LABELS_FORMAT_VERSION:
-        raise FormatError(f"unknown labels format_version {header.get('format_version')!r}")
+    header = _read_header(header_path, "labels", LABELS_FORMAT_VERSION)
     if header.get("dtype") != "u8" or header.get("order") != "row-major":
         raise FormatError(
             f"unsupported labels encoding {header.get('dtype')!r}/{header.get('order')!r}"
         )
     p, q = int(header["height"]), int(header["width"])
-    with open(_raw_path(header_path), "rb") as fh:
-        raw = fh.read()
-    if len(raw) != p * q:
-        raise FormatError(
-            f"labels payload holds {len(raw)} values, declared dims {p}x{q} "
-            f"require exactly {p * q}"
-        )
-    labels = np.frombuffer(raw, dtype=np.uint8).reshape(p, q)
-    return LabelGrid(labels=labels.copy(), class_names=header.get("class_names"))
+    labels = _read_payload(header_path, "labels", np.uint8, p * q).reshape(p, q)
+    return LabelGrid(labels=labels, class_names=header.get("class_names"))
 
 
 def save_split(manifest: SplitManifest, path):
-    doc = {
-        "format_version": SPLIT_FORMAT_VERSION,
+    _write_container(path, SPLIT_FORMAT_VERSION, {
         "seed": manifest.seed,
         "per_class_train": manifest.per_class_train,
         "fraction": manifest.fraction,
         "train": [[int(r), int(c), int(k)] for r, c, k in manifest.train],
         "test": [[int(r), int(c), int(k)] for r, c, k in manifest.test],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_split(path) -> SplitManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != SPLIT_FORMAT_VERSION:
-        raise FormatError(f"unknown split format_version {doc.get('format_version')!r}")
+    doc = _read_header(path, "split", SPLIT_FORMAT_VERSION)
     return SplitManifest(
         seed=int(doc["seed"]),
         per_class_train=doc.get("per_class_train"),

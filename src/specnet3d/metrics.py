@@ -5,12 +5,12 @@ All statistics are computed in 64-bit arithmetic regardless of how the
 counts were accumulated.
 """
 
-import json
 import math
 
 import numpy as np
 
-from .errors import FormatError, MetricError, ShapeError
+from .data import _read_header, _write_container
+from .errors import MetricError, ShapeError
 
 REPORT_FORMAT_VERSION = 1
 
@@ -95,7 +95,6 @@ def write_report(m: ConfusionMatrix, out_path, history=None):
     """JSON report bundling the matrix and its derived statistics."""
     per_class = per_class_accuracy(m)
     doc = {
-        "format_version": REPORT_FORMAT_VERSION,
         "matrix": m.counts.tolist(),
         "overall_accuracy": overall_accuracy(m),
         "per_class_accuracy": [
@@ -107,18 +106,11 @@ def write_report(m: ConfusionMatrix, out_path, history=None):
         doc["class_names"] = m.class_names
     if history is not None:
         doc["history"] = history
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
+    return _write_container(out_path, REPORT_FORMAT_VERSION, doc)
 
 
 def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != REPORT_FORMAT_VERSION:
-        raise FormatError(f"unknown report format_version {doc.get('format_version')!r}")
-    return doc
+    return _read_header(path, "report", REPORT_FORMAT_VERSION)
 
 
 def class_color(cls):

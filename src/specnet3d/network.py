@@ -1,23 +1,28 @@
 """The four-block residual 3D CNN: construction, shape trace, forward,
-backward, parameter ledger, and the bit-exact checkpoint container.
+backward, parameter ledger, and the bit-exact checkpoint.
 
 Each block computes y = ReLU(ConvN(x)), z = ConvN_1(y), out = z + y (an
 identity skip from the post-ReLU main convolution to the 1x1x1 projection
 output), then average-pools the depth axis in blocks 1 and 2.  No
 activation follows the residual addition, and the classifier consumes the
-flattened block-4 output directly, in (c, h, w, d) order.
+flattened block-4 output directly, in (c, h, w, d) order.  The skip is
+part of the architecture, not an option.
+
+The architecture is walked from _BLOCK_PLAN in one place, _assemble:
+build_model feeds it seeded draws, load_checkpoint the checkpoint's
+arrays.  The checkpoint is a data container (manifest + float32 blob).
 
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
 return (see ops), so no layer copies to change layout.
 """
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _raw_path
+from .data import _read_header, _read_payload, _write_container
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
     _conv3d_forward_cols,
@@ -158,44 +163,49 @@ def flattened_length(config: ModelConfig):
     return shape_trace(config)[-1][1]
 
 
-def _fan_in_uniform(rng, shape, fan_in, dtype=np.float32):
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _assemble(config: ModelConfig, rng_seed, layer_source) -> Model:
+    """The fixed architecture for config, walked from _BLOCK_PLAN; each
+    layer's (weights, bias) comes from layer_source(name, weight_shape,
+    bias_shape), called in network order (Conv1, Conv1_1, ..., FC)."""
+    flat = flattened_length(config)  # validates every stage first
+    blocks = []
+    in_channels = 1
+    for name, out_channels, kernel, stride, padding, pooled in _BLOCK_PLAN:
+        weights, bias = layer_source(
+            name, (out_channels, in_channels, *kernel), (out_channels,)
+        )
+        main = Conv3dSpec(name, out_channels, in_channels, kernel, stride, padding,
+                          weights=weights, bias=bias)
+        weights, bias = layer_source(
+            f"{name}_1", (out_channels, out_channels, 1, 1, 1), (out_channels,)
+        )
+        proj = Conv3dSpec(f"{name}_1", out_channels, out_channels, (1, 1, 1),
+                          weights=weights, bias=bias)
+        pool = _pool_spec(name) if pooled else None
+        blocks.append(ResidualBlockSpec(main, proj, pool))
+        in_channels = out_channels
+
+    fc_weights, fc_bias = layer_source(
+        "FC", (config.num_classes, flat), (config.num_classes,)
+    )
+    return Model(config=config, blocks=blocks, fc_weights=fc_weights,
+                 fc_bias=fc_bias, rng_seed=rng_seed)
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> Model:
     """Instantiate the fixed architecture with fan-in uniform weights and
     zero biases, reproducibly from rng_seed."""
-    flat = flattened_length(config)  # validates every stage first
     rng = np.random.default_rng(rng_seed)
 
-    blocks = []
-    in_channels = 1
-    for name, out_channels, kernel, stride, padding, pooled in _BLOCK_PLAN:
-        kh, kw, kd = kernel
-        main = Conv3dSpec(
-            name, out_channels, in_channels, kernel, stride, padding,
-            weights=_fan_in_uniform(
-                rng, (out_channels, in_channels, kh, kw, kd), in_channels * kh * kw * kd
-            ),
-        )
-        proj = Conv3dSpec(
-            f"{name}_1", out_channels, out_channels, (1, 1, 1),
-            weights=_fan_in_uniform(
-                rng, (out_channels, out_channels, 1, 1, 1), out_channels
-            ),
-        )
-        pool = _pool_spec(name) if pooled else None
-        blocks.append(ResidualBlockSpec(main, proj, pool))
-        in_channels = out_channels
+    def draw(name, weight_shape, bias_shape):
+        limit = np.sqrt(6.0 / math.prod(weight_shape[1:]))  # fan-in
+        weights = rng.uniform(-limit, limit, size=weight_shape).astype(np.float32)
+        return weights, np.zeros(bias_shape, dtype=np.float32)
 
-    fc_weights = _fan_in_uniform(rng, (config.num_classes, flat), flat)
-    fc_bias = np.zeros(config.num_classes, dtype=np.float32)
-    return Model(config=config, blocks=blocks, fc_weights=fc_weights,
-                 fc_bias=fc_bias, rng_seed=rng_seed)
+    return _assemble(config, rng_seed, draw)
 
 
-def _run_blocks(model: Model, x, cache=None, use_skip=True):
+def _run_blocks(model: Model, x, cache=None):
     """The four residual blocks over a (n, 1, h, w, S) input; appends each
     block's saved activations to cache when one is given."""
     out = x
@@ -204,7 +214,7 @@ def _run_blocks(model: Model, x, cache=None, use_skip=True):
         pre, main_cols = _conv3d_forward_cols(x_in, block.main)
         y = relu(pre)
         z, proj_cols = _conv3d_forward_cols(y, block.proj)
-        out = z + y if use_skip else z
+        out = z + y
         pre_pool_dims = out.shape
         if block.pool is not None:
             out = avgpool3d_forward(out, block.pool)
@@ -222,7 +232,7 @@ def _run_blocks(model: Model, x, cache=None, use_skip=True):
     return out
 
 
-def forward(model: Model, x, keep_intermediates=False, use_skip=True):
+def forward(model: Model, x, keep_intermediates=False):
     """Run the network; returns (logits, cache), cache None unless kept.
 
     x must have dims (n, 1, window, window, S) matching model.config.
@@ -235,8 +245,8 @@ def forward(model: Model, x, keep_intermediates=False, use_skip=True):
             f"input dims {x.shape} do not match (n, 1, {w}, {w}, "
             f"{model.config.spectral_depth})"
         )
-    cache = {"blocks": [], "use_skip": use_skip} if keep_intermediates else None
-    out = _run_blocks(model, x, cache, use_skip)
+    cache = {"blocks": []} if keep_intermediates else None
+    out = _run_blocks(model, x, cache)
     flat = out.reshape(out.shape[0], -1)
     if flat.shape[1] != model.feature_length:
         raise ShapeError(
@@ -283,7 +293,6 @@ def backward(model: Model, cache, grad_logits):
     cache and the upstream gradient on the logits."""
     if cache is None:
         raise ConfigError("backward requires a cache from forward(keep_intermediates=True)")
-    use_skip = cache["use_skip"]
     grads = {}
     grad_flat, grad_fcw, grad_fcb = linear_backward(
         cache["flat"], model.fc_weights, grad_logits
@@ -300,8 +309,7 @@ def backward(model: Model, cache, grad_logits):
         gy, gw_proj, gb_proj = conv3d_backward(
             saved["y"], block.proj, g, cols=saved["proj_cols"]
         )
-        if use_skip:
-            gy += g
+        gy += g
         grads[f"{block.proj.name}.weight"] = gw_proj
         grads[f"{block.proj.name}.bias"] = gb_proj
         gpre = relu_backward(saved["pre"], gy)
@@ -326,78 +334,51 @@ def param_count(model: Model):
     return counts, conv_total, conv_total + counts["FC"]
 
 
-def _layer_arrays(model: Model):
-    """(name, weights, bias) in checkpoint order: Conv1..Conv4_1 then FC."""
-    out = []
-    for block in model.blocks:
-        for spec in (block.main, block.proj):
-            out.append((spec.name, spec.weights, spec.bias))
-    out.append(("FC", model.fc_weights, model.fc_bias))
-    return out
-
-
 def save_checkpoint(model: Model, json_path):
     """Write the manifest (.json) and the raw little-endian float32 blob
     (.raw); layers in network order, weights before bias."""
-    layers = _layer_arrays(model)
+    params = model.parameters()
     manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": model.config.to_dict(),
         "rng_seed": model.rng_seed,
         "layers": [
-            {"name": name, "weight_shape": list(w.shape), "bias_shape": list(b.shape)}
-            for name, w, b in layers
+            {
+                "name": name,
+                "weight_shape": list(params[f"{name}.weight"].shape),
+                "bias_shape": list(params[f"{name}.bias"].shape),
+            }
+            for name in LAYER_NAMES
         ],
     }
-    blob = bytearray()
-    for _, w, b in layers:
-        blob += np.ascontiguousarray(w, dtype="<f4").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f4").tobytes()
-    raw_path = _raw_path(json_path)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(raw_path, "wb") as fh:
-        fh.write(bytes(blob))
+    _write_container(json_path, CHECKPOINT_FORMAT_VERSION, manifest,
+                     params.values(), "<f4")
 
 
 def load_checkpoint(json_path) -> Model:
     """Rebuild a Model bit-exactly from its manifest + blob pair."""
-    with open(json_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    version = manifest.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise FormatError(f"unknown checkpoint format_version {version!r}")
-    config = ModelConfig.from_dict(manifest["config"])
-    model = build_model(config, rng_seed=int(manifest.get("rng_seed", 0)))
-
-    layers = _layer_arrays(model)
+    manifest = _read_header(json_path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
     declared = manifest["layers"]
-    if [d["name"] for d in declared] != [name for name, _, _ in layers]:
+    if [d["name"] for d in declared] != list(LAYER_NAMES):
         raise FormatError(
             f"checkpoint layer order {[d['name'] for d in declared]} does not "
             f"match the architecture"
         )
-    for d, (name, w, b) in zip(declared, layers):
-        if tuple(d["weight_shape"]) != w.shape or tuple(d["bias_shape"]) != b.shape:
+    entries = iter(declared)
+
+    def allocate(name, weight_shape, bias_shape):
+        d = next(entries)
+        if tuple(d["weight_shape"]) != weight_shape or tuple(d["bias_shape"]) != bias_shape:
             raise MismatchError(
                 f"{name}: checkpoint shapes {d['weight_shape']}/{d['bias_shape']} "
-                f"do not match model shapes {list(w.shape)}/{list(b.shape)}"
+                f"do not match model shapes {list(weight_shape)}/{list(bias_shape)}"
             )
+        return np.empty(weight_shape, dtype="<f4"), np.empty(bias_shape, dtype="<f4")
 
-    with open(_raw_path(json_path), "rb") as fh:
-        raw = fh.read()
-    expected = sum(w.size + b.size for _, w, b in layers) * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"checkpoint blob holds {len(raw)} bytes, expected {expected}"
-        )
-    offset = 0
-    for _, w, b in layers:
-        for arr in (w, b):
-            nbytes = arr.size * 4
-            arr[...] = np.frombuffer(
-                raw, dtype="<f4", count=arr.size, offset=offset
-            ).reshape(arr.shape)
-            offset += nbytes
+    config = ModelConfig.from_dict(manifest["config"])
+    model = _assemble(config, int(manifest.get("rng_seed", 0)), allocate)
+    params = list(model.parameters().values())  # the blob's order
+    sizes = [p.size for p in params]
+    blob = _read_payload(json_path, "checkpoint", "<f4", sum(sizes))
+    for p, piece in zip(params, np.split(blob, np.cumsum(sizes)[:-1])):
+        p[...] = piece.reshape(p.shape)
     return model

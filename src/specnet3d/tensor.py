@@ -14,11 +14,10 @@ from .errors import ShapeError
 AXES = ("batch", "channels", "height", "width", "depth")
 
 
-def as_tensor5(x, check_finite=False):
+def as_tensor5(x):
     """Validate a (n, c, h, w, d) array and return it unchanged.
 
-    Raises ShapeError on wrong rank or a degenerate axis; with
-    check_finite=True also rejects NaN/Inf entries.
+    Raises ShapeError on wrong rank or a degenerate axis.
     """
     x = np.asarray(x)
     if x.ndim != 5:
@@ -26,8 +25,6 @@ def as_tensor5(x, check_finite=False):
     for name, size in zip(AXES, x.shape):
         if size < 1:
             raise ShapeError(f"{name}: axis size must be >= 1, got {size}")
-    if check_finite and not np.isfinite(x).all():
-        raise ShapeError("tensor contains non-finite values")
     return x
 
 

@@ -1,10 +1,22 @@
 """Independent reference implementations the kernels are checked against.
 
 Everything here is deliberately naive: plain Python loops over plain
-Python floats, no shared code with the package's vectorized paths.
+Python floats, no shared code with the package's vectorized paths. The one
+exception is residual_grads, which ablates the network's wiring rather
+than checking a kernel, so it composes the package's public ops.
 """
 
 import numpy as np
+
+from specnet3d.ops import (
+    avgpool3d_backward,
+    avgpool3d_forward,
+    conv3d_backward,
+    conv3d_forward,
+    linear_backward,
+    relu,
+    relu_backward,
+)
 
 
 def conv3d_reference(x, weights, bias, stride, padding):
@@ -121,3 +133,36 @@ def assert_close(got, want, rtol, context=""):
     err = np.abs(got - want) / denom
     worst = float(err.max()) if err.size else 0.0
     assert worst <= rtol, f"{context}: relative error {worst:.3e} exceeds {rtol:.1e}"
+
+
+def residual_grads(model, x, upstream, skip=True):
+    """Parameter gradients of the four-block network, with or without each
+    block's identity skip (out = z + y or out = z), from the public ops.
+
+    With skip=True this is network.backward's arithmetic step for step;
+    skip=False is the ablation of the paper's residual wiring.
+    """
+    saved, out = [], x
+    for block in model.blocks:
+        pre = conv3d_forward(out, block.main)
+        y = relu(pre)
+        z = conv3d_forward(y, block.proj)
+        summed = z + y if skip else z
+        saved.append((out, pre, y, summed.shape))
+        out = summed if block.pool is None else avgpool3d_forward(summed, block.pool)
+    grads = {}
+    g, grads["FC.weight"], grads["FC.bias"] = linear_backward(
+        out.reshape(out.shape[0], -1), model.fc_weights, upstream
+    )
+    g = g.reshape(out.shape)
+    for block, (x_in, pre, y, dims) in zip(reversed(model.blocks), reversed(saved)):
+        if block.pool is not None:
+            g = avgpool3d_backward(dims, block.pool, g)
+        proj, main = block.proj.name, block.main.name
+        gy, grads[f"{proj}.weight"], grads[f"{proj}.bias"] = conv3d_backward(y, block.proj, g)
+        if skip:
+            gy = gy + g
+        g, grads[f"{main}.weight"], grads[f"{main}.bias"] = conv3d_backward(
+            x_in, block.main, relu_backward(pre, gy)
+        )
+    return grads

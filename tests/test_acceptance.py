@@ -37,7 +37,7 @@ from specnet3d.ops import (
 from specnet3d.tensor import Conv3dSpec, Pool3dSpec
 from specnet3d.training import OptimizerState, TrainConfig, evaluate, train
 
-from oracles import assert_close, conv3d_reference, finite_difference
+from oracles import assert_close, conv3d_reference, finite_difference, residual_grads
 from synth import overfit_scene, striped_scene
 from test_metrics import UNIVERSITY_MATRIX
 
@@ -259,10 +259,11 @@ def test_criterion_5_residual_wiring(capsys):
 
     model2 = build_model(ModelConfig(20, 9, 7), 6)
     up = rng.standard_normal((2, 9)).astype(np.float32)
-    _, cache_skip = forward(model2, x, keep_intermediates=True, use_skip=True)
+    _, cache_skip = forward(model2, x, keep_intermediates=True)
     g_skip = backward(model2, cache_skip, up)
-    _, cache_plain = forward(model2, x, keep_intermediates=True, use_skip=False)
-    g_plain = backward(model2, cache_plain, up)
+    reference = residual_grads(model2, x, up)
+    assert all(np.array_equal(g_skip[k], reference[k]) for k in reference)
+    g_plain = residual_grads(model2, x, up, skip=False)
     changed = [
         name for name in ("Conv1", "Conv2", "Conv3", "Conv4")
         if not np.array_equal(g_skip[f"{name}.weight"], g_plain[f"{name}.weight"])

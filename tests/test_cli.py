@@ -302,12 +302,3 @@ class TestHelpAndGlobals:
         with pytest.raises(SystemExit):
             main(["split", "--help"])
         assert "default: 200" in capsys.readouterr().out
-
-    def test_threads_env_mirror(self, scene_dir, capsys, monkeypatch):
-        monkeypatch.setenv("SPECNET3D_THREADS", "4")
-        rc = main(["inspect", "--spectral-depth", "102"])
-        assert rc == 0
-        monkeypatch.setenv("SPECNET3D_THREADS", "0")
-        rc = main(["inspect", "--spectral-depth", "102"])
-        assert rc == 1
-        assert "error[E_CONFIG]" in capsys.readouterr().err

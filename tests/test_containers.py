@@ -1,0 +1,227 @@
+"""The on-disk containers of all five artifacts: cube, labels, split,
+checkpoint and report.
+
+The golden-bytes tests pin every byte the writers produce for tiny
+hand-built inputs, so any change to the header serialisation or payload
+layout shows up here. The checkpoint's weights are set by hand, not drawn,
+so its pin does not depend on numpy's random stream.
+"""
+
+import hashlib
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from specnet3d.data import (
+    HsiCube,
+    LabelGrid,
+    SplitManifest,
+    load_cube,
+    load_labels,
+    load_split,
+    save_cube,
+    save_labels,
+    save_split,
+)
+from specnet3d.errors import FormatError
+from specnet3d.metrics import ConfusionMatrix, load_report, write_report
+from specnet3d.network import ModelConfig, build_model, load_checkpoint, save_checkpoint
+
+
+def _write_cube(path):
+    # v[r, c, b] = (2 * (3r + c) + b - 4) / 4
+    values = (np.arange(12, dtype=np.float32).reshape(2, 3, 2) - 4) / 4
+    save_cube(HsiCube(values=values), path)
+
+
+def _write_labels(path):
+    grid = LabelGrid(labels=np.array([[0, 1, 2], [2, 1, 0]], dtype=np.uint8),
+                     class_names=["a", "b"])
+    save_labels(grid, path)
+
+
+def _write_split(path):
+    save_split(SplitManifest(seed=5, train=[(0, 1, 1)], test=[(1, 0, 2)],
+                             fraction=0.5), path)
+
+
+def _write_checkpoint(path):
+    model = build_model(ModelConfig(8, 2, 5), 0)
+    for i, arr in enumerate(model.parameters().values()):
+        arr[...] = ((np.arange(arr.size) % 7 - 3) / 8 + i).reshape(arr.shape)
+    save_checkpoint(model, path)
+
+
+def _write_report(path):
+    write_report(ConfusionMatrix([[3, 1], [0, 2]], class_names=["a", "b"]), path,
+                 history=[{"epoch": 1, "mean_loss": 0.5}])
+
+
+# kind -> (header file name, writer, loader, payload scalar size or None)
+CONTAINERS = {
+    "cube": ("c.hsc.json", _write_cube, load_cube, 4),
+    "labels": ("l.lbl.json", _write_labels, load_labels, 1),
+    "split": ("s.split.json", _write_split, load_split, None),
+    "checkpoint": ("m.ckpt.json", _write_checkpoint, load_checkpoint, 4),
+    "report": ("r.json", _write_report, load_report, None),
+}
+PAYLOAD_KINDS = [k for k, v in CONTAINERS.items() if v[3] is not None]
+
+
+def _written(kind, tmp_path):
+    name, write, _, _ = CONTAINERS[kind]
+    path = tmp_path / name
+    write(path)
+    return path
+
+
+def _raw(path):
+    return path.with_name(path.name[: -len(".json")] + ".raw")
+
+
+GOLDEN_HEADERS = {
+    "cube": """{
+  "bands": 2,
+  "dtype": "f32le",
+  "format_version": 1,
+  "height": 2,
+  "order": "bsq",
+  "width": 3
+}
+""",
+    "labels": """{
+  "class_names": [
+    "a",
+    "b"
+  ],
+  "dtype": "u8",
+  "format_version": 1,
+  "height": 2,
+  "order": "row-major",
+  "width": 3
+}
+""",
+    "split": """{
+  "format_version": 1,
+  "fraction": 0.5,
+  "per_class_train": null,
+  "seed": 5,
+  "test": [
+    [
+      1,
+      0,
+      2
+    ]
+  ],
+  "train": [
+    [
+      0,
+      1,
+      1
+    ]
+  ]
+}
+""",
+    "report": """{
+  "class_names": [
+    "a",
+    "b"
+  ],
+  "format_version": 1,
+  "history": [
+    {
+      "epoch": 1,
+      "mean_loss": 0.5
+    }
+  ],
+  "kappa": 0.6666666666666667,
+  "matrix": [
+    [
+      3,
+      1
+    ],
+    [
+      0,
+      2
+    ]
+  ],
+  "overall_accuracy": 0.8333333333333334,
+  "per_class_accuracy": [
+    0.75,
+    1.0
+  ]
+}
+""",
+}
+GOLDEN_PAYLOADS = {
+    # band-sequential: band 0's 2x3 plane row-major, then band 1's
+    "cube": struct.pack("<12f", -1.0, -0.5, 0.0, 0.5, 1.0, 1.5,
+                        -0.75, -0.25, 0.25, 0.75, 1.25, 1.75),
+    "labels": bytes([0, 1, 2, 2, 1, 0]),
+}
+# the checkpoint's 9-layer manifest and 29,962-scalar blob, by length and sha256
+GOLDEN_CHECKPOINT = {
+    "m.ckpt.json": (1614, "2e5f6902294907777688e2215566fc67b9a8f7696b3341863101ffb045e3ba02"),
+    "m.ckpt.raw": (119848, "49e1d5d83587394331a8b48fc86fce6b48577f0be35c2890c0a39f79d761235e"),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("kind", ["cube", "labels", "split", "report"])
+    def test_exact_bytes(self, kind, tmp_path):
+        path = _written(kind, tmp_path)
+        assert path.read_bytes() == GOLDEN_HEADERS[kind].encode("utf-8")
+        if kind in GOLDEN_PAYLOADS:
+            assert _raw(path).read_bytes() == GOLDEN_PAYLOADS[kind]
+        else:
+            assert not _raw(path).exists()
+
+    def test_checkpoint_exact_bytes(self, tmp_path):
+        path = _written("checkpoint", tmp_path)
+        for name, (size, digest) in GOLDEN_CHECKPOINT.items():
+            data = (tmp_path / name).read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), name
+        # Conv1.weight starts (0 % 7 - 3) / 8, (1 % 7 - 3) / 8, ...
+        assert _raw(path).read_bytes()[:12] == struct.pack("<3f", -0.375, -0.25, -0.125)
+
+
+@pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_payload_size_rejected(kind, delta, tmp_path):
+    path = _written(kind, tmp_path)
+    itemsize = CONTAINERS[kind][3]
+    raw = _raw(path)
+    data = raw.read_bytes()
+    required = len(data) // itemsize
+    raw.write_bytes(data[:-itemsize] if delta < 0 else data + data[:itemsize])
+    with pytest.raises(FormatError) as exc:
+        CONTAINERS[kind][2](path)
+    # the message names the scalar count found and the count required
+    assert f" {required + delta} " in str(exc.value)
+    assert str(exc.value).endswith(f" {required}")
+
+
+@pytest.mark.parametrize("kind", list(CONTAINERS))
+def test_unknown_format_version_rejected(kind, tmp_path):
+    path = _written(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"unknown {kind} format_version 9"):
+        CONTAINERS[kind][2](path)
+
+
+@pytest.mark.parametrize("kind, dims, count", [
+    ("cube", {"height": 10**6, "width": 10**6, "bands": 1000}, 10**15),
+    ("labels", {"height": 10**6, "width": 10**6}, 10**12),
+])
+def test_huge_declared_dims_rejected_before_allocation(kind, dims, count, tmp_path):
+    # the payload size is checked before memory for the declared dims is taken
+    path = _written(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    doc.update(dims)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"exactly {count}$"):
+        CONTAINERS[kind][2](path)

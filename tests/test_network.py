@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from specnet3d.errors import FormatError, ShapeError
+from specnet3d.errors import FormatError, MismatchError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
     Model,
@@ -17,7 +19,7 @@ from specnet3d.network import (
 )
 from specnet3d.ops import avgpool3d_forward, conv3d_forward, relu
 
-from oracles import assert_close
+from oracles import assert_close, residual_grads
 
 TABLE_COUNTS = {
     "Conv1": 560,
@@ -234,10 +236,13 @@ class TestBackward:
         x = rng.standard_normal((2, 1, 7, 7, 20)).astype(np.float32)
         up = rng.standard_normal((2, 9)).astype(np.float32)
 
-        _, cache_skip = forward(model, x, keep_intermediates=True, use_skip=True)
-        grads_skip = backward(model, cache_skip, up)
-        _, cache_plain = forward(model, x, keep_intermediates=True, use_skip=False)
-        grads_plain = backward(model, cache_plain, up)
+        _, cache = forward(model, x, keep_intermediates=True)
+        grads_skip = backward(model, cache, up)
+        # the test-side reference reproduces the network bit for bit, so
+        # any difference from its skip-free run is the skip's doing
+        reference = residual_grads(model, x, up)
+        assert all(np.array_equal(grads_skip[k], reference[k]) for k in reference)
+        grads_plain = residual_grads(model, x, up, skip=False)
 
         changed = [
             name for name in CONV_LAYER_NAMES
@@ -281,6 +286,7 @@ class TestCheckpoint:
         for name, arr in model.parameters().items():
             assert np.array_equal(arr, loaded.parameters()[name]), name
             assert loaded.parameters()[name].dtype == np.float32
+            assert loaded.parameters()[name].flags.writeable, name
 
     def test_unknown_version_rejected(self, tmp_path):
         model = build_model(ModelConfig(24, 5, 7), 0)
@@ -298,4 +304,32 @@ class TestCheckpoint:
         raw = tmp_path / "model.ckpt.raw"
         raw.write_bytes(raw.read_bytes()[:-4])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "renamed"])
+    def test_layer_list_mismatch_rejected(self, edit, tmp_path):
+        model = build_model(ModelConfig(24, 5, 7), 0)
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        layers = doc["layers"]
+        if edit == "missing":
+            del layers[3]
+        elif edit == "extra":
+            layers.insert(2, dict(layers[2], name="Conv1_2"))
+        else:
+            layers[4]["name"] = "Conv5"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="layer order"):
+            load_checkpoint(path)
+
+    def test_layer_shape_mismatch_rejected(self, tmp_path):
+        model = build_model(ModelConfig(24, 5, 7), 0)
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        # same scalar count, so the blob still fits the manifest
+        doc["layers"][-1]["weight_shape"].reverse()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MismatchError, match="FC"):
             load_checkpoint(path)

@@ -69,12 +69,6 @@ class TestTensor5:
         with pytest.raises(ShapeError):
             as_tensor5(np.zeros((2, 3, 4)))
 
-    def test_rejects_nonfinite_when_asked(self):
-        x = np.zeros((1, 1, 2, 2, 2), dtype=np.float32)
-        x[0, 0, 0, 0, 0] = np.nan
-        with pytest.raises(ShapeError):
-            as_tensor5(x, check_finite=True)
-
     def test_spec_parameter_count(self):
         spec = Conv3dSpec("c", 35, 20, (3, 3, 3))
         assert spec.parameter_count() == 35 * (20 * 27 + 1)
