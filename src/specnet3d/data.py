@@ -12,6 +12,7 @@ labels row-major unsigned bytes (`.lbl.json` + `.lbl.raw`), and split
 manifests header only (`.split.json`).
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -131,13 +132,36 @@ def _write_container(header_path, version, header, payload=(), dtype=None):
     return header
 
 
-def _read_header(header_path, kind, version):
-    """A container's JSON header, checked to carry the given format_version."""
+def _read_header(header_path, kind, version, fields=()):
+    """A container's JSON header, checked to be an object carrying the given
+    format_version and each (name, types) field in fields."""
     with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+        try:
+            header = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{kind} header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{kind} header is a JSON {type(header).__name__}, not an object")
     if header.get("format_version") != version:
         raise FormatError(f"unknown {kind} format_version {header.get('format_version')!r}")
+    for name, types in fields:
+        _field(header, kind, name, types)
     return header
+
+
+def _field(doc, kind, name, types):
+    """doc[name], which must be present and an instance of types (a type or
+    a tuple of them); JSON true and false are not numbers."""
+    types = types if isinstance(types, tuple) else (types,)
+    if name not in doc:
+        raise FormatError(f"{kind} header has no {name!r} field")
+    value = doc[name]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise FormatError(
+            f"{kind} header field {name!r} is {type(value).__name__}, expected {expected}"
+        )
+    return value
 
 
 def _read_payload(header_path, kind, dtype, count):
@@ -173,7 +197,8 @@ def save_cube(cube: HsiCube, header_path):
 
 def load_cube(header_path) -> HsiCube:
     """Load a cube, validating version, payload size, and finiteness."""
-    header = _read_header(header_path, "cube", CUBE_FORMAT_VERSION)
+    header = _read_header(header_path, "cube", CUBE_FORMAT_VERSION,
+                          [("height", int), ("width", int), ("bands", int)])
     if header.get("dtype") != "f32le" or header.get("order") != "bsq":
         raise FormatError(
             f"unsupported cube encoding {header.get('dtype')!r}/{header.get('order')!r}"
@@ -199,7 +224,10 @@ def save_labels(grid: LabelGrid, header_path):
 
 
 def load_labels(header_path) -> LabelGrid:
-    header = _read_header(header_path, "labels", LABELS_FORMAT_VERSION)
+    header = _read_header(header_path, "labels", LABELS_FORMAT_VERSION,
+                          [("height", int), ("width", int)])
+    if header.get("class_names") is not None:
+        _field(header, "labels", "class_names", list)
     if header.get("dtype") != "u8" or header.get("order") != "row-major":
         raise FormatError(
             f"unsupported labels encoding {header.get('dtype')!r}/{header.get('order')!r}"
@@ -220,13 +248,23 @@ def save_split(manifest: SplitManifest, path):
 
 
 def load_split(path) -> SplitManifest:
-    doc = _read_header(path, "split", SPLIT_FORMAT_VERSION)
+    doc = _read_header(path, "split", SPLIT_FORMAT_VERSION,
+                       [("seed", int), ("train", list), ("test", list)])
+
+    def pixels(name):
+        entries = doc[name]
+        # type() is int, not isinstance: JSON true and false are no pixels
+        if not ({type(e) for e in entries} <= {list} and set(
+                map(type, itertools.chain.from_iterable(entries))) <= {int}):
+            raise FormatError(f"split header field {name!r} must hold lists of integers")
+        return [tuple(e) for e in entries]
+
     return SplitManifest(
-        seed=int(doc["seed"]),
+        seed=doc["seed"],
         per_class_train=doc.get("per_class_train"),
         fraction=doc.get("fraction"),
-        train=[tuple(e) for e in doc["train"]],
-        test=[tuple(e) for e in doc["test"]],
+        train=pixels("train"),
+        test=pixels("test"),
     )
 
 

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_header, _read_payload, _write_container
+from .data import _field, _read_header, _read_payload, _write_container
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
     _conv3d_forward_cols,
+    _scratch,
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
@@ -205,19 +206,20 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
     return _assemble(config, rng_seed, draw)
 
 
-def _run_blocks(model: Model, x, cache=None):
+def _run_blocks(model: Model, x, cache=None, ws=None):
     """The four residual blocks over a (n, 1, h, w, S) input; appends each
     block's saved activations to cache when one is given."""
     out = x
     for block in model.blocks:
         x_in = out
-        pre, main_cols = _conv3d_forward_cols(x_in, block.main)
-        y = relu(pre)
-        z, proj_cols = _conv3d_forward_cols(y, block.proj)
-        out = z + y
+        pre, main_cols = _conv3d_forward_cols(x_in, block.main, ws=ws)
+        y = relu(pre, ws=ws, name=block.main.name)
+        z, proj_cols = _conv3d_forward_cols(y, block.proj, ws=ws)
+        out = z
+        out += y
         pre_pool_dims = out.shape
         if block.pool is not None:
-            out = avgpool3d_forward(out, block.pool)
+            out = avgpool3d_forward(out, block.pool, ws=ws)
         if cache is not None:
             cache["blocks"].append(
                 {
@@ -232,10 +234,19 @@ def _run_blocks(model: Model, x, cache=None):
     return out
 
 
-def forward(model: Model, x, keep_intermediates=False):
+def _features(out, ws):
+    """Block-4 output (n, c, h, w, d) flattened in that order, per sample."""
+    flat = _scratch(ws, "FC", "features", out.shape, out.dtype)
+    np.copyto(flat, out)
+    return flat.reshape(out.shape[0], -1)
+
+
+def forward(model: Model, x, keep_intermediates=False, ws=None):
     """Run the network; returns (logits, cache), cache None unless kept.
 
     x must have dims (n, 1, window, window, S) matching model.config.
+    With a Workspace the cache holds the workspace's arrays, valid until
+    the next call with it; the logits never do.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
@@ -246,8 +257,8 @@ def forward(model: Model, x, keep_intermediates=False):
             f"{model.config.spectral_depth})"
         )
     cache = {"blocks": []} if keep_intermediates else None
-    out = _run_blocks(model, x, cache)
-    flat = out.reshape(out.shape[0], -1)
+    out = _run_blocks(model, x, cache, ws)
+    flat = _features(out, ws)
     if flat.shape[1] != model.feature_length:
         raise ShapeError(
             f"flattened length {flat.shape[1]} != classifier width "
@@ -260,7 +271,7 @@ def forward(model: Model, x, keep_intermediates=False):
     return logits, cache
 
 
-def forward_dense(model: Model, tile):
+def forward_dense(model: Model, tile, ws=None):
     """Logits of every pixel of a tile in one fully-convolutional pass.
 
     tile is the (1, 1, R + window - 1, C + window - 1, S) zero-filled
@@ -279,18 +290,20 @@ def forward_dense(model: Model, tile):
             f"{model.config.spectral_depth})"
         )
     rows, cols = tile.shape[2] - w + 1, tile.shape[3] - w + 1
-    out = _run_blocks(model, tile)[0]
+    out = _run_blocks(model, tile, ws=ws)[0]
     k = out.shape[1] - rows + 1  # block-4 neighbourhood of one pixel
     # (c, R, C, d, k, k) windows -> (R, C, c, k, k, d) rows of features
     windows = np.lib.stride_tricks.sliding_window_view(out, (k, k), axis=(1, 2))
-    features = windows.transpose(1, 2, 0, 4, 5, 3).reshape(rows * cols, -1)
-    logits = linear_forward(features, model.fc_weights, model.fc_bias)
+    features = _features(windows.transpose(1, 2, 0, 4, 5, 3), ws)
+    logits = linear_forward(features.reshape(rows * cols, -1), model.fc_weights,
+                            model.fc_bias)
     return logits.reshape(rows, cols, -1)
 
 
-def backward(model: Model, cache, grad_logits):
+def backward(model: Model, cache, grad_logits, ws=None):
     """Parameter gradients keyed like Model.parameters(), from a forward
-    cache and the upstream gradient on the logits."""
+    cache and the upstream gradient on the logits.  ws is the Workspace
+    the forward ran with, if any; the gradients never alias its arrays."""
     if cache is None:
         raise ConfigError("backward requires a cache from forward(keep_intermediates=True)")
     grads = {}
@@ -303,20 +316,20 @@ def backward(model: Model, cache, grad_logits):
     g = grad_flat.reshape(cache["final_dims"])
     for block, saved in zip(reversed(model.blocks), reversed(cache["blocks"])):
         if block.pool is not None:
-            g = avgpool3d_backward(saved["pre_pool_dims"], block.pool, g)
+            g = avgpool3d_backward(saved["pre_pool_dims"], block.pool, g, ws=ws)
         # out = z + y: the skip feeds g straight back to y alongside the
         # projection's input gradient
         gy, gw_proj, gb_proj = conv3d_backward(
-            saved["y"], block.proj, g, cols=saved["proj_cols"]
+            saved["y"], block.proj, g, cols=saved["proj_cols"], ws=ws
         )
         gy += g
         grads[f"{block.proj.name}.weight"] = gw_proj
         grads[f"{block.proj.name}.bias"] = gb_proj
-        gpre = relu_backward(saved["pre"], gy)
+        gpre = relu_backward(saved["pre"], gy, ws=ws, name=block.main.name)
         # nothing consumes the gradient of the network input
         g, gw_main, gb_main = conv3d_backward(
             saved["x_in"], block.main, gpre, cols=saved["main_cols"],
-            input_grad=block is not model.blocks[0],
+            input_grad=block is not model.blocks[0], ws=ws,
         )
         grads[f"{block.main.name}.weight"] = gw_main
         grads[f"{block.main.name}.bias"] = gb_main
@@ -356,8 +369,18 @@ def save_checkpoint(model: Model, json_path):
 
 def load_checkpoint(json_path) -> Model:
     """Rebuild a Model bit-exactly from its manifest + blob pair."""
-    manifest = _read_header(json_path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    manifest = _read_header(json_path, "checkpoint", CHECKPOINT_FORMAT_VERSION,
+                            [("config", dict), ("layers", list)])
+    for field in ("spectral_depth", "num_classes", "spatial_window"):
+        _field(manifest["config"], "checkpoint config", field, int)
+    if "rng_seed" in manifest:
+        _field(manifest, "checkpoint", "rng_seed", int)
     declared = manifest["layers"]
+    for d in declared:
+        if not isinstance(d, dict):
+            raise FormatError(f"checkpoint layer entry {d!r} is not an object")
+        for field, types in (("name", str), ("weight_shape", list), ("bias_shape", list)):
+            _field(d, "checkpoint layer", field, types)
     if [d["name"] for d in declared] != list(LAYER_NAMES):
         raise FormatError(
             f"checkpoint layer order {[d['name'] for d in declared]} does not "

@@ -7,22 +7,114 @@ channels-last result.  One layer's output therefore feeds the next without
 a copy; an input laid out any other way is copied once, where a contiguous
 operand is needed.
 
-A convolution is an im2col patch stack times one weight matrix.  Patch
-columns run in (kh, kw, kd, c) order, so each column block is a copy of a
-contiguous (kd, c) run of the input.  The forward contraction is a single
-np.matmul of the (n, h'*w'*d', k) patch stack against the (k, out) weight
-matrix: numpy issues one BLAS GEMM of the same shape per sample, and a
+A convolution is a patch stack times one weight matrix.  The stack's
+layout is chosen from the layer's geometry alone (_layout), in this order:
+
+- pointwise (1x1x1, stride 1, unpadded): the channels-last input is its
+  own (n, h*w*d, c) stack; the 1x1x1 projections.
+- depth-run (one input channel): an (n, kh*kw*kd, h'*w'*d') stack whose
+  rows are runs of the input along depth, its contiguous axis; the
+  forward multiplies the stack's transpose by the (kh*kw*kd, out)
+  matrix.  Conv1.
+- depth-fold (several input channels, a kernel wider than 1 along depth
+  and along a spatial axis): an (n, h'*w'*D, kh*kw*c) stack of the
+  (kh, kw) windows at every padded depth D, times a (kh*kw*c, kd*out)
+  matrix whose column blocks are the kd depth taps' weights.  Output
+  depth k sums tap t's result at padded depth k*sd + t, t = 0..kd-1.
+  Conv2.
+- im2col (every other layer): an (n, h'*w'*d', kh*kw*kd*c) stack,
+  columns in (kh, kw, kd, c) order, so each column block is a copy of a
+  contiguous (kd, c) run of the input.  The depth-only Conv3 and Conv4.
+
+Whatever the layout, the forward contraction is a single np.matmul over
+the batch: numpy issues one BLAS GEMM of the same shape per sample, and a
 GEMM's blocking, fixed by that shape, fixes each output's accumulation
-order.  A sample's activations are thus bitwise identical whatever batch
-it is computed in, for a fixed numpy/BLAS build and BLAS thread count;
-another build or thread count may change the last bits.  Backward
-contractions carry no such contract and multiply whole-batch matrices.
+order; the depth-fold tap sum then runs element by element in tap order.
+A sample's activations are thus bitwise identical whatever batch it is
+computed in, for a fixed numpy/BLAS build and BLAS thread count; another
+build or thread count may change the last bits.  Backward contractions
+carry no such contract and multiply whole-batch matrices.  col2im adds
+one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
+depth-fold layer, whose upstream is first shifted out to every tap.
+
+A Workspace holds the scratch arrays of one training run or one
+inference pass; training.train, training.evaluate and
+training.predict_map each create one and hand it to every forward,
+backward and kernel call they make.  A kernel given one as its ws keyword
+writes its patch stacks, outputs, padded copies and backward scratch into
+the workspace's array for (layer, role, shape, dtype) instead of
+allocating.  Such an array stays valid until the next call that takes the
+same key, so a forward cache lasts until the next forward with the same
+workspace.  Without a workspace every kernel returns freshly allocated
+arrays.
 """
 
 import numpy as np
 
 from .errors import MismatchError, ShapeError
 from .tensor import as_tensor5, Conv3dSpec, Pool3dSpec
+
+
+class Workspace:
+    """Scratch arrays reused from call to call, one per (layer, role,
+    shape, dtype); its owner must be done with an array before the next
+    call that takes the same key.
+
+    The arrays are carved from a few blocks, each three times the size of
+    the one before, so all of them together are under 1.5 times the
+    largest.  Once glibc's malloc has unmapped a block (of up to 32 MB), it
+    serves blocks up to that size from its heap and trims the heap only
+    past twice that size, so the next workspace's blocks reuse the memory
+    this one freed instead of faulting fresh pages in on every call.
+    """
+
+    FIRST_BLOCK_BYTES = 1 << 20
+
+    def __init__(self):
+        self._arrays = {}
+        self._free = np.empty(0, np.uint8)
+        self._block_bytes = self.FIRST_BLOCK_BYTES // 3
+
+    def take(self, layer, role, shape, dtype):
+        key = (layer, role, tuple(shape), np.dtype(dtype))
+        array = self._arrays.get(key)
+        if array is None:
+            array = self._arrays[key] = self._carve(key[2], key[3])
+        return array
+
+    def _carve(self, shape, dtype):
+        count = int(np.prod(shape))
+        nbytes = -(-max(count, 1) * dtype.itemsize // 64) * 64  # whole 64-byte lines
+        if nbytes > self._free.size:
+            self._block_bytes = max(3 * self._block_bytes, nbytes)
+            self._free = np.empty(self._block_bytes, np.uint8)
+        piece, self._free = self._free[:nbytes], self._free[nbytes:]
+        return piece.view(dtype)[:count].reshape(shape)
+
+
+def _scratch(ws, layer, role, shape, dtype):
+    """Uninitialised array: ws's for the key, or a new one without ws."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    return ws.take(layer, role, shape, dtype)
+
+
+def _zeroed(ws, layer, role, shape, dtype):
+    """Zero-filled array: ws's for the key, or a new one without ws."""
+    if ws is None:
+        return np.zeros(shape, dtype)
+    array = ws.take(layer, role, shape, dtype)
+    array.fill(0)
+    return array
+
+
+def _contiguous(a, ws, layer, role):
+    """a itself when C-contiguous, else a copy of it."""
+    if a.flags.c_contiguous:
+        return a
+    copy = _scratch(ws, layer, role, a.shape, a.dtype)
+    np.copyto(copy, a)
+    return copy
 
 
 def _channels_last(x):
@@ -35,53 +127,94 @@ def _channels_first(x):
     return x.transpose(0, 4, 1, 2, 3)
 
 
-def _pad_spatial(x, padding):
+def _pad_spatial(x, padding, ws=None, layer=None):
     """Zero-pad the three spatial axes of a channels-last array."""
     ph, pw, pd = padding
     if ph == 0 and pw == 0 and pd == 0:
         return x
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (pd, pd), (0, 0)))
+    n, h, w, d, c = x.shape
+    xp = _zeroed(ws, layer, "pad", (n, h + 2 * ph, w + 2 * pw, d + 2 * pd, c), x.dtype)
+    xp[:, ph:ph + h, pw:pw + w, pd:pd + d] = x
+    return xp
 
 
-def _offset_slices(kernel, stride, out_dims):
-    """Strided slice triples addressing each kernel offset's window sweep."""
-    kh, kw, kd = kernel
-    sh, sw, sd = stride
-    ho, wo, do = out_dims
-    for a in range(kh):
-        rows = slice(a, a + sh * ho, sh)
-        for b in range(kw):
-            cols = slice(b, b + sw * wo, sw)
-            for c in range(kd):
-                yield rows, cols, slice(c, c + sd * do, sd)
+def _clipped_slices(kernel, stride, padding, in_dims, out_dims):
+    """Per window offset q (row-major over the kernel's offsets), the
+    (q, output, input) slice triples of the window positions that read the
+    input rather than its zero padding; offsets that only ever read padding
+    are left out."""
+    per_axis = []
+    for k, s, p, n, o in zip(kernel, stride, padding, in_dims, out_dims):
+        taps = []
+        for a in range(k):
+            lo, hi = max(0, -((a - p) // s)), min(o, (n - 1 + p - a) // s + 1)
+            if lo < hi:
+                start = a + s * lo - p
+                taps.append((a, slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)))
+        per_axis.append(taps)
+    _, kw, kd = kernel
+    for a, out_h, in_h in per_axis[0]:
+        for b, out_w, in_w in per_axis[1]:
+            for c, out_d, in_d in per_axis[2]:
+                yield (a * kw + b) * kd + c, (out_h, out_w, out_d), (in_h, in_w, in_d)
 
 
-def _is_pointwise(spec: Conv3dSpec):
-    """A 1x1x1, stride 1, unpadded conv: its patch matrix is its input."""
-    return spec.kernel == spec.stride == (1, 1, 1) and spec.padding == (0, 0, 0)
+def _layout(spec: Conv3dSpec):
+    """The patch stack layout of spec's geometry (see the module docstring)."""
+    kh, kw, kd = spec.kernel
+    if spec.kernel == spec.stride == (1, 1, 1) and spec.padding == (0, 0, 0):
+        return "pointwise"
+    if spec.in_channels == 1:
+        return "run"
+    if kh * kw > 1 and kd > 1:
+        return "fold"
+    return "im2col"
 
 
-def _im2col(xl, spec: Conv3dSpec, out_dims):
-    """Contiguous (n, h'*w'*d', kh*kw*kd*c) patch stack of channels-last xl,
-    columns in (kh, kw, kd, c) order."""
+def _stack_geometry(spec: Conv3dSpec, out_dims, padded_depth):
+    """(kernel, stride, out_dims) the patch stack's windows are cut with: a
+    depth-fold stack takes (kh, kw) windows at every padded depth."""
+    if _layout(spec) == "fold":
+        (kh, kw, _), (sh, sw, _) = spec.kernel, spec.stride
+        return (kh, kw, 1), (sh, sw, 1), (*out_dims[:2], padded_depth)
+    return spec.kernel, spec.stride, out_dims
+
+
+def _patch_stack(x, spec: Conv3dSpec, out_dims, ws):
+    """The layer's contiguous patch stack of a (n, c, h, w, d) input."""
+    xl = _channels_last(x)
     n, c = xl.shape[0], xl.shape[-1]
-    m = out_dims[0] * out_dims[1] * out_dims[2]
-    if _is_pointwise(spec):
-        return np.ascontiguousarray(xl).reshape(n, m, c)
-    xp = _pad_spatial(xl, spec.padding)
+    if _layout(spec) == "pointwise":
+        return _contiguous(xl, ws, spec.name, "stack").reshape(n, -1, c)
+    xp = _pad_spatial(xl, spec.padding, ws, spec.name)
+    kernel, stride, dims = _stack_geometry(spec, out_dims, xp.shape[3])
     sn, sH, sW, sD, sC = xp.strides
-    sh, sw, sd = spec.stride
-    win = np.lib.stride_tricks.as_strided(
+    sh, sw, sd = stride
+    sweep = (dims, (sH * sh, sW * sw, sD * sd))
+    window = (kernel, (sH, sW, sD))
+    # a depth-run stack has the kernel offsets outermost
+    outer, inner = (window, sweep) if _layout(spec) == "run" else (sweep, window)
+    view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, *out_dims, *spec.kernel, c),
-        strides=(sn, sH * sh, sW * sw, sD * sd, sH, sW, sD, sC),
+        shape=(n, *outer[0], *inner[0], c),
+        strides=(sn, *outer[1], *inner[1], sC),
         writeable=False,
     )
-    return np.ascontiguousarray(win).reshape(n, m, -1)
+    stack = _scratch(ws, spec.name, "stack", view.shape, xp.dtype)
+    np.copyto(stack, view)
+    return stack.reshape(n, np.prod(outer[0]), -1)
 
 
 def _weight_matrix(spec: Conv3dSpec):
-    """(kh*kw*kd*in, out) weights, rows in patch-column order."""
+    """The weights as the matrix the layer's stack is multiplied by: for a
+    depth-fold layer (kh*kw*in, kd*out), rows in (kh, kw, in) and columns
+    in (kd, out) order; otherwise (kh*kw*kd*in, out), rows in patch-column
+    order."""
+    kh, kw, kd = spec.kernel
+    if _layout(spec) == "fold":
+        return np.ascontiguousarray(spec.weights.transpose(2, 3, 1, 4, 0)).reshape(
+            kh * kw * spec.in_channels, kd * spec.out_channels
+        )
     return np.ascontiguousarray(spec.weights.transpose(2, 3, 4, 1, 0)).reshape(
         -1, spec.out_channels
     )
@@ -97,24 +230,53 @@ def _check_conv_input(x, spec: Conv3dSpec):
     return x
 
 
-def _conv3d_forward_cols(x, spec: Conv3dSpec):
+def _conv3d_forward_cols(x, spec: Conv3dSpec, ws=None):
     """conv3d_forward that also hands back its patch stack for reuse."""
     x = _check_conv_input(x, spec)
+    n = x.shape[0]
     out_dims = spec.output_dims(x.shape[2:])
-    cols = _im2col(_channels_last(x), spec, out_dims)
-    out = np.matmul(cols, _weight_matrix(spec))
+    cols = _patch_stack(x, spec, out_dims, ws)
+    wmat = _weight_matrix(spec)
+    dtype = np.result_type(cols, wmat)
+    out = _scratch(ws, spec.name, "out", (n, *out_dims, spec.out_channels), dtype)
+    layout = _layout(spec)
+    if layout == "fold":
+        # one column block per depth tap (kd >= 2); tap t of output depth k
+        # read padded depth k * sd + t
+        sd, kd = spec.stride[2], spec.kernel[2]
+        taps = _scratch(ws, spec.name, "taps", (*cols.shape[:2], wmat.shape[1]), dtype)
+        np.matmul(cols, wmat, out=taps)
+        taps = taps.reshape(n, *out_dims[:2], -1, kd, spec.out_channels)
+        span = sd * out_dims[2]
+        tap = [taps[:, :, :, t:t + span:sd, t] for t in range(kd)]
+        np.add(tap[0], tap[1], out=out)
+        for t in range(2, kd):
+            out += tap[t]
+    else:
+        lhs = cols.transpose(0, 2, 1) if layout == "run" else cols
+        np.matmul(lhs, wmat, out=out.reshape(n, -1, spec.out_channels))
     out += spec.bias
-    out = out.reshape((x.shape[0], *out_dims, spec.out_channels))
     return _channels_first(out), cols
 
 
-def conv3d_forward(x, spec: Conv3dSpec):
+def conv3d_forward(x, spec: Conv3dSpec, ws=None):
     """Strided 3D cross-correlation with bias over a (n, c, h, w, d) tensor."""
-    out, _ = _conv3d_forward_cols(x, spec)
+    out, _ = _conv3d_forward_cols(x, spec, ws=ws)
     return out
 
 
-def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
+def _grad_weights(spec: Conv3dSpec, gmat):
+    """(out, in, kh, kw, kd) weight gradient from its (columns of the
+    layer's weight matrix, rows of it) matrix."""
+    kh, kw, kd = spec.kernel
+    if _layout(spec) == "fold":
+        g = gmat.reshape(kd, spec.out_channels, kh, kw, spec.in_channels)
+        return np.ascontiguousarray(g.transpose(1, 4, 2, 3, 0))
+    g = gmat.reshape(spec.out_channels, kh, kw, kd, spec.in_channels)
+    return np.ascontiguousarray(g.transpose(0, 4, 1, 2, 3))
+
+
+def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, ws=None):
     """Exact partials of sum(upstream * conv3d_forward(x, spec)).
 
     Returns (grad_x, grad_weights, grad_bias) with the shapes of x,
@@ -124,8 +286,9 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
     """
     x = _check_conv_input(x, spec)
     n, cin, h, w, d = x.shape
+    co = spec.out_channels
     out_dims = spec.output_dims((h, w, d))
-    expected = (n, spec.out_channels) + out_dims
+    expected = (n, co) + out_dims
     upstream = np.asarray(upstream)
     if upstream.shape != expected:
         raise ShapeError(
@@ -133,51 +296,69 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
         )
 
     if cols is None:
-        cols = _im2col(_channels_last(x), spec, out_dims)
-    cols = cols.reshape(-1, cols.shape[-1])
-    g = np.ascontiguousarray(_channels_last(upstream)).reshape(-1, spec.out_channels)
-
-    grad_bias = g.sum(axis=0)
-    grad_weights = np.ascontiguousarray(
-        (g.T @ cols).reshape((spec.out_channels, *spec.kernel, cin)).transpose(0, 4, 1, 2, 3)
-    )
+        cols = _patch_stack(x, spec, out_dims, ws)
+    layout = _layout(spec)
+    g = _contiguous(_channels_last(upstream), ws, spec.name, "upstream")
+    # einsum sums the rows ~4x faster than sum(axis=0), whose inner loop
+    # covers only one row of co channels
+    grad_bias = np.einsum("mc->c", g.reshape(-1, co))
+    wmat = _weight_matrix(spec)
+    dtype = np.result_type(g, wmat)
+    if layout == "fold":
+        # the upstream shifted to every depth tap: column block t at padded
+        # depth k * sd + t holds output depth k's gradient
+        sd, kd = spec.stride[2], spec.kernel[2]
+        padded_depth = d + 2 * spec.padding[2]
+        gmat = _zeroed(ws, spec.name, "taps", (n, cols.shape[1], kd * co), g.dtype)
+        taps = gmat.reshape(n, *out_dims[:2], padded_depth, kd, co)
+        span = sd * out_dims[2]
+        for t in range(kd):
+            taps[:, :, :, t:t + span:sd, t] = g
+        gmat = gmat.reshape(-1, kd * co)
+        grad_weights = _grad_weights(spec, gmat.T @ cols.reshape(-1, cols.shape[-1]))
+    elif layout == "run":
+        gmat = g.reshape(-1, co)
+        per_sample = _scratch(ws, spec.name, "weight_grads", (*cols.shape[:2], co), dtype)
+        np.matmul(cols, g.reshape(n, -1, co), out=per_sample)
+        grad_weights = _grad_weights(spec, per_sample.sum(axis=0).T)
+    else:
+        gmat = g.reshape(-1, co)
+        grad_weights = _grad_weights(spec, gmat.T @ cols.reshape(-1, cols.shape[-1]))
     if not input_grad:
         return None, grad_weights, grad_bias
 
-    wmat = _weight_matrix(spec)
-    if _is_pointwise(spec):
-        grad_x = (g @ wmat.T).reshape(n, h, w, d, cin)
+    if layout == "pointwise":
+        grad_x = _scratch(ws, spec.name, "grad_x", (n, h, w, d, cin), dtype)
+        np.matmul(gmat, wmat.T, out=grad_x.reshape(-1, cin))
         return _channels_first(grad_x), grad_weights, grad_bias
-    # col2im one kernel offset at a time: offset q's rows of the weight
-    # matrix turn g into a contiguous (n, h', w', d', c) slab, which is
-    # added into the input positions that offset's window sweep read
-    ph, pw, pd = spec.padding
-    dtype = np.result_type(g, wmat)
-    grad_padded = np.zeros((n, h + 2 * ph, w + 2 * pw, d + 2 * pd, cin), dtype=dtype)
-    slab = np.empty((n, *out_dims, cin), dtype=dtype)
-    for q, (rows, cols_s, depths) in enumerate(
-        _offset_slices(spec.kernel, spec.stride, out_dims)
-    ):
-        np.matmul(g, wmat[q * cin:(q + 1) * cin].T, out=slab.reshape(-1, cin))
-        grad_padded[:, rows, cols_s, depths] += slab
-    grad_x = grad_padded[:, ph:ph + h, pw:pw + w, pd:pd + d]
+    # col2im one window offset at a time: offset q's rows of the weight
+    # matrix turn gmat into a contiguous (n, *dims, c) slab, which is added
+    # into the input positions that offset's window sweep read
+    kernel, stride, dims = _stack_geometry(spec, out_dims, d + 2 * spec.padding[2])
+    grad_x = _zeroed(ws, spec.name, "grad_x", (n, h, w, d, cin), dtype)
+    slab = _scratch(ws, spec.name, "slab", (n, *dims, cin), dtype)
+    for q, (oh, ow, od), (ih, iw, id_) in _clipped_slices(
+            kernel, stride, spec.padding, (h, w, d), dims):
+        np.matmul(gmat, wmat[q * cin:(q + 1) * cin].T, out=slab.reshape(-1, cin))
+        grad_x[:, ih, iw, id_] += slab[:, oh, ow, od]
     return _channels_first(grad_x), grad_weights, grad_bias
 
 
-def avgpool3d_forward(x, spec: Pool3dSpec):
+def avgpool3d_forward(x, spec: Pool3dSpec, ws=None):
     """Include-pad average pooling: window sum over the zero-padded input
-    divided by the full kernel volume."""
+    divided by the full kernel volume.  Padding taps are skipped, which
+    adds nothing: a sum started at +0.0 is unchanged by adding +0.0."""
     xl = _channels_last(as_tensor5(x))
     out_dims = spec.output_dims(xl.shape[1:4])
-    xp = _pad_spatial(xl, spec.padding)
-    acc = np.zeros((xl.shape[0], *out_dims, xl.shape[-1]), dtype=xl.dtype)
-    for rows, cols, depths in _offset_slices(spec.kernel, spec.stride, out_dims):
-        acc += xp[:, rows, cols, depths]
+    acc = _zeroed(ws, spec.name, "out", (xl.shape[0], *out_dims, xl.shape[-1]), xl.dtype)
+    for _, (oh, ow, od), (ih, iw, id_) in _clipped_slices(
+            spec.kernel, spec.stride, spec.padding, xl.shape[1:4], out_dims):
+        acc[:, oh, ow, od] += xl[:, ih, iw, id_]
     acc /= spec.volume
     return _channels_first(acc)
 
 
-def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream):
+def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream, ws=None):
     """Route each upstream value back to every input position its window
     covered, divided by the kernel volume; padded positions receive nothing."""
     x_dims = tuple(int(v) for v in x_dims)
@@ -191,32 +372,57 @@ def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream):
         raise ShapeError(
             f"pool upstream shape {upstream.shape} != pooled output {expected}"
         )
-    g = _channels_last(upstream) / spec.volume
-    ph, pw, pd = spec.padding
-    grad_padded = np.zeros((n, h + 2 * ph, w + 2 * pw, d + 2 * pd, c), dtype=g.dtype)
-    for rows, cols, depths in _offset_slices(spec.kernel, spec.stride, out_dims):
-        grad_padded[:, rows, cols, depths] += g
-    grad_x = grad_padded[:, ph:ph + h, pw:pw + w, pd:pd + d]
+    g = _scratch(ws, spec.name, "upstream", (n, *out_dims, c), upstream.dtype)
+    np.divide(_channels_last(upstream), spec.volume, out=g)
+    grad_x = _zeroed(ws, spec.name, "grad_x", (n, h, w, d, c), g.dtype)
+    for _, (oh, ow, od), (ih, iw, id_) in _clipped_slices(
+            spec.kernel, spec.stride, spec.padding, (h, w, d), out_dims):
+        grad_x[:, ih, iw, id_] += g[:, oh, ow, od]
     return _channels_first(grad_x)
 
 
-def relu(x):
-    """Element-wise max(0, x)."""
-    return np.maximum(x, 0)
+def _scratch_like(x, ws, layer, role, dtype):
+    """Uninitialised array of x's shape, channels-last in memory when x has
+    five axes."""
+    if x.ndim != 5:
+        return _scratch(ws, layer, role, x.shape, dtype)
+    return _channels_first(_scratch(ws, layer, role, _channels_last(x).shape, dtype))
 
 
-def relu_backward(x, upstream):
-    """Pass upstream where x > 0; the subgradient at exactly 0 is 0."""
+def relu(x, ws=None, name="relu"):
+    """Element-wise max(0, x).  With ws, name keys the output."""
+    x = np.asarray(x)
+    return np.maximum(x, 0, out=_scratch_like(x, ws, name, "relu", x.dtype))
+
+
+def relu_backward(x, upstream, ws=None, name="relu"):
+    """Pass upstream where x > 0; the subgradient at exactly 0 is 0.
+
+    The result is np.where(x > 0, upstream, 0) bit for bit (+0.0 wherever
+    x <= 0, even under a NaN or infinite upstream), computed as upstream's
+    bits ANDed with an all-ones or all-zeros mask, which needs no
+    per-element branch.  With ws, name keys the scratch arrays.
+    """
     x = np.asarray(x)
     upstream = np.asarray(upstream)
     if upstream.shape != x.shape:
         raise ShapeError(f"relu upstream shape {upstream.shape} != input {x.shape}")
-    return np.where(x > 0, upstream, np.zeros((), dtype=upstream.dtype))
+    passed = np.greater(x, 0, out=_scratch_like(x, ws, name, "relu_passed", bool))
+    grad = _scratch_like(x, ws, name, "relu_grad", upstream.dtype)
+    # the mask is built in grad's own bits: True -> all ones, False -> 0
+    bits = grad.view(f"i{grad.itemsize}")
+    np.negative(passed.view(np.int8), out=bits)
+    np.bitwise_and(upstream.view(bits.dtype), bits, out=bits)
+    return grad
 
 
 def linear_forward(x, weights, bias):
     """logits[c] = bias[c] + sum_f weights[c, f] * x[f], for one sample (F,)
-    or a batch (n, F)."""
+    or a batch (n, F).
+
+    Each row is its own (1, F) x (F, C) product, so a row's logits do not
+    depend on how many rows come with it.
+    """
     x = np.ascontiguousarray(x)
     weights = np.ascontiguousarray(weights)
     bias = np.asarray(bias)
@@ -225,9 +431,9 @@ def linear_forward(x, weights, bias):
             f"feature length {x.shape[-1]} != classifier width {weights.shape[1]}"
         )
     if x.ndim == 1:
-        return np.einsum("cf,f->c", weights, x) + bias
+        return linear_forward(x[None, :], weights, bias)[0]
     if x.ndim == 2:
-        return np.einsum("nf,cf->nc", x, weights) + bias
+        return np.matmul(x[:, None, :], weights.T)[:, 0] + bias
     raise ShapeError(f"linear input must be 1-D or 2-D, got ndim={x.ndim}")
 
 

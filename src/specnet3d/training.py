@@ -4,7 +4,8 @@ prediction.
 The loop is strictly sequential: batches are visited in the shuffled
 order drawn from one seeded generator, and every kernel accumulates in a
 fixed order, so identical seeds reproduce checkpoints and histories
-bitwise.
+bitwise.  train, evaluate and predict_map each own one ops.Workspace, so
+their steps and tiles reuse one set of scratch arrays.
 
 Inference (evaluate and predict_map) runs the network densely, one
 fully-convolutional pass per tile of TILE output pixels on a grid
@@ -26,7 +27,7 @@ from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy
 from .network import Model, backward, forward, forward_dense, save_checkpoint
-from .ops import softmax_cross_entropy
+from .ops import Workspace, _scratch, _zeroed, softmax_cross_entropy
 
 
 @dataclass
@@ -101,9 +102,9 @@ def _batched(seq, size):
         yield seq[start:start + size]
 
 
-def _patch_batch(cube: HsiCube, coords, window):
-    batch = np.zeros((len(coords), 1, window, window, cube.bands),
-                     dtype=cube.values.dtype)
+def _patch_batch(cube: HsiCube, coords, window, ws=None):
+    batch = _scratch(ws, "patches", "input", (len(coords), 1, window, window, cube.bands),
+                     cube.values.dtype)
     for i, (r, c) in enumerate(coords):
         batch[i] = extract_patch(cube, r, c, window)[0]
     return batch
@@ -113,20 +114,21 @@ def _patch_batch(cube: HsiCube, coords, window):
 TILE = (8, 8)
 
 
-def _tile_logits(model: Model, cube: HsiCube, r0, c0):
+def _tile_logits(model: Model, cube: HsiCube, r0, c0, ws=None):
     """(rows, cols, classes) logits of the tile whose first pixel is
     (r0, c0), clipped at the scene edge."""
     window = model.config.spatial_window
     half = window // 2
     rows, cols = min(TILE[0], cube.height - r0), min(TILE[1], cube.width - c0)
-    tile = np.zeros((1, 1, rows + window - 1, cols + window - 1, cube.bands),
-                    dtype=cube.values.dtype)
+    tile = _zeroed(ws, "tile", "input",
+                   (1, 1, rows + window - 1, cols + window - 1, cube.bands),
+                   cube.values.dtype)
     a0, a1 = max(0, r0 - half), min(cube.height, r0 + rows + half)
     b0, b1 = max(0, c0 - half), min(cube.width, c0 + cols + half)
     tile[0, 0, a0 - r0 + half:a1 - r0 + half, b0 - c0 + half:b1 - c0 + half] = (
         cube.values[a0:a1, b0:b1]
     )
-    return forward_dense(model, tile)
+    return forward_dense(model, tile, ws=ws)
 
 
 def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):
@@ -162,6 +164,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     window = model.config.spatial_window
     params = model.parameters()
     rng = np.random.default_rng(config.shuffle_seed)
+    ws = Workspace()
 
     history = []
     history_fh = open(history_path, "w", encoding="utf-8") if history_path else None
@@ -172,8 +175,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
             for batch_no, batch_idx in enumerate(_batched(order, config.batch_size), 1):
                 coords = [train_pixels[i][:2] for i in batch_idx]
                 targets = np.asarray([train_pixels[i][2] - 1 for i in batch_idx])
-                patches = _patch_batch(norm, coords, window)
-                logits, cache = forward(model, patches, keep_intermediates=True)
+                patches = _patch_batch(norm, coords, window, ws)
+                logits, cache = forward(model, patches, keep_intermediates=True, ws=ws)
                 losses, grad_logits = softmax_cross_entropy(logits, targets)
                 batch_loss = float(losses.sum())
                 if not np.isfinite(batch_loss):
@@ -182,7 +185,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
                         f"{batch_loss}; the run diverged (lower the learning rate)"
                     )
                 loss_sum += batch_loss
-                grads = backward(model, cache, grad_logits / len(batch_idx))
+                grads = backward(model, cache, grad_logits / len(batch_idx), ws=ws)
                 sgd_step(params, grads, opt)
             entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_pixels)}
             if eval_test and test_pixels:
@@ -213,8 +216,9 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
     for r, c, cls in (_check_pixel(labels, e) for e in pixel_set):
         by_tile.setdefault((r - r % TILE[0], c - c % TILE[1]), []).append((r, c, cls))
     matrix = ConfusionMatrix.zeros(model.config.num_classes, labels.class_names)
+    ws = Workspace()
     for (r0, c0), members in sorted(by_tile.items()):
-        classes = np.argmax(_tile_logits(model, cube, r0, c0), axis=2) + 1
+        classes = np.argmax(_tile_logits(model, cube, r0, c0, ws), axis=2) + 1
         for r, c, cls in members:
             matrix.add(cls, int(classes[r - r0, c - c0]))
     return matrix
@@ -226,9 +230,10 @@ def predict_map(model: Model, cube: HsiCube) -> np.ndarray:
     in [1, C], ties going to the lowest class."""
     _check_scene(model, cube)
     grid = np.empty((cube.height, cube.width), dtype=np.int64)
+    ws = Workspace()
     for r0 in range(0, cube.height, TILE[0]):
         for c0 in range(0, cube.width, TILE[1]):
-            logits = _tile_logits(model, cube, r0, c0)
+            logits = _tile_logits(model, cube, r0, c0, ws)
             rows, cols = logits.shape[:2]
             grid[r0:r0 + rows, c0:c0 + cols] = np.argmax(logits, axis=2) + 1
     return grid

@@ -225,3 +225,68 @@ def test_huge_declared_dims_rejected_before_allocation(kind, dims, count, tmp_pa
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=f"exactly {count}$"):
         CONTAINERS[kind][2](path)
+
+
+# kind -> (a required header field, a value of the wrong type for it)
+REQUIRED_FIELDS = {
+    "cube": ("height", "2"),
+    "labels": ("width", [3]),
+    "split": ("train", {"0": [0, 1, 1]}),
+    "checkpoint": ("layers", 9),
+    "report": ("matrix", "3 1 0 2"),
+}
+
+
+@pytest.mark.parametrize("kind", list(CONTAINERS))
+@pytest.mark.parametrize("edit", ["deleted", "wrong type", "not an object"])
+def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
+    path = _written(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    field, wrong = REQUIRED_FIELDS[kind]
+    if edit == "deleted":
+        del doc[field]
+    elif edit == "wrong type":
+        doc[field] = wrong
+    else:
+        doc = [doc]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as exc:
+        CONTAINERS[kind][2](path)
+    message = str(exc.value)
+    assert message.startswith(kind)
+    if edit != "not an object":
+        assert repr(field) in message
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("checkpoint", lambda doc: doc["config"].pop("spectral_depth")),
+    ("checkpoint", lambda doc: doc["config"].update(num_classes=2.5)),
+    ("checkpoint", lambda doc: doc["layers"][3].pop("weight_shape")),
+    ("checkpoint", lambda doc: doc["layers"].__setitem__(0, "Conv1")),
+    ("checkpoint", lambda doc: doc.update(rng_seed="0")),
+    ("split", lambda doc: doc["test"].append(5)),
+    ("split", lambda doc: doc["train"][0].__setitem__(2, True)),
+    ("labels", lambda doc: doc.update(class_names="a,b")),
+])
+def test_bad_nested_header_field_raises_format_error(kind, edit, tmp_path):
+    path = _written(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=f"^{kind}"):
+        CONTAINERS[kind][2](path)
+
+
+def test_cli_reports_missing_header_field(tmp_path, capsys):
+    from specnet3d.cli import main
+
+    ckpt = _written("checkpoint", tmp_path)
+    cube = _written("cube", tmp_path)
+    doc = json.loads(cube.read_text())
+    del doc["height"]
+    cube.write_text(json.dumps(doc))
+    rc = main(["predict-map", "--checkpoint", str(ckpt), "--cube", str(cube),
+               "--out", str(tmp_path / "map.ppm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[E_FORMAT]: cube header has no 'height' field")

@@ -4,6 +4,7 @@ import pytest
 from specnet3d.errors import MismatchError, ShapeError
 from specnet3d.network import _BLOCK_PLAN
 from specnet3d.ops import (
+    _layout,
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
@@ -29,6 +30,14 @@ BLOCK_GEOMETRIES = sorted(
     {(kernel, stride, padding) for _, _, kernel, stride, padding, _ in _BLOCK_PLAN}
     | {((1, 1, 1), (1, 1, 1), (0, 0, 0))}
 )
+# each patch stack layout with stride and padding on the axes it shifts:
+# (in_channels, kernel, stride, padding, layout)
+LAYOUT_GEOMETRIES = [
+    (1, (3, 3, 3), (2, 1, 2), (1, 0, 1), "run"),
+    (3, (3, 3, 3), (1, 1, 2), (0, 0, 1), "fold"),
+    (3, (1, 1, 3), (1, 1, 2), (0, 0, 1), "im2col"),
+    (3, (1, 1, 1), (1, 1, 1), (0, 0, 0), "pointwise"),
+]
 
 
 def random_conv(rng, n, cin, cout, dims, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
@@ -142,19 +151,46 @@ class TestConv3dForward:
         split = alpha * conv3d_forward(x, spec) + beta * conv3d_forward(y, spec)
         assert_close(combined, split, 1e-5, "linearity")
 
-    @pytest.mark.parametrize("kernel, stride, padding", BLOCK_GEOMETRIES)
+    # the block geometries, then the layout geometries; one input channel
+    # takes the depth-run layout, three the depth-fold or im2col layout
+    @pytest.mark.parametrize(
+        "kernel, stride, padding",
+        BLOCK_GEOMETRIES + [g[1:4] for g in LAYOUT_GEOMETRIES[:3]],
+    )
     def test_channels_last_input_matches_oracle(self, kernel, stride, padding):
         rng = np.random.default_rng(9)
-        x, spec = random_conv(rng, 2, 3, 4, (5, 5, 7), kernel, stride, padding)
-        got = conv3d_forward(channels_last(x), spec)
-        want = conv3d_reference(x, spec.weights, spec.bias, stride, padding)
-        assert_close(got, want, 1e-5, f"{kernel} channels-last")
-        assert np.array_equal(got, conv3d_forward(x, spec))
+        for cin in (1, 3):
+            x, spec = random_conv(rng, 2, cin, 4, (5, 5, 7), kernel, stride, padding)
+            got = conv3d_forward(channels_last(x), spec)
+            want = conv3d_reference(x, spec.weights, spec.bias, stride, padding)
+            context = f"{kernel} {_layout(spec)} channels-last"
+            assert_close(got, want, 1e-5, context)
+            assert np.array_equal(got, conv3d_forward(x, spec)), context
 
-        up = rng.standard_normal(got.shape).astype(np.float32)
-        for a, b in zip(conv3d_backward(channels_last(x), spec, channels_last(up)),
-                        conv3d_backward(x, spec, up)):
-            assert np.array_equal(a, b)
+            up = rng.standard_normal(got.shape).astype(np.float32)
+            for a, b in zip(conv3d_backward(channels_last(x), spec, channels_last(up)),
+                            conv3d_backward(x, spec, up)):
+                assert np.array_equal(a, b), context
+
+    def test_layout_routing(self):
+        # the network's convs, by geometry alone
+        layouts = [
+            _layout(Conv3dSpec(name, out, cin, kernel, stride, padding))
+            for (name, out, kernel, stride, padding, _), cin
+            in zip(_BLOCK_PLAN, (1, 20, 35, 35))
+        ]
+        assert layouts == ["run", "fold", "im2col", "im2col"]
+        for cin, kernel, stride, padding, layout in LAYOUT_GEOMETRIES:
+            assert _layout(Conv3dSpec("c", 2, cin, kernel, stride, padding)) == layout
+
+    @pytest.mark.parametrize("cin, kernel, stride, padding, layout", LAYOUT_GEOMETRIES,
+                             ids=[g[-1] for g in LAYOUT_GEOMETRIES])
+    def test_every_layout_batch_independent(self, cin, kernel, stride, padding, layout):
+        rng = np.random.default_rng(16)
+        x, spec = random_conv(rng, 65, cin, 5, (5, 6, 7), kernel, stride, padding)
+        full = conv3d_forward(x, spec)
+        singles = np.concatenate([conv3d_forward(x[i:i + 1], spec) for i in range(65)])
+        assert np.array_equal(full, singles)
 
     # batch sizes around BLAS tile edges, plus the eval/map batch of 256
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 256])
@@ -202,6 +238,27 @@ class TestConv3dBackward:
         assert_close(gx, fd_x, 1e-3, "grad_x")
         assert_close(gw, fd_w, 1e-3, "grad_w")
         assert_close(gb, fd_b, 1e-3, "grad_b")
+
+    @pytest.mark.parametrize("cin, kernel, stride, padding, layout", LAYOUT_GEOMETRIES,
+                             ids=[g[-1] for g in LAYOUT_GEOMETRIES])
+    def test_every_layout_matches_oracle_and_finite_differences(
+            self, cin, kernel, stride, padding, layout):
+        rng = np.random.default_rng(15)
+        x, spec = random_conv(rng, 2, cin, 2, (4, 4, 6), kernel, stride, padding,
+                              dtype=np.float64)
+        assert _layout(spec) == layout
+        want = conv3d_reference(x, spec.weights, spec.bias, stride, padding)
+        assert_close(conv3d_forward(x, spec), want, 1e-10, "forward")
+        up = rng.standard_normal((2, 2) + spec.output_dims((4, 4, 6)))
+
+        def loss():
+            return float((conv3d_forward(x, spec) * up).sum())
+
+        gx, gw, gb = conv3d_backward(x, spec, up)
+        fd_x, fd_w, fd_b = finite_difference(loss, [x, spec.weights, spec.bias])
+        assert_close(gx, fd_x, 1e-6, "grad_x")
+        assert_close(gw, fd_w, 1e-6, "grad_w")
+        assert_close(gb, fd_b, 1e-6, "grad_b")
 
     def test_gradient_soundness_seeded_cases(self):
         rng = np.random.default_rng(14)

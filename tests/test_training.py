@@ -307,8 +307,8 @@ class TestDenseInference:
         runs = []
         original = training._tile_logits
 
-        def recording(model, cube, r0, c0):
-            logits = original(model, cube, r0, c0)
+        def recording(model, cube, r0, c0, ws=None):
+            logits = original(model, cube, r0, c0, ws)
             runs.append(((r0, c0), logits.copy()))
             return logits
 
