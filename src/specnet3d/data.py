@@ -254,9 +254,11 @@ def load_split(path) -> SplitManifest:
     def pixels(name):
         entries = doc[name]
         # type() is int, not isinstance: JSON true and false are no pixels
-        if not ({type(e) for e in entries} <= {list} and set(
-                map(type, itertools.chain.from_iterable(entries))) <= {int}):
-            raise FormatError(f"split header field {name!r} must hold lists of integers")
+        if not ({type(e) for e in entries} <= {list} and set(map(len, entries)) <= {2, 3}
+                and set(map(type, itertools.chain.from_iterable(entries))) <= {int}):
+            raise FormatError(
+                f"split header field {name!r} must hold [row, col] or [row, col, class] integers"
+            )
         return [tuple(e) for e in entries]
 
     return SplitManifest(

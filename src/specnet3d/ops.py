@@ -168,6 +168,8 @@ def _layout(spec: Conv3dSpec):
         return "run"
     if kh * kw > 1 and kd > 1:
         return "fold"
+    # folded, a depth-only kernel computes every tap at every padded depth:
+    # twice Conv4's GEMM work at depth stride 2, and no faster on Conv3
     return "im2col"
 
 
@@ -259,9 +261,9 @@ def _conv3d_forward_cols(x, spec: Conv3dSpec, ws=None):
     return _channels_first(out), cols
 
 
-def conv3d_forward(x, spec: Conv3dSpec, ws=None):
+def conv3d_forward(x, spec: Conv3dSpec):
     """Strided 3D cross-correlation with bias over a (n, c, h, w, d) tensor."""
-    out, _ = _conv3d_forward_cols(x, spec, ws=ws)
+    out, _ = _conv3d_forward_cols(x, spec)
     return out
 
 

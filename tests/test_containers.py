@@ -265,6 +265,9 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
     ("checkpoint", lambda doc: doc["layers"].__setitem__(0, "Conv1")),
     ("checkpoint", lambda doc: doc.update(rng_seed="0")),
     ("split", lambda doc: doc["test"].append(5)),
+    ("split", lambda doc: doc["test"].append([5])),
+    ("split", lambda doc: doc["test"].append([])),
+    ("split", lambda doc: doc["train"].append([1, 2, 3, 4])),
     ("split", lambda doc: doc["train"][0].__setitem__(2, True)),
     ("labels", lambda doc: doc.update(class_names="a,b")),
 ])
