@@ -15,6 +15,13 @@ arrays.  The checkpoint is a data container (manifest + float32 blob).
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
 return (see ops), so no layer copies to change layout.
+
+forward and backward cut a patch batch into shards of SHARD samples and
+fan the block stack out over threads shard by shard (parallel.fan_out),
+each shard in its own child workspace; the classifier runs on the whole
+batch.  Backward contractions multiply per-shard matrices, and each conv
+gradient is the sum of the shards' in shard order.  forward_dense runs
+on the calling thread at the caller's BLAS thread count.
 """
 
 import math
@@ -35,6 +42,7 @@ from .ops import (
     relu,
     relu_backward,
 )
+from .parallel import fan_out
 from .tensor import Conv3dSpec, Pool3dSpec
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -47,6 +55,11 @@ _BLOCK_PLAN = (
     ("Conv4", 35, (1, 1, 2), (1, 1, 2), (0, 0, 1), False),
 )
 _POOL = dict(kernel=(1, 1, 3), stride=(1, 1, 2), padding=(0, 0, 1))
+
+# Samples per shard of a patch batch: forward and backward fan a batch out
+# shard by shard, and conv gradients are summed over shards in shard
+# order.  An algorithm constant, like training.TILE, not a setting.
+SHARD = 32
 
 CONV_LAYER_NAMES = (
     "Conv1", "Conv1_1", "Conv2", "Conv2_1",
@@ -234,40 +247,55 @@ def _run_blocks(model: Model, x, cache=None, ws=None):
     return out
 
 
-def _features(out, ws):
-    """Block-4 output (n, c, h, w, d) flattened in that order, per sample."""
-    flat = _scratch(ws, "FC", "features", out.shape, out.dtype)
-    np.copyto(flat, out)
-    return flat.reshape(out.shape[0], -1)
+def _features(outs, ws):
+    """Block-4 outputs (n, c, h, w, d), one after another along the batch,
+    flattened in that order per sample."""
+    shape = (sum(out.shape[0] for out in outs), *outs[0].shape[1:])
+    flat = _scratch(ws, "FC", "features", shape, outs[0].dtype)
+    np.concatenate(outs, out=flat)
+    return flat.reshape(shape[0], -1)
+
+
+def _shards(n, ws):
+    """The batch's SHARD-sample slices and each one's workspace."""
+    slices = [slice(start, start + SHARD) for start in range(0, n, SHARD)]
+    return slices, [None if ws is None else ws.shard(i) for i in range(len(slices))]
 
 
 def forward(model: Model, x, keep_intermediates=False, ws=None):
     """Run the network; returns (logits, cache), cache None unless kept.
 
     x must have dims (n, 1, window, window, S) matching model.config.
-    With a Workspace the cache holds the workspace's arrays, valid until
-    the next call with it; the logits never do.
+    The block stack runs on each SHARD-sample shard of the batch, the
+    shards fanned out over threads (parallel.fan_out); the classifier runs
+    on the whole batch.  With a Workspace the cache holds the
+    workspace's arrays (each shard's in its own child workspace), valid
+    until the next call with it; the logits never do.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
     expected_tail = (1, w, w, model.config.spectral_depth)
-    if x.ndim != 5 or x.shape[1:] != expected_tail:
+    if x.ndim != 5 or x.shape[1:] != expected_tail or x.shape[0] == 0:
         raise ShapeError(
-            f"input dims {x.shape} do not match (n, 1, {w}, {w}, "
+            f"input dims {x.shape} do not match (n >= 1, 1, {w}, {w}, "
             f"{model.config.spectral_depth})"
         )
-    cache = {"blocks": []} if keep_intermediates else None
-    out = _run_blocks(model, x, cache, ws)
-    flat = _features(out, ws)
-    if flat.shape[1] != model.feature_length:
-        raise ShapeError(
-            f"flattened length {flat.shape[1]} != classifier width "
-            f"{model.feature_length}"
-        )
-    logits = linear_forward(flat, model.fc_weights, model.fc_bias)
-    if cache is not None:
-        cache["flat"] = flat
-        cache["final_dims"] = out.shape
+    slices, shard_ws = _shards(x.shape[0], ws)
+    shard_caches = [{"blocks": []} if keep_intermediates else None for _ in slices]
+    with fan_out(len(slices)) as run:
+        outs = run(lambda i: _run_blocks(
+            model, x[slices[i]], shard_caches[i], shard_ws[i]))
+        flat = _features(outs, ws)
+        if flat.shape[1] != model.feature_length:
+            raise ShapeError(
+                f"flattened length {flat.shape[1]} != classifier width "
+                f"{model.feature_length}"
+            )
+        logits = linear_forward(flat, model.fc_weights, model.fc_bias)
+    cache = None
+    if keep_intermediates:
+        cache = {"shards": shard_caches, "flat": flat,
+                 "final_dims": (flat.shape[0], *outs[0].shape[1:])}
     return logits, cache
 
 
@@ -294,7 +322,7 @@ def forward_dense(model: Model, tile, ws=None):
     k = out.shape[1] - rows + 1  # block-4 neighbourhood of one pixel
     # (c, R, C, d, k, k) windows -> (R, C, c, k, k, d) rows of features
     windows = np.lib.stride_tricks.sliding_window_view(out, (k, k), axis=(1, 2))
-    features = _features(windows.transpose(1, 2, 0, 4, 5, 3), ws)
+    features = _features([windows.transpose(1, 2, 0, 4, 5, 3)], ws)
     logits = linear_forward(features.reshape(rows * cols, -1), model.fc_weights,
                             model.fc_bias)
     return logits.reshape(rows, cols, -1)
@@ -303,18 +331,35 @@ def forward_dense(model: Model, tile, ws=None):
 def backward(model: Model, cache, grad_logits, ws=None):
     """Parameter gradients keyed like Model.parameters(), from a forward
     cache and the upstream gradient on the logits.  ws is the Workspace
-    the forward ran with, if any; the gradients never alias its arrays."""
+    the forward ran with, if any; the gradients never alias its arrays.
+
+    The classifier's gradients come from the whole batch.  The block
+    stack's come shard by shard, fanned out like forward, and each conv
+    gradient is the sum of the shards' in shard order, so its bits depend
+    on SHARD and not on how many threads ran the shards.
+    """
     if cache is None:
         raise ConfigError("backward requires a cache from forward(keep_intermediates=True)")
-    grads = {}
-    grad_flat, grad_fcw, grad_fcb = linear_backward(
-        cache["flat"], model.fc_weights, grad_logits
-    )
-    grads["FC.weight"] = grad_fcw
-    grads["FC.bias"] = grad_fcb
+    slices, shard_ws = _shards(cache["final_dims"][0], ws)
+    with fan_out(len(slices)) as run:
+        grad_flat, grad_fcw, grad_fcb = linear_backward(
+            cache["flat"], model.fc_weights, grad_logits
+        )
+        g = grad_flat.reshape(cache["final_dims"])
+        per_shard = run(lambda i: _block_grads(
+            model, cache["shards"][i]["blocks"], g[slices[i]], shard_ws[i]))
+    grads = {"FC.weight": grad_fcw, "FC.bias": grad_fcb, **per_shard[0]}
+    for shard_grads in per_shard[1:]:
+        for name, grad in shard_grads.items():
+            grads[name] += grad
+    return grads
 
-    g = grad_flat.reshape(cache["final_dims"])
-    for block, saved in zip(reversed(model.blocks), reversed(cache["blocks"])):
+
+def _block_grads(model: Model, saved_blocks, g, ws):
+    """Conv parameter gradients of one shard, from its saved block
+    activations and the gradient on its block-4 output."""
+    grads = {}
+    for block, saved in zip(reversed(model.blocks), reversed(saved_blocks)):
         if block.pool is not None:
             g = avgpool3d_backward(saved["pre_pool_dims"], block.pool, g, ws=ws)
         # out = z + y: the skip feeds g straight back to y alongside the

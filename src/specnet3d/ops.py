@@ -33,7 +33,9 @@ order; the depth-fold tap sum then runs element by element in tap order.
 A sample's activations are thus bitwise identical whatever batch it is
 computed in, for a fixed numpy/BLAS build and BLAS thread count; another
 build or thread count may change the last bits.  Backward contractions
-carry no such contract and multiply whole-batch matrices.  col2im adds
+carry no such contract: network.backward hands them one shard of at most
+network.SHARD samples at a time, multiplies per-shard matrices, and sums
+the shards' weight gradients in shard order.  col2im adds
 one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
 depth-fold layer, whose upstream is first shifted out to every tap.
 
@@ -45,8 +47,9 @@ writes its patch stacks, outputs, padded copies and backward scratch into
 the workspace's array for (layer, role, shape, dtype) instead of
 allocating.  Such an array stays valid until the next call that takes the
 same key, so a forward cache lasts until the next forward with the same
-workspace.  Without a workspace every kernel returns freshly allocated
-arrays.
+workspace.  A batch's shards each keep their arrays in a child workspace
+(Workspace.shard), so shards running at once never share one.  Without a
+workspace every kernel returns freshly allocated arrays.
 """
 
 import numpy as np
@@ -72,8 +75,16 @@ class Workspace:
 
     def __init__(self):
         self._arrays = {}
+        self._shards = {}
         self._free = np.empty(0, np.uint8)
         self._block_bytes = self.FIRST_BLOCK_BYTES // 3
+
+    def shard(self, i):
+        """The child workspace of a batch's shard i, which holds that
+        shard's arrays so shards can run at once."""
+        if i not in self._shards:
+            self._shards[i] = Workspace()
+        return self._shards[i]
 
     def take(self, layer, role, shape, dtype):
         key = (layer, role, tuple(shape), np.dtype(dtype))

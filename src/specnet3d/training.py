@@ -1,11 +1,13 @@
 """SGD-with-momentum training loop, evaluation pass, and full-scene
 prediction.
 
-The loop is strictly sequential: batches are visited in the shuffled
-order drawn from one seeded generator, and every kernel accumulates in a
-fixed order, so identical seeds reproduce checkpoints and histories
-bitwise.  train, evaluate and predict_map each own one ops.Workspace, so
-their steps and tiles reuse one set of scratch arrays.
+The loop is sequential: batches are visited in the shuffled order drawn
+from one seeded generator, and every kernel accumulates in a fixed order,
+so identical seeds reproduce checkpoints and histories bitwise.  Within a
+step, forward and backward fan the batch's shards out over threads (see
+network); the bits depend on network.SHARD, not on the thread count.
+train, evaluate and predict_map each own one ops.Workspace, so their
+steps and tiles reuse one set of scratch arrays.
 
 Inference (evaluate and predict_map) runs the network densely, one
 fully-convolutional pass per tile of TILE output pixels on a grid

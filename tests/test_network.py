@@ -1,12 +1,17 @@
 import json
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from specnet3d import network, parallel
 from specnet3d.errors import FormatError, MismatchError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
+    SHARD,
     Model,
     ModelConfig,
     backward,
@@ -130,6 +135,8 @@ class TestForward:
         model = small_model()
         with pytest.raises(ShapeError):
             forward(model, np.zeros((1, 1, 7, 7, 21), dtype=np.float32))
+        with pytest.raises(ShapeError):  # no shard to run
+            forward(model, np.zeros((0, 1, 7, 7, 20), dtype=np.float32))
 
     def test_zeroed_projection_leaves_skip_path(self):
         model = small_model(seed=2)
@@ -351,24 +358,31 @@ def _same_step(a, b):
         assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
 
 
-class TestWorkspace:
-    def _inputs(self, seed, n, bands=20):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, 1, 7, 7, bands)).astype(np.float32)
-        up = rng.standard_normal((n, 9)).astype(np.float32) / n
-        return x, up
+def _inputs(seed, n, bands=20):
+    """A patch batch and an upstream logit gradient for small_model."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 1, 7, 7, bands)).astype(np.float32)
+    up = rng.standard_normal((n, 9)).astype(np.float32) / n
+    return x, up
 
+
+class TestWorkspace:
     # the training batch and a ragged last batch
     @pytest.mark.parametrize("n", [64, 13])
     def test_same_bits_with_and_without_workspace(self, n):
         model = small_model(seed=30)
         ws = Workspace()
-        _step(model, *self._inputs(31, n), ws)  # leaves stale values behind
-        x, up = self._inputs(32, n)
+        _step(model, *_inputs(31, n), ws)  # leaves stale values behind
+        x, up = _inputs(32, n)
         logits, grads = _step(model, x, up, ws)
         _same_step((logits, grads), _step(model, x, up))
-        # what forward and backward return is the caller's to keep
-        for array in ws._arrays.values():
+        # what forward and backward return is the caller's to keep, and
+        # n = 64 puts most arrays in the shards' child workspaces
+        arrays = [*ws._arrays.values()]
+        for child in ws._shards.values():
+            arrays += child._arrays.values()
+        assert len(ws._shards) == -(-n // SHARD)
+        for array in arrays:
             assert not np.shares_memory(array, logits)
             for name, g in grads.items():
                 assert not np.shares_memory(array, g), name
@@ -377,7 +391,7 @@ class TestWorkspace:
         model = small_model(seed=33)
         ws = Workspace()
         for seed, n in ((34, 5), (35, 3), (36, 5)):
-            x, up = self._inputs(seed, n)
+            x, up = _inputs(seed, n)
             _same_step(_step(model, x, up, ws), _step(model, x, up))
         rng = np.random.default_rng(37)
         for rows, cols in ((8, 8), (3, 5), (8, 8)):
@@ -389,7 +403,7 @@ class TestWorkspace:
         # bound fixed before measuring: with a warm workspace a step
         # allocates at most a quarter of what the same step does without one
         model = small_model(bands=40, seed=38)
-        x, up = self._inputs(39, 64, bands=40)
+        x, up = _inputs(39, 64, bands=40)
         ws = Workspace()
         _step(model, x, up, ws)
         peaks = []
@@ -401,3 +415,112 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
         assert 4 * peaks[0] <= peaks[1], peaks
+
+
+needs_openblas = pytest.mark.skipif(
+    parallel._openblas() is None,
+    reason="OpenBLAS's thread count cannot be set here, so shards never leave "
+           "the calling thread")
+
+
+class TestShards:
+    # around one and two shards, and a ragged third
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+    def test_grads_match_whole_batch_reference(self, n):
+        model = small_model(seed=40)
+        x, up = _inputs(41, n)
+        grads = _step(model, x, up)[1]
+        with parallel.one_blas_thread():  # as forward and backward run
+            want = residual_grads(model, x, up)
+        assert grads.keys() == want.keys()
+        for name in want:
+            if n <= SHARD:  # one shard is the whole batch
+                assert grads[name].tobytes() == want[name].tobytes(), name
+            else:
+                # fixed before running: float32 partial sums regrouped by
+                # shard, far inside 1e-4 of max(1, |grad|)
+                assert_close(grads[name], want[name], 1e-4, name)
+
+    def test_bits_independent_of_worker_count(self, monkeypatch):
+        # seven shards, the last ragged; more workers than cores, and a
+        # thread switch forced every microsecond, would show a lost or
+        # misplaced shard result
+        model = small_model(bands=12, seed=42)
+        x, up = _inputs(43, 6 * SHARD + 5, bands=12)
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
+        want = _step(model, x, up, Workspace())
+        monkeypatch.setattr(parallel, "workers", lambda: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [_step(model, x, up, Workspace()) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for step in got:
+            _same_step(step, want)
+
+    def _overflowing(self, monkeypatch):
+        """A batch whose second shard overflows float32 in Conv1, and the
+        model; records whether that shard ran on a helper thread."""
+        model = small_model(seed=44)
+        x = _inputs(45, 2 * SHARD)[0]
+        x[SHARD:] = big = np.float32(1e38)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        on_helper = []
+        run_blocks = network._run_blocks
+
+        def recording(model, x, *args):
+            if x[0, 0, 0, 0, 0] == big:
+                on_helper.append(threading.current_thread() is not threading.main_thread())
+            return run_blocks(model, x, *args)
+
+        monkeypatch.setattr(network, "_run_blocks", recording)
+        with np.errstate(all="raise"):  # the first shard alone is clean
+            forward(model, x[:SHARD])
+        return model, x, on_helper
+
+    @needs_openblas
+    def test_helper_shards_ignore_errors_the_caller_ignores(self, monkeypatch):
+        model, x, on_helper = self._overflowing(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                logits, _ = forward(model, x)
+        assert on_helper == [True]
+        assert np.isfinite(logits[:SHARD]).all()
+        assert not np.isfinite(logits[SHARD:]).all()
+
+    @needs_openblas
+    def test_helper_shards_raise_errors_the_caller_raises(self, monkeypatch):
+        model, x, on_helper = self._overflowing(monkeypatch)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            forward(model, x)
+        assert on_helper == [True]
+
+    @needs_openblas
+    def test_blas_threads_restored_after_a_shard_raises(self, monkeypatch):
+        model = small_model(seed=46)
+        x, up = _inputs(47, SHARD + 8)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        before = parallel.blas_threads()
+        _, cache = forward(model, x, keep_intermediates=True)
+        during = []
+
+        def failing_on_8(original, batch_arg):
+            def failing(*args):
+                during.append(parallel.blas_threads())
+                if len(args[batch_arg]) == 8:
+                    raise RuntimeError("shard failed")
+                return original(*args)
+            return failing
+
+        # _run_blocks(model, x, ...) and _block_grads(model, saved, g, ws)
+        monkeypatch.setattr(network, "_run_blocks", failing_on_8(network._run_blocks, 1))
+        monkeypatch.setattr(network, "_block_grads", failing_on_8(network._block_grads, 2))
+        with pytest.raises(RuntimeError, match="shard failed"):
+            forward(model, x)
+        assert parallel.blas_threads() == before
+        with pytest.raises(RuntimeError, match="shard failed"):
+            backward(model, cache, up)
+        assert parallel.blas_threads() == before
+        assert during == [1] * 4

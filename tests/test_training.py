@@ -1,10 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from specnet3d import training
-from specnet3d.data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
+from specnet3d import parallel, training
+from specnet3d.data import (
+    HsiCube, LabelGrid, SplitManifest, extract_patch, normalize, stratified_split,
+)
 from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from specnet3d.metrics import ConfusionMatrix, overall_accuracy
 from specnet3d.network import ModelConfig, build_model, forward
@@ -21,7 +27,7 @@ from specnet3d.training import (
     _tile_logits,
 )
 
-from synth import overfit_scene
+from synth import overfit_scene, striped_scene
 
 
 class TestSgdStep:
@@ -169,6 +175,56 @@ class TestTrainLoop:
     def test_epochs_invariant(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+
+def train_digest(out_dir):
+    """sha256 of the history and checkpoint of a small two-epoch run whose
+    batches of 64, 64 and 52 samples each make two shards."""
+    cube, labels = striped_scene(per_class=100, seed=31)
+    split = stratified_split(labels, 20, seed=32)
+    model = build_model(ModelConfig(cube.bands, 9, 7), 33)
+    ckpt = os.path.join(out_dir, "m.ckpt.json")
+    hist = os.path.join(out_dir, "history.jsonl")
+    train(model, cube, labels, split, TrainConfig(epochs=2, shuffle_seed=34),
+          OptimizerState(), checkpoint_path=ckpt, history_path=hist)
+    h = hashlib.sha256()
+    for path in (hist, ckpt, os.path.join(out_dir, "m.ckpt.raw")):
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+class TestShardedTraining:
+    def test_bits_independent_of_worker_count(self, tmp_path, monkeypatch):
+        digests = []
+        for workers in (1, 3):
+            monkeypatch.setattr(parallel, "workers", lambda: workers)
+            out = tmp_path / str(workers)
+            out.mkdir()
+            digests.append(train_digest(out))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.skipif(parallel._openblas() is None,
+                        reason="without OpenBLAS's thread setter shards run on the "
+                               "caller at its BLAS thread count")
+    def test_bits_independent_of_openblas_threads(self, tmp_path):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        script = ("import sys; from specnet3d.parallel import blas_threads; "
+                  "from test_training import train_digest; "
+                  "print(blas_threads(), train_digest(sys.argv[1]))")
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, here]))
+            proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300, check=False)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout.split())
+        assert [count for count, _ in runs] == ["1", "2"]
+        assert runs[0][1] == runs[1][1]
 
 
 class TestEvaluate:
