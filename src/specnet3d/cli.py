@@ -289,6 +289,8 @@ def cmd_eval(args):
         )
     norm = normalize(cube, split)
     side_name = _resolve(args, "on")
+    if side_name not in ("test", "train"):
+        raise ConfigError(f"on must be 'test' or 'train', got {side_name!r}")
     side = split.test if side_name == "test" else split.train
     if not side:
         raise ConfigError(f"split has no {side_name} pixels to evaluate")

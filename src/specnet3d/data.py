@@ -275,11 +275,19 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
 
     Test pixels outside the training range map outside [0, 1] (no
     clamping); a band constant over the training set maps to all zeros.
+    A training pixel outside the cube raises SplitError.
     """
     if not stats_source.train:
         raise SplitError("normalization needs a non-empty training set")
     rows = np.asarray([r for r, _, _ in stats_source.train])
     cols = np.asarray([c for _, c, _ in stats_source.train])
+    outside = (rows < 0) | (rows >= cube.height) | (cols < 0) | (cols >= cube.width)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise SplitError(
+            f"training pixel ({rows[k]}, {cols[k]}) lies outside the "
+            f"{cube.height}x{cube.width} cube"
+        )
     spectra = cube.values[rows, cols, :]
     band_min = spectra.min(axis=0)
     band_range = spectra.max(axis=0) - band_min

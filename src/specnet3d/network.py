@@ -21,7 +21,8 @@ fan the block stack out over threads shard by shard (parallel.fan_out),
 each shard in its own child workspace; the classifier runs on the whole
 batch.  Backward contractions multiply per-shard matrices, and each conv
 gradient is the sum of the shards' in shard order.  forward_dense runs
-on the calling thread at the caller's BLAS thread count.
+one tile on the calling thread; training deals the tiles of an inference
+pass out over threads, with OpenBLAS held at one thread.
 """
 
 import math

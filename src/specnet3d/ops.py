@@ -39,10 +39,10 @@ the shards' weight gradients in shard order.  col2im adds
 one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
 depth-fold layer, whose upstream is first shifted out to every tap.
 
-A Workspace holds the scratch arrays of one training run or one
-inference pass; training.train, training.evaluate and
-training.predict_map each create one and hand it to every forward,
-backward and kernel call they make.  A kernel given one as its ws keyword
+A Workspace holds the scratch arrays of one training run, or of one
+worker of an inference pass; training.train creates one per run and
+training's tile loop one per worker, and each hands it to every forward,
+backward and kernel call it makes.  A kernel given one as its ws keyword
 writes its patch stacks, outputs, padded copies and backward scratch into
 the workspace's array for (layer, role, shape, dtype) instead of
 allocating.  Such an array stays valid until the next call that takes the
@@ -69,6 +69,13 @@ class Workspace:
     serves blocks up to that size from its heap and trims the heap only
     past twice that size, so the next workspace's blocks reuse the memory
     this one freed instead of faulting fresh pages in on every call.
+
+    A block comes from the arena of the thread that first takes an array,
+    not from one process-wide heap: a helper thread's workspace (a
+    shard's child, an inference worker's own) is carved from glibc's
+    per-thread arena or from fresh mappings, depending on where malloc's
+    dynamic mmap threshold stands when it runs.  So which memory a helper
+    reuses, and the process's peak RSS, can vary between identical runs.
     """
 
     FIRST_BLOCK_BYTES = 1 << 20

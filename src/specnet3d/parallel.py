@@ -1,4 +1,5 @@
-"""Shards of one batch run on the calling thread and helper threads.
+"""Shards of one batch, or deals of an inference pass's tiles, run on the
+calling thread and helper threads.
 
 OpenBLAS's thread count is process-wide.  It is read and set through the
 library's own entry points, found with ctypes in the numpy.libs directory

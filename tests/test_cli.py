@@ -227,7 +227,39 @@ class TestEvalCommand:
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
 
+    def test_unknown_side_in_config_rejected(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"on": "tset"}))
+        out = tmp_path / "r.json"
+        rc = main(["eval", "--checkpoint", str(scene_dir / "model.ckpt.json"),
+                   "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--split", str(scene_dir / "all.split.json"),
+                   "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        assert "error[E_CONFIG]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPredictMapCommand:
+    @pytest.mark.parametrize("pixel", [(9, 0, 1), (-1, 0, 1)])
+    def test_split_pixel_outside_cube_rejected(self, tmp_path, scene_dir, capsys, pixel):
+        from specnet3d.data import HsiCube, SplitManifest
+
+        rng = np.random.default_rng(1)
+        save_cube(HsiCube(values=rng.random((6, 6, 12), dtype=np.float32)),
+                  tmp_path / "small.hsc.json")
+        save_split(SplitManifest(seed=0, train=[(1, 1, 1), pixel], test=[]),
+                   tmp_path / "bad.split.json")
+        out = tmp_path / "map.ppm"
+        rc = main(["predict-map", "--checkpoint", str(scene_dir / "model.ckpt.json"),
+                   "--cube", str(tmp_path / "small.hsc.json"),
+                   "--split", str(tmp_path / "bad.split.json"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error[E_SPLIT]" in err and f"({pixel[0]}, {pixel[1]})" in err
+        assert not out.exists()
+
     def test_writes_p6_and_is_idempotent(self, tmp_path, scene_dir, capsys):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"

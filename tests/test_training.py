@@ -2,18 +2,21 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from specnet3d import parallel, training
+from specnet3d.cli import main
 from specnet3d.data import (
-    HsiCube, LabelGrid, SplitManifest, extract_patch, normalize, stratified_split,
+    HsiCube, LabelGrid, SplitManifest, extract_patch, normalize, save_cube, save_labels,
+    save_split, stratified_split,
 )
 from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from specnet3d.metrics import ConfusionMatrix, overall_accuracy
-from specnet3d.network import ModelConfig, build_model, forward
+from specnet3d.network import ModelConfig, build_model, forward, save_checkpoint
 from specnet3d.ops import softmax_cross_entropy
 from specnet3d.training import (
     TILE,
@@ -190,6 +193,32 @@ def train_digest(out_dir):
     h = hashlib.sha256()
     for path in (hist, ckpt, os.path.join(out_dir, "m.ckpt.raw")):
         with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def inference_digest(out_dir):
+    """sha256 of the map PPM and the eval report the CLI writes for a
+    seeded 103-band scene and an untrained model."""
+    rng = np.random.default_rng(48)
+    shape = (2 * TILE[0] + 3, 2 * TILE[1] + 1)
+    cube = HsiCube(values=rng.random((*shape, 103), dtype=np.float32))
+    labels = LabelGrid(labels=rng.integers(1, 5, size=shape).astype(np.uint8))
+    paths = {name: os.path.join(out_dir, name) for name in
+             ("s.hsc.json", "s.lbl.json", "s.split.json", "m.ckpt.json", "map.ppm",
+              "report.json")}
+    save_cube(cube, paths["s.hsc.json"])
+    save_labels(labels, paths["s.lbl.json"])
+    save_split(stratified_split(labels, 3, seed=49), paths["s.split.json"])
+    save_checkpoint(build_model(ModelConfig(103, 4, 7), 50), paths["m.ckpt.json"])
+    common = ["--checkpoint", paths["m.ckpt.json"], "--cube", paths["s.hsc.json"],
+              "--split", paths["s.split.json"]]
+    assert main(["predict-map", *common, "--out", paths["map.ppm"]]) == 0
+    assert main(["eval", *common, "--labels", paths["s.lbl.json"],
+                 "--out", paths["report.json"]]) == 0
+    h = hashlib.sha256()
+    for name in ("map.ppm", "report.json"):
+        with open(paths[name], "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
 
@@ -410,3 +439,89 @@ class TestDenseInference:
             finally:
                 tracemalloc.stop()
         assert max(peaks[1:]) <= 1.5 * peaks[0]
+
+
+class TestParallelInference:
+    def test_bits_independent_of_worker_count(self, monkeypatch):
+        # clipped edge tiles on both axes, so a worker's workspace also
+        # serves tiles of other shapes; 3 workers start more threads than
+        # a 2-CPU host has cores
+        rng = np.random.default_rng(51)
+        shape = (3 * TILE[0] + 3, 4 * TILE[1] + 1)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        labels = LabelGrid(labels=rng.integers(1, 5, size=shape).astype(np.uint8))
+        model = build_model(ModelConfig(10, 4, 7), 52)
+        pixels = [(r, c, int(labels.labels[r, c]))
+                  for r in range(shape[0]) for c in range(shape[1])]
+        original = training._tile_logits
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(parallel, "workers", lambda: workers)
+            tiles, threads = {}, set()
+
+            def recording(model, cube, r0, c0, ws=None):
+                logits = original(model, cube, r0, c0, ws)
+                tiles[r0, c0] = logits.tobytes()
+                threads.add(threading.get_ident())
+                return logits
+
+            monkeypatch.setattr(training, "_tile_logits", recording)
+            grid = predict_map(model, cube)
+            map_tiles = dict(tiles)
+            tiles.clear()
+            counts = evaluate(model, cube, labels, pixels).counts
+            assert tiles == map_tiles
+            if parallel._openblas() is not None:
+                assert (len(threads) > 1) == (workers > 1)
+            results.append((grid.tobytes(), counts.tobytes(), map_tiles))
+        assert results[0] == results[1]
+
+    @pytest.mark.skipif(parallel._openblas() is None,
+                        reason="without OpenBLAS's thread setter tiles run on the "
+                               "caller at its BLAS thread count")
+    def test_bits_independent_of_openblas_threads(self, tmp_path):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        script = ("import sys; from specnet3d.parallel import blas_threads; "
+                  "from test_training import inference_digest; "
+                  "print(blas_threads(), inference_digest(sys.argv[1]))")
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, here]))
+            proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300, check=False)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout.split()[-2:])
+        assert [count for count, _ in runs] == ["1", "2"]
+        assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.skipif(parallel._openblas() is None,
+                        reason="without OpenBLAS's thread setter nothing is pinned")
+    def test_blas_threads_restored_after_a_tile_raises(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        shape = (2 * TILE[0], 2 * TILE[1])
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        labels = LabelGrid(labels=np.ones(shape, dtype=np.uint8))
+        model = build_model(ModelConfig(10, 2, 7), 54)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        before = parallel.blas_threads()
+        original = training._tile_logits
+        during = []
+
+        def failing_at_last_tile(model, cube, r0, c0, ws=None):
+            during.append(parallel.blas_threads())
+            if (r0, c0) == (TILE[0], TILE[1]):  # the fourth tile, in the second deal
+                raise RuntimeError("tile failed")
+            return original(model, cube, r0, c0, ws)
+
+        monkeypatch.setattr(training, "_tile_logits", failing_at_last_tile)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            predict_map(model, cube)
+        assert parallel.blas_threads() == before
+        with pytest.raises(RuntimeError, match="tile failed"):
+            evaluate(model, cube, labels, [(shape[0] - 1, shape[1] - 1)])
+        assert parallel.blas_threads() == before
+        assert during == [1] * 5
