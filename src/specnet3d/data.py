@@ -90,7 +90,8 @@ class LabelGrid:
 class SplitManifest:
     """Reproducible train/test pixel assignment, one entry per labeled pixel.
 
-    Entries are (row, col, class) triples.  per_class_train is set for the
+    Entries are (row, col, class) triples, or (row, col) pairs where a
+    loaded split gives no class.  per_class_train is set for the
     fixed-count protocol; fraction for the percentage protocol (per-class
     counts then vary and are floor(fraction * class size), minimum 1).
     """
@@ -242,8 +243,8 @@ def save_split(manifest: SplitManifest, path):
         "seed": manifest.seed,
         "per_class_train": manifest.per_class_train,
         "fraction": manifest.fraction,
-        "train": [[int(r), int(c), int(k)] for r, c, k in manifest.train],
-        "test": [[int(r), int(c), int(k)] for r, c, k in manifest.test],
+        "train": [[int(v) for v in e] for e in manifest.train],
+        "test": [[int(v) for v in e] for e in manifest.test],
     })
 
 
@@ -279,8 +280,8 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
     """
     if not stats_source.train:
         raise SplitError("normalization needs a non-empty training set")
-    rows = np.asarray([r for r, _, _ in stats_source.train])
-    cols = np.asarray([c for _, c, _ in stats_source.train])
+    rows = np.asarray([e[0] for e in stats_source.train])
+    cols = np.asarray([e[1] for e in stats_source.train])
     outside = (rows < 0) | (rows >= cube.height) | (cols < 0) | (cols >= cube.width)
     if outside.any():
         k = int(np.argmax(outside))

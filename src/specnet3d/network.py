@@ -17,12 +17,13 @@ they travel between layers as the (n, c, h, w, d) views the ops take and
 return (see ops), so no layer copies to change layout.
 
 forward and backward cut a patch batch into shards of SHARD samples and
-fan the block stack out over threads shard by shard (parallel.fan_out),
-each shard in its own child workspace; the classifier runs on the whole
-batch.  Backward contractions multiply per-shard matrices, and each conv
-gradient is the sum of the shards' in shard order.  forward_dense runs
-one tile on the calling thread; training deals the tiles of an inference
-pass out over threads, with OpenBLAS held at one thread.
+fan them out over threads (parallel.fan_out), each shard in its own child
+workspace.  A shard is a whole pass: the block stack and then the
+classifier.  Backward contractions multiply per-shard matrices, and each
+gradient, the classifier's included, is the sum of the shards' in shard
+order.  forward_dense runs one tile on the calling thread; training deals
+the tiles of an inference pass out over threads, with OpenBLAS held at
+one thread.
 """
 
 import math
@@ -33,6 +34,7 @@ import numpy as np
 from .data import _field, _read_header, _read_payload, _write_container
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
+    _contiguous,
     _conv3d_forward_cols,
     _scratch,
     avgpool3d_backward,
@@ -248,15 +250,6 @@ def _run_blocks(model: Model, x, cache=None, ws=None):
     return out
 
 
-def _features(outs, ws):
-    """Block-4 outputs (n, c, h, w, d), one after another along the batch,
-    flattened in that order per sample."""
-    shape = (sum(out.shape[0] for out in outs), *outs[0].shape[1:])
-    flat = _scratch(ws, "FC", "features", shape, outs[0].dtype)
-    np.concatenate(outs, out=flat)
-    return flat.reshape(shape[0], -1)
-
-
 def _shards(n, ws):
     """The batch's SHARD-sample slices and each one's workspace."""
     slices = [slice(start, start + SHARD) for start in range(0, n, SHARD)]
@@ -267,11 +260,12 @@ def forward(model: Model, x, keep_intermediates=False, ws=None):
     """Run the network; returns (logits, cache), cache None unless kept.
 
     x must have dims (n, 1, window, window, S) matching model.config.
-    The block stack runs on each SHARD-sample shard of the batch, the
-    shards fanned out over threads (parallel.fan_out); the classifier runs
-    on the whole batch.  With a Workspace the cache holds the
-    workspace's arrays (each shard's in its own child workspace), valid
-    until the next call with it; the logits never do.
+    Each SHARD-sample shard of the batch runs the block stack and then the
+    classifier, the shards fanned out over threads (parallel.fan_out); a
+    shard writes its features, flattened in (c, h, w, d) order, into its
+    own rows of the batch's cache["flat"].  With a Workspace the cache
+    holds the workspace's arrays (each shard's in its own child
+    workspace), valid until the next call with it; the logits never do.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
@@ -282,22 +276,19 @@ def forward(model: Model, x, keep_intermediates=False, ws=None):
             f"{model.config.spectral_depth})"
         )
     slices, shard_ws = _shards(x.shape[0], ws)
-    shard_caches = [{"blocks": []} if keep_intermediates else None for _ in slices]
-    with fan_out(len(slices)) as run:
-        outs = run(lambda i: _run_blocks(
-            model, x[slices[i]], shard_caches[i], shard_ws[i]))
-        flat = _features(outs, ws)
-        if flat.shape[1] != model.feature_length:
-            raise ShapeError(
-                f"flattened length {flat.shape[1]} != classifier width "
-                f"{model.feature_length}"
-            )
-        logits = linear_forward(flat, model.fc_weights, model.fc_bias)
-    cache = None
-    if keep_intermediates:
-        cache = {"shards": shard_caches, "flat": flat,
-                 "final_dims": (flat.shape[0], *outs[0].shape[1:])}
-    return logits, cache
+    flat = _scratch(ws, "FC", "features", (x.shape[0], flattened_length(model.config)),
+                    np.result_type(x, *model.parameters().values()))
+
+    def shard(i):
+        cache = {"blocks": []} if keep_intermediates else None
+        out = _run_blocks(model, x[slices[i]], cache, shard_ws[i])
+        rows = flat[slices[i]]
+        np.copyto(rows.reshape(out.shape), out)
+        return linear_forward(rows, model.fc_weights, model.fc_bias), cache
+
+    logits, caches = zip(*fan_out(len(slices), shard))
+    cache = {"shards": caches, "flat": flat} if keep_intermediates else None
+    return np.concatenate(logits), cache
 
 
 def forward_dense(model: Model, tile, ws=None):
@@ -323,7 +314,7 @@ def forward_dense(model: Model, tile, ws=None):
     k = out.shape[1] - rows + 1  # block-4 neighbourhood of one pixel
     # (c, R, C, d, k, k) windows -> (R, C, c, k, k, d) rows of features
     windows = np.lib.stride_tricks.sliding_window_view(out, (k, k), axis=(1, 2))
-    features = _features([windows.transpose(1, 2, 0, 4, 5, 3)], ws)
+    features = _contiguous(windows.transpose(1, 2, 0, 4, 5, 3), ws, "FC", "features")
     logits = linear_forward(features.reshape(rows * cols, -1), model.fc_weights,
                             model.fc_bias)
     return logits.reshape(rows, cols, -1)
@@ -334,22 +325,28 @@ def backward(model: Model, cache, grad_logits, ws=None):
     cache and the upstream gradient on the logits.  ws is the Workspace
     the forward ran with, if any; the gradients never alias its arrays.
 
-    The classifier's gradients come from the whole batch.  The block
-    stack's come shard by shard, fanned out like forward, and each conv
-    gradient is the sum of the shards' in shard order, so its bits depend
-    on SHARD and not on how many threads ran the shards.
+    Each shard runs the classifier's backward and then the block stack's,
+    fanned out like forward, and each gradient is the sum of the shards'
+    in shard order, so its bits depend on SHARD and not on how many
+    threads ran the shards.
     """
     if cache is None:
         raise ConfigError("backward requires a cache from forward(keep_intermediates=True)")
-    slices, shard_ws = _shards(cache["final_dims"][0], ws)
-    with fan_out(len(slices)) as run:
+    flat = cache["flat"]
+    slices, shard_ws = _shards(len(flat), ws)
+
+    def shard(i):
+        saved = cache["shards"][i]["blocks"]
         grad_flat, grad_fcw, grad_fcb = linear_backward(
-            cache["flat"], model.fc_weights, grad_logits
+            flat[slices[i]], model.fc_weights, grad_logits[slices[i]]
         )
-        g = grad_flat.reshape(cache["final_dims"])
-        per_shard = run(lambda i: _block_grads(
-            model, cache["shards"][i]["blocks"], g[slices[i]], shard_ws[i]))
-    grads = {"FC.weight": grad_fcw, "FC.bias": grad_fcb, **per_shard[0]}
+        # block 4 has no pool, so its pre-pool dims are its output's
+        g = grad_flat.reshape(saved[-1]["pre_pool_dims"])
+        return {"FC.weight": grad_fcw, "FC.bias": grad_fcb,
+                **_block_grads(model, saved, g, shard_ws[i])}
+
+    per_shard = fan_out(len(slices), shard)
+    grads = per_shard[0]
     for shard_grads in per_shard[1:]:
         for name, grad in shard_grads.items():
             grads[name] += grad

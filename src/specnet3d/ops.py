@@ -41,8 +41,10 @@ depth-fold layer, whose upstream is first shifted out to every tap.
 
 A Workspace holds the scratch arrays of one training run, or of one
 worker of an inference pass; training.train creates one per run and
-training's tile loop one per worker, and each hands it to every forward,
-backward and kernel call it makes.  A kernel given one as its ws keyword
+training's class grid one per worker, and each hands it to every forward,
+backward and kernel call it makes.  An inference worker runs every tile
+at the full tile shape, edge tiles included, so its workspace holds one
+set of arrays.  A kernel given one as its ws keyword
 writes its patch stacks, outputs, padded copies and backward scratch into
 the workspace's array for (layer, role, shape, dtype) instead of
 allocating.  Such an array stays valid until the next call that takes the

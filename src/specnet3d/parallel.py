@@ -6,6 +6,10 @@ library's own entry points, found with ctypes in the numpy.libs directory
 numpy's wheel ships its OpenBLAS in.  While shards run the count is held
 at one, so each thread's GEMMs run on that thread and the threads share
 out the cores instead of BLAS splitting small GEMMs between them.
+
+fan_out(count, fn) is a plain call that returns [fn(0), ..., fn(count - 1)]
+with the pin held inside it.  Each job is one whole pass that writes its
+own output, so no caller work has to sit inside the pin.
 """
 
 import contextlib
@@ -88,38 +92,35 @@ def workers():
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def fan_out(count):
-    """Yields run(fn), which returns [fn(0), ..., fn(count - 1)], the
-    shards fanned out over threads.
+def fan_out(count, fn):
+    """[fn(0), ..., fn(count - 1)], the shards fanned out over threads.
 
     The caller runs shard 0 and at most workers() - 1 helper threads take
     the rest, then the caller too, one shard at a time.  Each helper runs
     in a copy of the caller's context, which carries numpy's error state.
-    When shards raise, run raises the lowest shard's exception once every
-    shard has stopped.  With one shard, one worker, or no way to set
-    OpenBLAS's thread count, run calls every shard in turn on the caller.
+    When shards raise, fan_out raises the lowest shard's exception once
+    every shard has stopped, and no shard starts after one has raised.
+    With one shard, one worker, or no way to set OpenBLAS's thread count,
+    the caller runs every shard in turn.
 
-    OpenBLAS stays at one thread for the whole with block, helpers or not
-    (one_blas_thread).  So every GEMM the block makes runs on one thread,
+    OpenBLAS stays at one thread while the shards run, helpers or not
+    (one_blas_thread).  So every GEMM a shard makes runs on one thread,
     whatever OPENBLAS_NUM_THREADS says: how many threads split a GEMM can
     change its bits.  It also keeps OpenBLAS's own threads, which spin for
     a while after a split GEMM waiting for more work, off the cores the
     helpers need.
     """
-    helpers = min(count, workers()) - 1
+    helpers = min(count, workers()) - 1 if _openblas() is not None else 0
     with one_blas_thread():
-        if helpers > 0 and _openblas() is not None:
-            yield functools.partial(_run_threaded, count, helpers)
-        else:
-            yield lambda fn: [fn(i) for i in range(count)]
+        return _run_threaded(count, helpers, fn)
 
 
 def _run_threaded(count, helpers, run):
     results = [None] * count
     errors = {}
     claim = threading.Lock()
-    unclaimed = iter(range(1, count))
+    unclaimed = iter(range(count))
+    first = next(unclaimed, None)  # the caller's, before any helper starts
 
     def work(shard=None):
         while True:
@@ -142,7 +143,7 @@ def _run_threaded(count, helpers, run):
                                       args=(work,), name="specnet3d-shard")
             thread.start()
             threads.append(thread)
-        work(0)
+        work(first)
     finally:
         for thread in threads:
             thread.join()

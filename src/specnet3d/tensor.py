@@ -52,8 +52,27 @@ def _check_triple(name, triple, minimum):
     return triple
 
 
+class _WindowSpec:
+    """Kernel, stride and padding triples of a window sweep, named by the
+    layer's name; shared by convolutions and pools."""
+
+    def _check_window(self):
+        self.kernel = _check_triple(f"{self.name} kernel", self.kernel, 1)
+        self.stride = _check_triple(f"{self.name} stride", self.stride, 1)
+        self.padding = _check_triple(f"{self.name} padding", self.padding, 0)
+
+    def output_dims(self, in_dims):
+        """(h, w, d) -> (h', w', d'), raising ShapeError with the axis name."""
+        return tuple(
+            out_dim(s, k, st, p, axis=f"{self.name} {ax}")
+            for s, k, st, p, ax in zip(
+                in_dims, self.kernel, self.stride, self.padding, AXES[2:]
+            )
+        )
+
+
 @dataclass
-class Conv3dSpec:
+class Conv3dSpec(_WindowSpec):
     """One 3D convolution layer: geometry plus its weight and bias arrays.
 
     weights has shape (out_channels, in_channels, kh, kw, kd); bias has
@@ -73,9 +92,7 @@ class Conv3dSpec:
     def __post_init__(self):
         if self.out_channels < 1 or self.in_channels < 1:
             raise ShapeError(f"{self.name}: channel counts must be >= 1")
-        self.kernel = _check_triple(f"{self.name} kernel", self.kernel, 1)
-        self.stride = _check_triple(f"{self.name} stride", self.stride, 1)
-        self.padding = _check_triple(f"{self.name} padding", self.padding, 0)
+        self._check_window()
         wshape = (self.out_channels, self.in_channels) + self.kernel
         if self.weights is None:
             self.weights = np.zeros(wshape, dtype=np.float32)
@@ -98,18 +115,9 @@ class Conv3dSpec:
         kh, kw, kd = self.kernel
         return self.out_channels * (self.in_channels * kh * kw * kd + 1)
 
-    def output_dims(self, in_dims):
-        """(h, w, d) -> (h', w', d'), raising ShapeError with the axis name."""
-        return tuple(
-            out_dim(s, k, st, p, axis=f"{self.name} {ax}")
-            for s, k, st, p, ax in zip(
-                in_dims, self.kernel, self.stride, self.padding, AXES[2:]
-            )
-        )
-
 
 @dataclass
-class Pool3dSpec:
+class Pool3dSpec(_WindowSpec):
     """3D average pooling geometry; the divisor is always the kernel volume."""
 
     kernel: tuple
@@ -118,9 +126,7 @@ class Pool3dSpec:
     name: str = "pool"
 
     def __post_init__(self):
-        self.kernel = _check_triple(f"{self.name} kernel", self.kernel, 1)
-        self.stride = _check_triple(f"{self.name} stride", self.stride, 1)
-        self.padding = _check_triple(f"{self.name} padding", self.padding, 0)
+        self._check_window()
         for axis, k, p in zip(AXES[2:], self.kernel, self.padding):
             if p >= k:
                 raise ShapeError(
@@ -132,11 +138,3 @@ class Pool3dSpec:
     def volume(self):
         kh, kw, kd = self.kernel
         return kh * kw * kd
-
-    def output_dims(self, in_dims):
-        return tuple(
-            out_dim(s, k, st, p, axis=f"{self.name} {ax}")
-            for s, k, st, p, ax in zip(
-                in_dims, self.kernel, self.stride, self.padding, AXES[2:]
-            )
-        )

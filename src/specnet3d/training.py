@@ -11,15 +11,18 @@ arrays.
 
 Inference (evaluate and predict_map) runs the network densely, one
 fully-convolutional pass per tile of TILE output pixels on a grid
-anchored at pixel (0, 0) and clipped at the scene edge.  Each tile's input
-is its zero-filled neighbourhood cut straight from the cube, so memory is
-bounded by the tile, not the scene.  Both share one tile loop
-(_classify_tiles), which deals the tiles out over the calling thread and
+anchored at pixel (0, 0).  Every pass covers a full tile, even at the
+scene edge: its input is the tile's zero-filled neighbourhood cut
+straight from the cube, reading zeros past the edge, and its logits are
+cropped to the scene.  So memory is bounded by one tile, not the scene,
+and a worker's Workspace holds one set of arrays.  Both share one class
+grid (_class_grid): the tiles are dealt out over the calling thread and
 helper threads (parallel.fan_out), each worker with its own Workspace,
-while OpenBLAS is held at one thread.  The grid depends only on the scene
-shape and a tile's bits neither on the worker that runs it nor on the
-BLAS thread count, so a pixel's logits are bitwise the same whichever
-pixels are requested with it, and evaluate agrees bitwise with
+while OpenBLAS is held at one thread, and each worker writes its tiles'
+classes straight into one (height, width) grid.  The tile grid depends
+only on the scene shape and a tile's bits neither on the worker that runs
+it nor on the BLAS thread count, so a pixel's logits are bitwise the same
+whichever pixels are requested with it, and evaluate agrees bitwise with
 predict_map.  They match forward on the pixel's patch to float32
 rounding, not bitwise: the two paths hand BLAS GEMMs of different shapes.
 """
@@ -125,19 +128,19 @@ TILE = (8, 4)
 
 def _tile_logits(model: Model, cube: HsiCube, r0, c0, ws=None):
     """(rows, cols, classes) logits of the tile whose first pixel is
-    (r0, c0), clipped at the scene edge."""
+    (r0, c0), cropped at the scene edge.  The pass itself always covers a
+    full TILE, reading zeros past the edge."""
     window = model.config.spatial_window
     half = window // 2
-    rows, cols = min(TILE[0], cube.height - r0), min(TILE[1], cube.width - c0)
     tile = _zeroed(ws, "tile", "input",
-                   (1, 1, rows + window - 1, cols + window - 1, cube.bands),
+                   (1, 1, TILE[0] + window - 1, TILE[1] + window - 1, cube.bands),
                    cube.values.dtype)
-    a0, a1 = max(0, r0 - half), min(cube.height, r0 + rows + half)
-    b0, b1 = max(0, c0 - half), min(cube.width, c0 + cols + half)
+    a0, a1 = max(0, r0 - half), min(cube.height, r0 + TILE[0] + half)
+    b0, b1 = max(0, c0 - half), min(cube.width, c0 + TILE[1] + half)
     tile[0, 0, a0 - r0 + half:a1 - r0 + half, b0 - c0 + half:b1 - c0 + half] = (
         cube.values[a0:a1, b0:b1]
     )
-    return forward_dense(model, tile, ws=ws)
+    return forward_dense(model, tile, ws=ws)[:cube.height - r0, :cube.width - c0]
 
 
 def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):
@@ -213,25 +216,28 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     return history
 
 
-def _classify_tiles(model: Model, cube: HsiCube, origins, keep):
-    """Run the tiles whose first pixels are origins; keep((r0, c0),
-    classes) receives each tile's (rows, cols) classes in [1, C], ties
-    going to the lowest class.
+def _class_grid(model: Model, cube: HsiCube, origins):
+    """(height, width) int64 grid of the classes in [1, C] of the tiles
+    whose first pixels are origins, ties going to the lowest class; pixels
+    of other tiles read 0.
 
     Worker i of a fan-out takes origins[i::count] in one Workspace of its
-    own.  keep runs on the worker's thread, so it may write only where no
+    own and writes its tiles' classes straight into the grid, where no
     other tile writes.  OpenBLAS stays at one thread for the whole pass.
     """
+    grid = np.zeros((cube.height, cube.width), dtype=np.int64)
     count = min(len(origins), parallel.workers())
 
     def deal(i):
         ws = Workspace()
         for r0, c0 in origins[i::count]:
             logits = _tile_logits(model, cube, r0, c0, ws)
-            keep((r0, c0), np.argmax(logits, axis=2) + 1)
+            grid[r0:r0 + logits.shape[0], c0:c0 + logits.shape[1]] = (
+                np.argmax(logits, axis=2) + 1
+            )
 
-    with parallel.fan_out(count) as run:
-        run(deal)
+    parallel.fan_out(count, deal)
+    return grid
 
 
 def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> ConfusionMatrix:
@@ -242,16 +248,12 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
     is bitwise the one predict_map gives it.
     """
     _check_scene(model, cube, labels)
-    by_tile = {}
-    for r, c, cls in (_check_pixel(labels, e) for e in pixel_set):
-        by_tile.setdefault((r - r % TILE[0], c - c % TILE[1]), []).append((r, c, cls))
-    tile_classes = {}
-    _classify_tiles(model, cube, list(by_tile), tile_classes.__setitem__)
+    pixels = [_check_pixel(labels, e) for e in pixel_set]
+    origins = dict.fromkeys((r - r % TILE[0], c - c % TILE[1]) for r, c, _ in pixels)
+    grid = _class_grid(model, cube, list(origins))
     matrix = ConfusionMatrix.zeros(model.config.num_classes, labels.class_names)
-    for (r0, c0), members in by_tile.items():
-        classes = tile_classes[r0, c0]
-        for r, c, cls in members:
-            matrix.add(cls, int(classes[r - r0, c - c0]))
+    for r, c, cls in pixels:
+        matrix.add(cls, int(grid[r, c]))
     return matrix
 
 
@@ -260,13 +262,6 @@ def predict_map(model: Model, cube: HsiCube) -> np.ndarray:
     neighbourhoods at borders); returns a (height, width) grid of classes
     in [1, C], ties going to the lowest class."""
     _check_scene(model, cube)
-    grid = np.empty((cube.height, cube.width), dtype=np.int64)
     origins = [(r0, c0) for r0 in range(0, cube.height, TILE[0])
                for c0 in range(0, cube.width, TILE[1])]
-
-    def keep(origin, classes):
-        r0, c0 = origin
-        grid[r0:r0 + classes.shape[0], c0:c0 + classes.shape[1]] = classes
-
-    _classify_tiles(model, cube, origins, keep)
-    return grid
+    return _class_grid(model, cube, origins)

@@ -108,8 +108,26 @@ class TestSplitContainer:
         assert loaded.train == [(0, 0, 1), (1, 1, 1)]
         assert loaded.test == [(2, 2, 1)]
 
+    def test_pair_entries_round_trip(self, tmp_path):
+        path = tmp_path / "s.split.json"
+        path.write_text(json.dumps({"format_version": 1, "seed": 0,
+                                    "train": [[1, 1], [2, 2, 1]], "test": [[0, 2]]}))
+        loaded = load_split(path)
+        again = tmp_path / "again.split.json"
+        save_split(loaded, again)
+        reloaded = load_split(again)
+        assert reloaded.train == [(1, 1), (2, 2, 1)]
+        assert reloaded.test == [(0, 2)]
+
 
 class TestNormalize:
+    def test_pair_entries_match_triples(self):
+        cube = seeded_cube((4, 5, 6), seed=1)
+        pairs = SplitManifest(seed=0, train=[(1, 1), (2, 3)], test=[])
+        triples = SplitManifest(seed=0, train=[(1, 1, 1), (2, 3, 2)], test=[])
+        assert (normalize(cube, pairs).values.tobytes()
+                == normalize(cube, triples).values.tobytes())
+
     def test_affine_map_on_training_stats(self):
         values = np.zeros((3, 1, 1), dtype=np.float32)
         values[:, 0, 0] = [2.0, 4.0, 6.0]

@@ -17,7 +17,7 @@ from specnet3d.data import (
 from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from specnet3d.metrics import ConfusionMatrix, overall_accuracy
 from specnet3d.network import ModelConfig, build_model, forward, save_checkpoint
-from specnet3d.ops import softmax_cross_entropy
+from specnet3d.ops import Workspace, softmax_cross_entropy
 from specnet3d.training import (
     TILE,
     OptimizerState,
@@ -439,6 +439,20 @@ class TestDenseInference:
             finally:
                 tracemalloc.stop()
         assert max(peaks[1:]) <= 1.5 * peaks[0]
+
+
+    def test_edge_tile_reuses_the_full_tiles_workspace(self):
+        # the edge tile runs at the full tile's shape, so it takes no
+        # array of its own
+        rng = np.random.default_rng(46)
+        shape = (TILE[0] + 2, TILE[1] + 1)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        model = build_model(ModelConfig(10, 4, 7), 47)
+        ws = Workspace()
+        _tile_logits(model, cube, 0, 0, ws)
+        arrays = len(ws._arrays)
+        assert _tile_logits(model, cube, TILE[0], TILE[1], ws).shape == (2, 1, 4)
+        assert len(ws._arrays) == arrays
 
 
 class TestParallelInference:
