@@ -48,6 +48,7 @@ DEFAULTS = {
     "spectral_depth": 103,
     "classes": 9,
     "on": "test",
+    "eval_test": False,
 }
 
 
@@ -110,7 +111,7 @@ def build_parser():
                    help="mini-batch size; the last short batch is kept (default: 64)")
     p.add_argument("--window", type=int, default=None,
                    help="odd spatial window around each pixel (default: 7)")
-    p.add_argument("--eval-test", action="store_true",
+    p.add_argument("--eval-test", action="store_true", default=None,
                    help="record test overall accuracy in the history each epoch")
     p.add_argument("--log-every", type=int, default=None,
                    help="progress print interval in epochs (default: 1)")
@@ -161,7 +162,24 @@ def _resolve(args, key):
     return DEFAULTS.get(key)
 
 
-def _load_config_file(args):
+def _resolve_path(args, key):
+    """_resolve for an optional file path, which must be a string."""
+    value = _resolve(args, key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return value
+
+
+def _option_keys(parser):
+    """The option names of every subcommand, as a config file spells them."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
+
+
+def _load_config_file(args, parser):
+    """Read --config into args._config_doc.  A key may be any subcommand's
+    option, so one file can serve several commands; any other key is an
+    error, not silently ignored."""
     path = getattr(args, "config", None)
     if not path:
         args._config_doc = {}
@@ -171,6 +189,12 @@ def _load_config_file(args):
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     args._config_doc = {str(k).replace("-", "_"): v for k, v in doc.items()}
+    unknown = sorted(args._config_doc.keys() - _option_keys(parser))
+    if unknown:
+        raise ConfigError(
+            f"config file {path}: {', '.join(map(repr, unknown))} is no option "
+            f"of any command"
+        )
 
 
 def _split_parameters(args):
@@ -212,6 +236,10 @@ def cmd_train(args):
     batch_size = int(_resolve(args, "batch_size"))
     shuffle_seed = int(_resolve(args, "shuffle_seed"))
     model_seed = int(_resolve(args, "model_seed"))
+    eval_test = _resolve(args, "eval_test")
+    if not isinstance(eval_test, bool):
+        raise ConfigError(f"eval_test must be true or false, got {eval_test!r}")
+    split_path = _resolve_path(args, "split")
     print(
         f"training: learning_rate={learning_rate} momentum={momentum} "
         f"weight_decay={weight_decay} epochs={epochs} "
@@ -231,8 +259,8 @@ def cmd_train(args):
     cube = load_cube(args.cube)
     labels = load_labels(args.labels)
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.split:
-        split = load_split(args.split)
+    if split_path:
+        split = load_split(split_path)
     else:
         per_class, fraction, seed = _split_parameters(args)
         split = stratified_split(labels, per_class, fraction=fraction, seed=seed)
@@ -250,7 +278,7 @@ def cmd_train(args):
     history_path = os.path.join(args.out_dir, "history.jsonl")
     history = train(
         model, cube, labels, split, config, opt,
-        eval_test=args.eval_test,
+        eval_test=eval_test,
         checkpoint_path=checkpoint_path,
         history_path=history_path,
         log=lambda entry: print(
@@ -307,9 +335,9 @@ def cmd_eval(args):
 def cmd_predict_map(args):
     model = load_checkpoint(args.checkpoint)
     cube = load_cube(args.cube)
-    if args.split:
-        split = load_split(args.split)
-        cube = normalize(cube, split)
+    split_path = _resolve_path(args, "split")
+    if split_path:
+        cube = normalize(cube, load_split(split_path))
     grid = predict_map(model, cube)
     render_class_map(grid, args.out)
     print(f"wrote {args.out} ({cube.height}x{cube.width})")
@@ -317,8 +345,9 @@ def cmd_predict_map(args):
 
 
 def cmd_inspect(args):
-    if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
+    checkpoint = _resolve_path(args, "checkpoint")
+    if checkpoint:
+        model = load_checkpoint(checkpoint)
         config = model.config
     else:
         config = ModelConfig(
@@ -360,7 +389,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config_file(args)
+        _load_config_file(args, parser)
         return _COMMANDS[args.command](args)
     except SpecnetError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

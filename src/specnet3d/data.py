@@ -262,10 +262,13 @@ def load_split(path) -> SplitManifest:
             )
         return [tuple(e) for e in entries]
 
+    def optional(name, types):
+        return None if doc.get(name) is None else _field(doc, "split", name, types)
+
     return SplitManifest(
         seed=doc["seed"],
-        per_class_train=doc.get("per_class_train"),
-        fraction=doc.get("fraction"),
+        per_class_train=optional("per_class_train", int),
+        fraction=optional("fraction", (int, float)),
         train=pixels("train"),
         test=pixels("test"),
     )

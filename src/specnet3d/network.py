@@ -16,14 +16,18 @@ Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
 return (see ops), so no layer copies to change layout.
 
-forward and backward cut a patch batch into shards of SHARD samples and
-fan them out over threads (parallel.fan_out), each shard in its own child
-workspace.  A shard is a whole pass: the block stack and then the
-classifier.  Backward contractions multiply per-shard matrices, and each
+forward takes a batch of neighbourhoods, each the zero-filled input of
+R x C output pixels: a training patch is the case R = C = 1, an inference
+tile a wider one.  Every layer before the classifier is spatially valid
+or depth-only, so the block stack runs once per neighbourhood and each
+pixel's features are the block-4 window below it.  forward and backward
+cut a batch into shards of SHARD samples and fan them out over threads
+(parallel.fan_out), each shard in its own child workspace.  A shard is a
+whole pass: the block stack and then the classifier.  backward takes
+patches only; its contractions multiply per-shard matrices, and each
 gradient, the classifier's included, is the sum of the shards' in shard
-order.  forward_dense runs one tile on the calling thread; training deals
-the tiles of an inference pass out over threads, with OpenBLAS held at
-one thread.
+order.  training runs an inference tile as a one-sample batch and deals
+the tiles of a pass out over threads, with OpenBLAS held at one thread.
 """
 
 import math
@@ -34,7 +38,6 @@ import numpy as np
 from .data import _field, _read_header, _read_payload, _write_container
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
-    _contiguous,
     _conv3d_forward_cols,
     _scratch,
     avgpool3d_backward,
@@ -259,65 +262,53 @@ def _shards(n, ws):
 def forward(model: Model, x, keep_intermediates=False, ws=None):
     """Run the network; returns (logits, cache), cache None unless kept.
 
-    x must have dims (n, 1, window, window, S) matching model.config.
-    Each SHARD-sample shard of the batch runs the block stack and then the
+    x is a batch of (n, 1, R + window - 1, C + window - 1, S) zero-filled
+    neighbourhoods of R x C output pixels each; a window x window patch is
+    the case R = C = 1.  Each SHARD-sample shard of the batch runs the block stack and then the
     classifier, the shards fanned out over threads (parallel.fan_out); a
-    shard writes its features, flattened in (c, h, w, d) order, into its
-    own rows of the batch's cache["flat"].  With a Workspace the cache
-    holds the workspace's arrays (each shard's in its own child
-    workspace), valid until the next call with it; the logits never do.
+    shard gathers its pixels' features, in (c, h, w, d) order, into its
+    own rows of the batch's cache["flat"].  Returns (n * R * C, classes)
+    logits in (sample, row, col) order.  With a Workspace the cache holds
+    the workspace's arrays (each shard's in its own child workspace),
+    valid until the next call with it; the logits never do.  Only a patch
+    batch keeps its intermediates: backward is defined for patches.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
-    expected_tail = (1, w, w, model.config.spectral_depth)
-    if x.ndim != 5 or x.shape[1:] != expected_tail or x.shape[0] == 0:
+    if (x.ndim != 5 or x.shape[0] == 0 or x.shape[1] != 1 or min(x.shape[2:4]) < w
+            or x.shape[4] != model.config.spectral_depth):
         raise ShapeError(
-            f"input dims {x.shape} do not match (n >= 1, 1, {w}, {w}, "
+            f"input dims {x.shape} do not match (n >= 1, 1, >={w}, >={w}, "
             f"{model.config.spectral_depth})"
         )
+    rows, cols = x.shape[2] - w + 1, x.shape[3] - w + 1
+    if keep_intermediates and rows * cols > 1:
+        raise ShapeError(
+            f"keep_intermediates needs {w}x{w} patches, got {x.shape[2]}x{x.shape[3]} "
+            f"neighbourhoods: backward is defined for patches only"
+        )
     slices, shard_ws = _shards(x.shape[0], ws)
-    flat = _scratch(ws, "FC", "features", (x.shape[0], flattened_length(model.config)),
+    flat = _scratch(ws, "FC", "features", (x.shape[0] * rows * cols, model.feature_length),
                     np.result_type(x, *model.parameters().values()))
+    per_sample = flat.reshape(x.shape[0], rows * cols, -1)
 
     def shard(i):
         cache = {"blocks": []} if keep_intermediates else None
         out = _run_blocks(model, x[slices[i]], cache, shard_ws[i])
-        rows = flat[slices[i]]
-        np.copyto(rows.reshape(out.shape), out)
-        return linear_forward(rows, model.fc_weights, model.fc_bias), cache
+        n, c, h, _, d = out.shape
+        k = h - rows + 1  # block-4 neighbourhood of one pixel
+        sn, sc, sh, sw, sd = out.strides
+        # (n, R, C, c, k, k, d): each pixel's k x k window, in feature order
+        windows = np.lib.stride_tricks.as_strided(
+            out, (n, rows, cols, c, k, k, d), (sn, sh, sw, sc, sh, sw, sd), writeable=False
+        )
+        features = per_sample[slices[i]].reshape(-1, flat.shape[1])
+        np.copyto(features.reshape(windows.shape), windows)
+        return linear_forward(features, model.fc_weights, model.fc_bias), cache
 
     logits, caches = zip(*fan_out(len(slices), shard))
     cache = {"shards": caches, "flat": flat} if keep_intermediates else None
     return np.concatenate(logits), cache
-
-
-def forward_dense(model: Model, tile, ws=None):
-    """Logits of every pixel of a tile in one fully-convolutional pass.
-
-    tile is the (1, 1, R + window - 1, C + window - 1, S) zero-filled
-    neighbourhood of R x C output pixels.  Every conv is spatially valid
-    and every pool depth-only, so the block stack runs once over the whole
-    tile; each pixel's classifier input is then the (window - 4)^2 block-4
-    neighbourhood below it, gathered in the (c, h, w, d) order forward
-    flattens a patch in.  Returns (R, C, classes) logits.
-    """
-    tile = np.asarray(tile)
-    w = model.config.spatial_window
-    if (tile.ndim != 5 or tile.shape[:2] != (1, 1) or min(tile.shape[2:4]) < w
-            or tile.shape[4] != model.config.spectral_depth):
-        raise ShapeError(
-            f"tile dims {tile.shape} do not match (1, 1, >={w}, >={w}, "
-            f"{model.config.spectral_depth})"
-        )
-    rows, cols = tile.shape[2] - w + 1, tile.shape[3] - w + 1
-    out = _run_blocks(model, tile, ws=ws)[0]
-    k = out.shape[1] - rows + 1  # block-4 neighbourhood of one pixel
-    # (c, R, C, d, k, k) windows -> (R, C, c, k, k, d) rows of features
-    windows = np.lib.stride_tricks.sliding_window_view(out, (k, k), axis=(1, 2))
-    features = _contiguous(windows.transpose(1, 2, 0, 4, 5, 3), ws, "FC", "features")
-    logits = linear_forward(features.reshape(rows * cols, -1), model.fc_weights,
-                            model.fc_bias)
-    return logits.reshape(rows, cols, -1)
 
 
 def backward(model: Model, cache, grad_logits, ws=None):

@@ -9,13 +9,14 @@ network); the bits depend on network.SHARD, not on the thread count.
 train owns one ops.Workspace, so its steps reuse one set of scratch
 arrays.
 
-Inference (evaluate and predict_map) runs the network densely, one
-fully-convolutional pass per tile of TILE output pixels on a grid
-anchored at pixel (0, 0).  Every pass covers a full tile, even at the
-scene edge: its input is the tile's zero-filled neighbourhood cut
-straight from the cube, reading zeros past the edge, and its logits are
-cropped to the scene.  So memory is bounded by one tile, not the scene,
-and a worker's Workspace holds one set of arrays.  Both share one class
+Inference (evaluate and predict_map) runs the same network.forward as
+training, one fully-convolutional pass per tile of TILE output pixels on
+a grid anchored at pixel (0, 0), each a one-sample batch of the tile's
+zero-filled neighbourhood.  Every pass covers a full tile, even at the
+scene edge: its input is cut straight from the cube, reading zeros past
+the edge, and its logits are cropped to the scene.  So memory is bounded
+by one tile, not the scene, and a worker's Workspace holds one set of
+arrays.  Both share one class
 grid (_class_grid): the tiles are dealt out over the calling thread and
 helper threads (parallel.fan_out), each worker with its own Workspace,
 while OpenBLAS is held at one thread, and each worker writes its tiles'
@@ -23,8 +24,9 @@ classes straight into one (height, width) grid.  The tile grid depends
 only on the scene shape and a tile's bits neither on the worker that runs
 it nor on the BLAS thread count, so a pixel's logits are bitwise the same
 whichever pixels are requested with it, and evaluate agrees bitwise with
-predict_map.  They match forward on the pixel's patch to float32
-rounding, not bitwise: the two paths hand BLAS GEMMs of different shapes.
+predict_map.  They match forward on the pixel's own patch to float32
+rounding, not bitwise: a tile and a patch hand BLAS GEMMs of different
+shapes.
 """
 
 import json
@@ -36,7 +38,7 @@ from . import parallel
 from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy
-from .network import Model, backward, forward, forward_dense, save_checkpoint
+from .network import Model, backward, forward, save_checkpoint
 from .ops import Workspace, _scratch, _zeroed, softmax_cross_entropy
 
 
@@ -140,7 +142,8 @@ def _tile_logits(model: Model, cube: HsiCube, r0, c0, ws=None):
     tile[0, 0, a0 - r0 + half:a1 - r0 + half, b0 - c0 + half:b1 - c0 + half] = (
         cube.values[a0:a1, b0:b1]
     )
-    return forward_dense(model, tile, ws=ws)[:cube.height - r0, :cube.width - c0]
+    logits, _ = forward(model, tile, ws=ws)
+    return logits.reshape(*TILE, -1)[:cube.height - r0, :cube.width - c0]
 
 
 def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):

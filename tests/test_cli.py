@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specnet3d.cli import main
-from specnet3d.data import save_cube, save_labels, save_split
+from specnet3d.data import SplitManifest, save_cube, save_labels, save_split
 from specnet3d.metrics import PALETTE
 from specnet3d.network import ModelConfig, build_model
 from specnet3d.training import OptimizerState, TrainConfig, predict_map, train
@@ -157,6 +157,55 @@ class TestTrainCommand:
         history = (out_dir / "history.jsonl").read_text().strip().splitlines()
         assert len(history) == 4
 
+    def test_eval_test_from_config_file(self, tmp_path, scene_dir, capsys):
+        from specnet3d.data import load_labels, stratified_split
+
+        split = tmp_path / "held_out.split.json"
+        save_split(stratified_split(load_labels(scene_dir / "scene.lbl.json"), 2, seed=0),
+                   split)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"eval_test": True, "epochs": 1}))
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"), "--split", str(split),
+                   "--out-dir", str(out_dir), "--config", str(cfg)])
+        assert rc == 0
+        assert "test_oa=" in capsys.readouterr().out
+        entry = json.loads((out_dir / "history.jsonl").read_text())
+        assert "test_overall_accuracy" in entry
+        cfg.write_text(json.dumps({"eval_test": "yes", "epochs": 1}))
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"), "--split", str(split),
+                   "--out-dir", str(tmp_path / "bad"), "--config", str(cfg)])
+        assert rc == 1
+        assert "error[E_CONFIG]: eval_test" in capsys.readouterr().err
+
+    def test_split_from_config_file(self, tmp_path, scene_dir, capsys):
+        # "on" is eval's option: one file may serve several commands
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"split": str(scene_dir / "all.split.json"),
+                                   "epochs": 1, "on": "test"}))
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--out-dir", str(out_dir), "--config", str(cfg)])
+        assert rc == 0, capsys.readouterr().err
+        assert "sampled split" not in capsys.readouterr().out
+        assert not (out_dir / "train.split.json").exists()
+
+    def test_unknown_config_key_rejected(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"eval_test": True, "learning_rat": 0.5}))
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--split", str(scene_dir / "all.split.json"),
+                   "--out-dir", str(out_dir), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_CONFIG]") and "'learning_rat'" in err
+        assert not out_dir.exists()
+
     def test_inline_split_sampling(self, tmp_path, scene_dir, capsys):
         out_dir = tmp_path / "run"
         rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
@@ -275,6 +324,20 @@ class TestPredictMapCommand:
         assert blob.startswith(b"P6\n4 8\n255\n")
         assert sha(a) == sha(b)
 
+    def test_split_from_config_file(self, tmp_path, scene_dir, capsys):
+        # a split the map must reject, so it shows the split was read
+        save_split(SplitManifest(seed=0, train=[(1, 1, 1), (9, 0, 1)], test=[]),
+                   tmp_path / "bad.split.json")
+        cfg = tmp_path / "map.json"
+        cfg.write_text(json.dumps({"split": str(tmp_path / "bad.split.json")}))
+        out = tmp_path / "map.ppm"
+        rc = main(["predict-map", "--checkpoint", str(scene_dir / "model.ckpt.json"),
+                   "--cube", str(scene_dir / "scene.hsc.json"), "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert "error[E_SPLIT]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pixels_use_documented_palette(self, tmp_path, scene_dir, capsys):
         from specnet3d.data import load_cube, load_split, normalize
         from specnet3d.network import load_checkpoint
@@ -314,6 +377,12 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "12 bands" in out
         assert "conv subtotal 29890" in out
+
+    def test_checkpoint_from_config_file(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "inspect.json"
+        cfg.write_text(json.dumps({"checkpoint": str(scene_dir / "model.ckpt.json")}))
+        assert main(["inspect", "--config", str(cfg)]) == 0
+        assert "12 bands" in capsys.readouterr().out
 
     def test_shape_error_code(self, capsys):
         rc = main(["inspect", "--spectral-depth", "4"])

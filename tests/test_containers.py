@@ -269,6 +269,10 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
     ("split", lambda doc: doc["test"].append([])),
     ("split", lambda doc: doc["train"].append([1, 2, 3, 4])),
     ("split", lambda doc: doc["train"][0].__setitem__(2, True)),
+    ("split", lambda doc: doc.update(per_class_train="lots")),
+    ("split", lambda doc: doc.update(per_class_train=True)),
+    ("split", lambda doc: doc.update(fraction=[1, 2])),
+    ("split", lambda doc: doc.update(fraction=True)),
     ("labels", lambda doc: doc.update(class_names="a,b")),
 ])
 def test_bad_nested_header_field_raises_format_error(kind, edit, tmp_path):

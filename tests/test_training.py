@@ -223,6 +223,30 @@ def inference_digest(out_dir):
     return h.hexdigest()
 
 
+def assert_same_digest_at_one_and_two_blas_threads(tmp_path, digest):
+    """Run this module's digest(out_dir) in a fresh interpreter at
+    OPENBLAS_NUM_THREADS=1 and at =2; each must see its thread count and
+    print the same digest."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    script = ("import sys; from specnet3d.parallel import blas_threads; "
+              f"from test_training import {digest}; "
+              f"print(blas_threads(), {digest}(sys.argv[1]))")
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, here]))
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        # the CLI's own output comes first; the count and digest are last
+        runs.append(proc.stdout.split()[-2:])
+    assert [count for count, _ in runs] == ["1", "2"]
+    assert runs[0][1] == runs[1][1]
+
+
 class TestShardedTraining:
     def test_bits_independent_of_worker_count(self, tmp_path, monkeypatch):
         digests = []
@@ -237,23 +261,7 @@ class TestShardedTraining:
                         reason="without OpenBLAS's thread setter shards run on the "
                                "caller at its BLAS thread count")
     def test_bits_independent_of_openblas_threads(self, tmp_path):
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(here), "src")
-        script = ("import sys; from specnet3d.parallel import blas_threads; "
-                  "from test_training import train_digest; "
-                  "print(blas_threads(), train_digest(sys.argv[1]))")
-        runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            out.mkdir()
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, here]))
-            proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
-                                  capture_output=True, text=True, timeout=300, check=False)
-            assert proc.returncode == 0, proc.stderr
-            runs.append(proc.stdout.split())
-        assert [count for count, _ in runs] == ["1", "2"]
-        assert runs[0][1] == runs[1][1]
+        assert_same_digest_at_one_and_two_blas_threads(tmp_path, "train_digest")
 
 
 class TestEvaluate:
@@ -449,10 +457,33 @@ class TestDenseInference:
         cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
         model = build_model(ModelConfig(10, 4, 7), 47)
         ws = Workspace()
+
+        def arrays():  # the tile's own and its shard's block arrays
+            return [len(w._arrays) for w in (ws, *ws._shards.values())]
+
         _tile_logits(model, cube, 0, 0, ws)
-        arrays = len(ws._arrays)
+        before = arrays()
         assert _tile_logits(model, cube, TILE[0], TILE[1], ws).shape == (2, 1, 4)
-        assert len(ws._arrays) == arrays
+        assert arrays() == before
+        assert len(before) == 2 and before[1] > 0
+
+    def test_batch_of_tiles_matches_tile_logits(self):
+        # several tiles' neighbourhoods in one forward, edge tiles clipped on
+        # both axes, give each tile's logits bitwise as _tile_logits does
+        rng = np.random.default_rng(48)
+        shape = (TILE[0] + 2, 2 * TILE[1] + 1)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        model = build_model(ModelConfig(10, 4, 7), 49)
+        padded = np.pad(cube.values, ((3, 3 + TILE[0]), (3, 3 + TILE[1]), (0, 0)))
+        origins = [(r0, c0) for r0 in range(0, shape[0], TILE[0])
+                   for c0 in range(0, shape[1], TILE[1])]
+        batch = np.stack([padded[None, r0:r0 + TILE[0] + 6, c0:c0 + TILE[1] + 6]
+                          for r0, c0 in origins])
+        logits = forward(model, batch)[0].reshape(len(origins), *TILE, -1)
+        for (r0, c0), tile in zip(origins, logits):
+            want = _tile_logits(model, cube, r0, c0)
+            got = tile[:want.shape[0], :want.shape[1]]
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (r0, c0)
 
 
 class TestParallelInference:
@@ -494,23 +525,7 @@ class TestParallelInference:
                         reason="without OpenBLAS's thread setter tiles run on the "
                                "caller at its BLAS thread count")
     def test_bits_independent_of_openblas_threads(self, tmp_path):
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(here), "src")
-        script = ("import sys; from specnet3d.parallel import blas_threads; "
-                  "from test_training import inference_digest; "
-                  "print(blas_threads(), inference_digest(sys.argv[1]))")
-        runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            out.mkdir()
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, here]))
-            proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
-                                  capture_output=True, text=True, timeout=300, check=False)
-            assert proc.returncode == 0, proc.stderr
-            runs.append(proc.stdout.split()[-2:])
-        assert [count for count, _ in runs] == ["1", "2"]
-        assert runs[0][1] == runs[1][1]
+        assert_same_digest_at_one_and_two_blas_threads(tmp_path, "inference_digest")
 
     @pytest.mark.skipif(parallel._openblas() is None,
                         reason="without OpenBLAS's thread setter nothing is pinned")
