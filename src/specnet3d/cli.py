@@ -1,8 +1,16 @@
 """Command-line workflow: split, train, eval, predict-map, inspect.
 
 All randomness flows from two explicit seeds (--model-seed for weight
-init, --seed/--shuffle-seed for the split and batch order).  A JSON
-config file can pre-fill any option; explicit flags win.
+init, --seed/--shuffle-seed for the split and batch order).
+
+Each option's default is declared once, on its add_argument, and taken
+from OptimizerState, TrainConfig or ModelConfig where the library has
+one.  A JSON config file (--config) may set any option, required ones
+included: main reads it before parsing, checks each value against the
+option it names, and installs it as that option's default, so argparse
+resolves flag > config file > default.  --per-class-train and --fraction
+exclude each other on the command line, either flag also overrides the
+other's config value, and within the file fraction wins.
 """
 
 import argparse
@@ -31,31 +39,32 @@ from .network import (
 )
 from .training import OptimizerState, TrainConfig, evaluate, predict_map, train
 
-# Defaults applied after the flag -> config file -> default chain.
-DEFAULTS = {
-    "per_class_train": 200,
-    "fraction": None,
-    "seed": 0,
-    "model_seed": 0,
-    "shuffle_seed": 0,
-    "learning_rate": 0.02,
-    "momentum": 0.9,
-    "weight_decay": 0.0005,
-    "epochs": 100,
-    "batch_size": 64,
-    "window": 7,
-    "log_every": 1,
-    "spectral_depth": 103,
-    "classes": 9,
-    "on": "test",
-    "eval_test": False,
-}
+
+class _SplitSize(argparse.Action):
+    """--per-class-train or --fraction: sets its option and clears the
+    other, so the flag also beats the other's config-file value.  Giving
+    both is a usage error, checked here too: argparse's exclusive-group
+    check passes over a value that is the default object itself, as
+    int("200") is."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = getattr(namespace, "_size_flag", option_string)
+        if given != option_string:
+            raise argparse.ArgumentError(self, f"not allowed with argument {given}")
+        namespace._size_flag = option_string
+        namespace.per_class_train = namespace.fraction = None
+        setattr(namespace, self.dest, values)
 
 
-def _add_config_opt(p):
-    p.add_argument("--config", metavar="JSON",
-                   help="JSON file pre-filling any option of this command "
-                        "(explicit flags win)")
+def _add_split_opts(p, when=""):
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--per-class-train", type=int, default=200, action=_SplitSize,
+                      help=f"training pixels per class{when} (default: %(default)s)")
+    size.add_argument("--fraction", type=float, action=_SplitSize,
+                      help=f"training fraction per class{when} instead of a fixed "
+                           "count; per-class counts are floor(fraction * size), min 1")
+    p.add_argument("--seed", type=int, default=0,
+                   help=f"split sampling seed{when} (default: %(default)s)")
 
 
 def build_parser():
@@ -70,52 +79,39 @@ def build_parser():
     p = sub.add_parser("split", help="write a stratified train/test manifest")
     p.add_argument("--labels", required=True, help="label grid header (.lbl.json)")
     p.add_argument("--out", required=True, help="output manifest path (.split.json)")
-    p.add_argument("--per-class-train", type=int, default=None,
-                   help="training pixels per class (default: 200)")
-    p.add_argument("--fraction", type=float, default=None,
-                   help="training fraction per class instead of a fixed count; "
-                        "per-class counts are floor(fraction * size), min 1")
-    p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (default: 0)")
-    _add_config_opt(p)
+    _add_split_opts(p)
 
     p = sub.add_parser("train", help="train on a cube/labels/split triple")
     p.add_argument("--cube", required=True, help="cube header (.hsc.json)")
     p.add_argument("--labels", required=True, help="label grid header (.lbl.json)")
-    p.add_argument("--split", default=None,
+    p.add_argument("--split",
                    help="split manifest (.split.json); omit to sample one here "
                         "from --per-class-train/--fraction and --seed (it is "
                         "then written to the output directory)")
-    p.add_argument("--per-class-train", type=int, default=None,
-                   help="training pixels per class when sampling inline "
-                        "(default: 200)")
-    p.add_argument("--fraction", type=float, default=None,
-                   help="training fraction per class when sampling inline")
-    p.add_argument("--seed", type=int, default=None,
-                   help="split sampling seed when sampling inline (default: 0)")
+    _add_split_opts(p, " when sampling inline")
     p.add_argument("--out-dir", required=True,
                    help="directory for model.ckpt.json/.raw, history.jsonl, report.json")
-    p.add_argument("--model-seed", type=int, default=None,
-                   help="weight initialization seed (default: 0)")
-    p.add_argument("--shuffle-seed", type=int, default=None,
-                   help="mini-batch order seed (default: 0)")
-    p.add_argument("--learning-rate", type=float, default=None,
-                   help="SGD learning rate (default: 0.02)")
-    p.add_argument("--momentum", type=float, default=None,
-                   help="SGD momentum (default: 0.9)")
-    p.add_argument("--weight-decay", type=float, default=None,
-                   help="coupled weight decay, biases exempt (default: 0.0005)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="training epochs (default: 100)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="mini-batch size; the last short batch is kept (default: 64)")
-    p.add_argument("--window", type=int, default=None,
-                   help="odd spatial window around each pixel (default: 7)")
-    p.add_argument("--eval-test", action="store_true", default=None,
+    p.add_argument("--model-seed", type=int, default=0,
+                   help="weight initialization seed (default: %(default)s)")
+    p.add_argument("--shuffle-seed", type=int, default=TrainConfig.shuffle_seed,
+                   help="mini-batch order seed (default: %(default)s)")
+    p.add_argument("--learning-rate", type=float, default=OptimizerState.learning_rate,
+                   help="SGD learning rate (default: %(default)s)")
+    p.add_argument("--momentum", type=float, default=OptimizerState.momentum,
+                   help="SGD momentum (default: %(default)s)")
+    p.add_argument("--weight-decay", type=float, default=OptimizerState.weight_decay,
+                   help="coupled weight decay, biases exempt (default: %(default)s)")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="training epochs (default: %(default)s)")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="mini-batch size; the last short batch is kept "
+                        "(default: %(default)s)")
+    p.add_argument("--window", type=int, default=ModelConfig.spatial_window,
+                   help="odd spatial window around each pixel (default: %(default)s)")
+    p.add_argument("--eval-test", action="store_true",
                    help="record test overall accuracy in the history each epoch")
-    p.add_argument("--log-every", type=int, default=None,
-                   help="progress print interval in epochs (default: 1)")
-    _add_config_opt(p)
+    p.add_argument("--log-every", type=int, default=TrainConfig.log_every,
+                   help="progress print interval in epochs (default: %(default)s)")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True, help="checkpoint manifest (.ckpt.json)")
@@ -123,98 +119,103 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True, help="report output path (.json)")
-    p.add_argument("--on", choices=("test", "train"), default=None,
-                   help="which side of the split to evaluate (default: test)")
-    _add_config_opt(p)
+    p.add_argument("--on", choices=("test", "train"), default="test",
+                   help="which side of the split to evaluate (default: %(default)s)")
 
     p = sub.add_parser("predict-map", help="classify every pixel into a PPM map")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cube", required=True)
     p.add_argument("--out", required=True, help="output image path (.ppm)")
-    p.add_argument("--split", default=None,
+    p.add_argument("--split",
                    help="optional manifest supplying the normalization "
                         "statistics used at training time")
-    _add_config_opt(p)
 
     p = sub.add_parser("inspect",
                        help="print the shape trace and parameter ledger")
-    p.add_argument("--spectral-depth", type=int, default=None,
-                   help="number of bands (default: 103)")
-    p.add_argument("--classes", type=int, default=None,
-                   help="number of classes (default: 9)")
-    p.add_argument("--window", type=int, default=None,
-                   help="odd spatial window (default: 7)")
-    p.add_argument("--checkpoint", default=None,
+    p.add_argument("--spectral-depth", type=int, default=103,
+                   help="number of bands (default: %(default)s)")
+    p.add_argument("--classes", type=int, default=9,
+                   help="number of classes (default: %(default)s)")
+    p.add_argument("--window", type=int, default=ModelConfig.spatial_window,
+                   help="odd spatial window (default: %(default)s)")
+    p.add_argument("--checkpoint",
                    help="read the configuration from a checkpoint instead")
-    _add_config_opt(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", metavar="JSON",
+                       help="JSON file setting any option of this command "
+                            "(explicit flags win)")
     return parser
 
 
-def _resolve(args, key):
-    """Flag value if given, else config-file value, else the default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config_doc", None) or {}
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key)
-
-
-def _resolve_path(args, key):
-    """_resolve for an optional file path, which must be a string."""
-    value = _resolve(args, key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{key} must be a path string, got {value!r}")
-    return value
-
-
-def _option_keys(parser):
-    """The option names of every subcommand, as a config file spells them."""
+def _subcommands(parser):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
+    return sub.choices.values()
 
 
-def _load_config_file(args, parser):
-    """Read --config into args._config_doc.  A key may be any subcommand's
-    option, so one file can serve several commands; any other key is an
-    error, not silently ignored."""
-    path = getattr(args, "config", None)
+def _config_value(key, value, action):
+    """A config file's value for the option action, typed as the flag's
+    would be; anything the flag could not have given is a ConfigError."""
+    if action.choices is not None:
+        ok, want = value in action.choices, "one of " + ", ".join(map(repr, action.choices))
+    elif action.nargs == 0:
+        ok, want = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        want = "a number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    try:
+        return action.type(value) if action.type else value
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _apply_config_file(parser, argv):
+    """Install the values of argv's --config file as the defaults of the
+    options they name, in every subcommand that has the option, and clear
+    its required.  A key may be any subcommand's option, so one file can
+    serve several commands; any other key is an error, not silently
+    ignored."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return  # the full parse reports it
     if not path:
-        args._config_doc = {}
         return
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    args._config_doc = {str(k).replace("-", "_"): v for k, v in doc.items()}
-    unknown = sorted(args._config_doc.keys() - _option_keys(parser))
+    doc = {str(k).replace("-", "_"): v for k, v in doc.items()}
+    options = {a.dest: a for p in _subcommands(parser) for a in p._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(doc.keys() - options.keys())
     if unknown:
         raise ConfigError(
             f"config file {path}: {', '.join(map(repr, unknown))} is no option "
             f"of any command"
         )
-
-
-def _split_parameters(args):
-    """(per_class, fraction, seed): explicit flags first, then the config
-    file, then the 200-per-class default."""
-    if args.fraction is not None:
-        per_class, fraction = None, args.fraction
-    elif args.per_class_train is not None:
-        per_class, fraction = args.per_class_train, None
-    else:
-        fraction = (getattr(args, "_config_doc", None) or {}).get("fraction")
-        per_class = None if fraction is not None else int(_resolve(args, "per_class_train"))
-    return per_class, fraction, int(_resolve(args, "seed"))
+    values = {key: _config_value(key, value, options[key]) for key, value in doc.items()}
+    if "fraction" in values:
+        values["per_class_train"] = None
+    for p in _subcommands(parser):
+        mine = [a for a in p._actions if a.dest in values]
+        for action in mine:
+            action.required = False
+        p.set_defaults(**{a.dest: values[a.dest] for a in mine})
 
 
 def cmd_split(args):
     labels = load_labels(args.labels)
-    per_class, fraction, seed = _split_parameters(args)
     manifest = stratified_split(
-        labels, per_class, fraction=fraction, seed=seed
+        labels, args.per_class_train, fraction=args.fraction, seed=args.seed
     )
     save_split(manifest, args.out)
     counts = manifest.train_counts()
@@ -228,42 +229,23 @@ def cmd_split(args):
 
 
 def cmd_train(args):
-    window = int(_resolve(args, "window"))
-    learning_rate = float(_resolve(args, "learning_rate"))
-    momentum = float(_resolve(args, "momentum"))
-    weight_decay = float(_resolve(args, "weight_decay"))
-    epochs = int(_resolve(args, "epochs"))
-    batch_size = int(_resolve(args, "batch_size"))
-    shuffle_seed = int(_resolve(args, "shuffle_seed"))
-    model_seed = int(_resolve(args, "model_seed"))
-    eval_test = _resolve(args, "eval_test")
-    if not isinstance(eval_test, bool):
-        raise ConfigError(f"eval_test must be true or false, got {eval_test!r}")
-    split_path = _resolve_path(args, "split")
     print(
-        f"training: learning_rate={learning_rate} momentum={momentum} "
-        f"weight_decay={weight_decay} epochs={epochs} "
-        f"batch_size={batch_size} window={window} "
-        f"model_seed={model_seed} shuffle_seed={shuffle_seed}"
+        f"training: learning_rate={args.learning_rate} momentum={args.momentum} "
+        f"weight_decay={args.weight_decay} epochs={args.epochs} "
+        f"batch_size={args.batch_size} window={args.window} "
+        f"model_seed={args.model_seed} shuffle_seed={args.shuffle_seed}"
     )
 
-    opt = OptimizerState(
-        learning_rate=learning_rate, momentum=momentum, weight_decay=weight_decay,
-    )
-    config = TrainConfig(
-        epochs=epochs,
-        batch_size=batch_size,
-        shuffle_seed=shuffle_seed,
-        log_every=int(_resolve(args, "log_every")),
-    )
+    opt = OptimizerState(args.learning_rate, args.momentum, args.weight_decay)
+    config = TrainConfig(args.epochs, args.batch_size, args.shuffle_seed, args.log_every)
     cube = load_cube(args.cube)
     labels = load_labels(args.labels)
     os.makedirs(args.out_dir, exist_ok=True)
-    if split_path:
-        split = load_split(split_path)
+    if args.split:
+        split = load_split(args.split)
     else:
-        per_class, fraction, seed = _split_parameters(args)
-        split = stratified_split(labels, per_class, fraction=fraction, seed=seed)
+        split = stratified_split(labels, args.per_class_train, fraction=args.fraction,
+                                 seed=args.seed)
         split_path = os.path.join(args.out_dir, "train.split.json")
         save_split(split, split_path)
         print(f"sampled split ({len(split.train)} train / {len(split.test)} test "
@@ -271,14 +253,14 @@ def cmd_train(args):
     model_config = ModelConfig(
         spectral_depth=cube.bands,
         num_classes=labels.num_classes,
-        spatial_window=window,
+        spatial_window=args.window,
     )
-    model = build_model(model_config, model_seed)
+    model = build_model(model_config, args.model_seed)
     checkpoint_path = os.path.join(args.out_dir, "model.ckpt.json")
     history_path = os.path.join(args.out_dir, "history.jsonl")
     history = train(
         model, cube, labels, split, config, opt,
-        eval_test=eval_test,
+        eval_test=args.eval_test,
         checkpoint_path=checkpoint_path,
         history_path=history_path,
         log=lambda entry: print(
@@ -316,12 +298,9 @@ def cmd_eval(args):
             f"but the cube has {cube.bands}"
         )
     norm = normalize(cube, split)
-    side_name = _resolve(args, "on")
-    if side_name not in ("test", "train"):
-        raise ConfigError(f"on must be 'test' or 'train', got {side_name!r}")
-    side = split.test if side_name == "test" else split.train
+    side = split.test if args.on == "test" else split.train
     if not side:
-        raise ConfigError(f"split has no {side_name} pixels to evaluate")
+        raise ConfigError(f"split has no {args.on} pixels to evaluate")
     matrix = evaluate(model, norm, labels, side)
     write_report(matrix, args.out)
     print(
@@ -335,9 +314,8 @@ def cmd_eval(args):
 def cmd_predict_map(args):
     model = load_checkpoint(args.checkpoint)
     cube = load_cube(args.cube)
-    split_path = _resolve_path(args, "split")
-    if split_path:
-        cube = normalize(cube, load_split(split_path))
+    if args.split:
+        cube = normalize(cube, load_split(args.split))
     grid = predict_map(model, cube)
     render_class_map(grid, args.out)
     print(f"wrote {args.out} ({cube.height}x{cube.width})")
@@ -345,16 +323,11 @@ def cmd_predict_map(args):
 
 
 def cmd_inspect(args):
-    checkpoint = _resolve_path(args, "checkpoint")
-    if checkpoint:
-        model = load_checkpoint(checkpoint)
+    if args.checkpoint:
+        model = load_checkpoint(args.checkpoint)
         config = model.config
     else:
-        config = ModelConfig(
-            spectral_depth=int(_resolve(args, "spectral_depth")),
-            num_classes=int(_resolve(args, "classes")),
-            spatial_window=int(_resolve(args, "window")),
-        )
+        config = ModelConfig(args.spectral_depth, args.classes, args.window)
         model = build_model(config, rng_seed=0)
 
     print(f"shape trace (window {config.spatial_window}, "
@@ -387,9 +360,9 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _load_config_file(args, parser)
+        _apply_config_file(parser, argv)
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SpecnetError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

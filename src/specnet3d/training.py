@@ -30,6 +30,7 @@ shapes.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +53,16 @@ class OptimizerState:
     velocity: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
 
 
 @dataclass
@@ -72,6 +77,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
 
 def sgd_step(params, grads, state: OptimizerState):
@@ -166,8 +173,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     The cube is min-max normalized from training-pixel statistics before
     any patch is cut.  Returns the per-epoch history; each entry carries
     the mean training loss and, with eval_test, the test overall accuracy.
-    A non-finite batch loss raises NumericError before any checkpoint is
-    written.
+    A non-finite batch loss, or a non-finite parameter after the last
+    step, raises NumericError before any checkpoint is written.
     """
     _check_scene(model, cube, labels)
     train_pixels = [_check_pixel(labels, e) for e in split.train]
@@ -214,6 +221,12 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     finally:
         if history_fh:
             history_fh.close()
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise NumericError(
+                f"{name} is not finite after the last step; the run diverged "
+                f"(lower the learning rate)"
+            )
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     return history

@@ -11,6 +11,7 @@ from specnet3d.network import ModelConfig, build_model
 from specnet3d.training import OptimizerState, TrainConfig, predict_map, train
 
 from synth import overfit_scene
+from test_training import run_python
 
 
 def sha(path):
@@ -88,6 +89,37 @@ class TestSplitCommand:
         doc = json.loads(out.read_text())
         assert doc["per_class_train"] == 2
         assert doc["fraction"] is None
+
+    @pytest.mark.parametrize("config, flags, want", [
+        ({"per_class_train": 2}, ["--fraction", "0.5"], (None, 0.5)),
+        ({"per_class_train": 2, "fraction": 0.5}, [], (None, 0.5)),
+    ])
+    def test_split_size_precedence(self, tmp_path, scene_dir, capsys, config, flags, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.split.json"
+        rc = main(["split", "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--out", str(out), "--config", str(cfg), *flags])
+        assert rc == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert (doc["per_class_train"], doc["fraction"]) == want
+
+    # 200 is the default object itself, which argparse's group check skips
+    @pytest.mark.parametrize("count", ["2", "200"])
+    @pytest.mark.parametrize("fraction_first", [False, True])
+    def test_both_size_flags_are_a_usage_error(self, tmp_path, scene_dir, capsys,
+                                               count, fraction_first):
+        sizes = ["--per-class-train", count, "--fraction", "0.5"]
+        if fraction_first:
+            sizes = sizes[2:] + sizes[:2]
+        out = tmp_path / "o.split.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--labels", str(scene_dir / "scene.lbl.json"),
+                  "--out", str(out), *sizes])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -218,6 +250,64 @@ class TestTrainCommand:
         assert doc["per_class_train"] == 2
         assert len(doc["train"]) == 18
 
+    def test_required_options_from_config_file(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "cube": str(scene_dir / "scene.hsc.json"),
+            "labels": str(scene_dir / "scene.lbl.json"),
+            "out-dir": str(tmp_path / "run"), "per_class_train": 2, "epochs": 1,
+        }))
+        assert main(["train", "--config", str(cfg)]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        for name in ("model.ckpt.json", "history.jsonl", "report.json",
+                     "train.split.json"):
+            assert (tmp_path / "run" / name).exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("fraction", "0.3"), ("epochs", [3]), ("epochs", True), ("window", 5.9),
+        ("eval_test", 1), ("learning_rate", None), ("split", 3),
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path, scene_dir, capsys,
+                                            key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--out-dir", str(out_dir), "--epochs", "1", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error[E_CONFIG]: {key} must be")
+        assert not out_dir.exists()
+
+    def test_zero_log_every_rejected(self, scene_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--split", str(scene_dir / "all.split.json"),
+                   "--out-dir", str(out_dir), "--epochs", "1", "--log-every", "0"])
+        assert rc == 1
+        assert "error[E_CONFIG]: log_every" in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt.json").exists()
+
+    def test_config_file_read_from_command_line(self, tmp_path, scene_dir):
+        # main() with no argv reads sys.argv, --config included
+        cfg = tmp_path / "run.json"
+        doc = {"cube": str(scene_dir / "scene.hsc.json"),
+               "labels": str(scene_dir / "scene.lbl.json"),
+               "split": str(scene_dir / "all.split.json"),
+               "out_dir": str(tmp_path / "run"), "epochs": 1}
+        cfg.write_text(json.dumps(doc))
+        proc = run_python(["-m", "specnet3d.cli", "train", "--config", str(cfg)])
+        assert proc.returncode == 0, proc.stderr
+        for name in ("model.ckpt.json", "model.ckpt.raw", "history.jsonl", "report.json"):
+            assert (tmp_path / "run" / name).exists()
+        cfg.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "bad"),
+                                   "epochs": "1"}))
+        proc = run_python(["-m", "specnet3d.cli", "train", "--config", str(cfg)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error[E_CONFIG]: epochs")
+        assert not (tmp_path / "bad").exists()
+
     def test_deterministic_artifacts(self, tmp_path, scene_dir, capsys):
         hashes = []
         for name in ("r1", "r2"):
@@ -275,6 +365,16 @@ class TestEvalCommand:
         assert rc == 1
         assert "error[E_CONFIG]" in capsys.readouterr().err
 
+    def test_required_options_from_config_file(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "eval.json"
+        out = tmp_path / "report.json"
+        cfg.write_text(json.dumps({"checkpoint": str(scene_dir / "model.ckpt.json"),
+                                   "split": str(scene_dir / "all.split.json"),
+                                   "out": str(out), "on": "train"}))
+        rc = main(["eval", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"), "--config", str(cfg)])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads(out.read_text())["overall_accuracy"] == 1.0
 
     def test_unknown_side_in_config_rejected(self, tmp_path, scene_dir, capsys):
         cfg = tmp_path / "cfg.json"
@@ -337,6 +437,17 @@ class TestPredictMapCommand:
         assert rc == 1
         assert "error[E_SPLIT]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_required_options_from_config_file(self, tmp_path, scene_dir, capsys):
+        cfg = tmp_path / "map.json"
+        out = tmp_path / "map.ppm"
+        cfg.write_text(json.dumps({"checkpoint": str(scene_dir / "model.ckpt.json"),
+                                   "split": str(scene_dir / "all.split.json"),
+                                   "out": str(out)}))
+        rc = main(["predict-map", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--config", str(cfg)])
+        assert rc == 0, capsys.readouterr().err
+        assert out.read_bytes().startswith(b"P6\n4 8\n255\n")
 
     def test_pixels_use_documented_palette(self, tmp_path, scene_dir, capsys):
         from specnet3d.data import load_cube, load_split, normalize

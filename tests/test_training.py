@@ -88,6 +88,12 @@ class TestSgdStep:
         with pytest.raises(ConfigError):
             OptimizerState(weight_decay=-0.1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_hyperparameters_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            OptimizerState(**{field: value})
+
 
 class TestTrainLoop:
     def test_zero_learning_rate_freezes_parameters(self):
@@ -118,6 +124,19 @@ class TestTrainLoop:
             with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
                 train(model, cube, labels, split, TrainConfig(epochs=5, shuffle_seed=5),
                       OptimizerState(learning_rate=1e6), checkpoint_path=ckpt)
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.raw").exists()
+
+    def test_non_finite_last_step_stops_without_checkpoint(self, tmp_path):
+        # one batch, so no later forward sees the weights of the last step;
+        # 1e39 is finite in float64 and overflows the float32 weights
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 3)
+        ckpt = tmp_path / "m.ckpt.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^Conv1\.weight is not finite"):
+                train(model, cube, labels, split, TrainConfig(epochs=1),
+                      OptimizerState(learning_rate=1e39), checkpoint_path=ckpt)
         assert not ckpt.exists()
         assert not (tmp_path / "m.ckpt.raw").exists()
 
@@ -179,6 +198,10 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
 
+    def test_log_every_invariant(self):
+        with pytest.raises(ConfigError, match="^log_every"):
+            TrainConfig(log_every=0)
+
 
 def train_digest(out_dir):
     """sha256 of the history and checkpoint of a small two-epoch run whose
@@ -223,12 +246,20 @@ def inference_digest(out_dir):
     return h.hexdigest()
 
 
+def run_python(args, **env):
+    """Run a fresh interpreter on args, with src/ and this directory on its
+    path and env added to its environment."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300, check=False)
+
+
 def assert_same_digest_at_one_and_two_blas_threads(tmp_path, digest):
     """Run this module's digest(out_dir) in a fresh interpreter at
     OPENBLAS_NUM_THREADS=1 and at =2; each must see its thread count and
     print the same digest."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
     script = ("import sys; from specnet3d.parallel import blas_threads; "
               f"from test_training import {digest}; "
               f"print(blas_threads(), {digest}(sys.argv[1]))")
@@ -236,10 +267,7 @@ def assert_same_digest_at_one_and_two_blas_threads(tmp_path, digest):
     for threads in ("1", "2"):
         out = tmp_path / threads
         out.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, here]))
-        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
-                              capture_output=True, text=True, timeout=300, check=False)
+        proc = run_python(["-c", script, str(out)], OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         # the CLI's own output comes first; the count and digest are last
         runs.append(proc.stdout.split()[-2:])
