@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .data import (
     load_cube,
@@ -363,7 +365,10 @@ def main(argv=None):
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # a diverging run overflows float32 before train's finiteness checks
+        # stop it with E_NUMERIC, which must be the first line on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except SpecnetError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -297,7 +297,8 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
     band_range = spectra.max(axis=0) - band_min
     safe = np.where(band_range > 0, band_range, 1.0)
     scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(cube.values.dtype)
-    values = (cube.values - band_min) * scale
+    values = cube.values - band_min
+    values *= scale  # in place: one scene-sized array, not two
     return HsiCube(values=values)
 
 

@@ -16,18 +16,23 @@ Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
 return (see ops), so no layer copies to change layout.
 
-forward takes a batch of neighbourhoods, each the zero-filled input of
-R x C output pixels: a training patch is the case R = C = 1, an inference
-tile a wider one.  Every layer before the classifier is spatially valid
-or depth-only, so the block stack runs once per neighbourhood and each
-pixel's features are the block-4 window below it.  forward and backward
-cut a batch into shards of SHARD samples and fan them out over threads
-(parallel.fan_out), each shard in its own child workspace.  A shard is a
-whole pass: the block stack and then the classifier.  backward takes
-patches only; its contractions multiply per-shard matrices, and each
-gradient, the classifier's included, is the sum of the shards' in shard
-order.  training runs an inference tile as a one-sample batch and deals
-the tiles of a pass out over threads, with OpenBLAS held at one thread.
+forward and backward take batches of window x window patches, the
+training path.  They cut a batch into shards of SHARD samples and fan
+them out over threads (parallel.fan_out), each shard in its own child
+workspace.  A shard is a whole pass: the block stack and then the
+classifier.  backward's contractions multiply per-shard matrices, and
+each gradient, the classifier's included, is the sum of the shards' in
+shard order.
+
+stream is the inference path.  Every layer before the classifier is
+spatially valid or depth-only, so a scene's pixels share their block
+outputs.  stream walks one strip of STRIP output columns down the scene
+in steps of STEP rows, and each stage of the network (block 1, blocks
+2-4, the classifier) computes each of its output rows once per strip,
+keeping the rows the next step reads again in a line buffer (fused-layer
+inference; Alwani et al. 2016, "Fused-layer CNN accelerators").
+training deals the strips of a pass out over threads, with OpenBLAS held
+at one thread.
 """
 
 import math
@@ -38,8 +43,10 @@ import numpy as np
 from .data import _field, _read_header, _read_payload, _write_container
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
+    _channels_first,
     _conv3d_forward_cols,
     _scratch,
+    _zeroed,
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
@@ -64,8 +71,15 @@ _POOL = dict(kernel=(1, 1, 3), stride=(1, 1, 2), padding=(0, 0, 1))
 
 # Samples per shard of a patch batch: forward and backward fan a batch out
 # shard by shard, and conv gradients are summed over shards in shard
-# order.  An algorithm constant, like training.TILE, not a setting.
+# order.  An algorithm constant, not a setting.
 SHARD = 32
+
+# Output columns of one inference strip, and output rows of one step down
+# it (stream).  Algorithm constants like SHARD, not settings: every step
+# of every strip runs at the one shape they fix.  A worker's workspace
+# holds one step's arrays, about 10 MB at 103 bands and window 7.
+STRIP = 12
+STEP = 4
 
 CONV_LAYER_NAMES = (
     "Conv1", "Conv1_1", "Conv2", "Conv2_1",
@@ -225,32 +239,37 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
     return _assemble(config, rng_seed, draw)
 
 
+def _block(block: ResidualBlockSpec, x, cache=None, ws=None):
+    """One residual block over a (n, c, h, w, d) input; appends its saved
+    activations to cache when one is given."""
+    pre, main_cols = _conv3d_forward_cols(x, block.main, ws=ws)
+    y = relu(pre, ws=ws, name=block.main.name)
+    z, proj_cols = _conv3d_forward_cols(y, block.proj, ws=ws)
+    out = z
+    out += y
+    pre_pool_dims = out.shape
+    if block.pool is not None:
+        out = avgpool3d_forward(out, block.pool, ws=ws)
+    if cache is not None:
+        cache["blocks"].append(
+            {
+                "x_in": x,
+                "pre": pre,
+                "y": y,
+                "pre_pool_dims": pre_pool_dims,
+                "main_cols": main_cols,
+                "proj_cols": proj_cols,
+            }
+        )
+    return out
+
+
 def _run_blocks(model: Model, x, cache=None, ws=None):
     """The four residual blocks over a (n, 1, h, w, S) input; appends each
     block's saved activations to cache when one is given."""
-    out = x
     for block in model.blocks:
-        x_in = out
-        pre, main_cols = _conv3d_forward_cols(x_in, block.main, ws=ws)
-        y = relu(pre, ws=ws, name=block.main.name)
-        z, proj_cols = _conv3d_forward_cols(y, block.proj, ws=ws)
-        out = z
-        out += y
-        pre_pool_dims = out.shape
-        if block.pool is not None:
-            out = avgpool3d_forward(out, block.pool, ws=ws)
-        if cache is not None:
-            cache["blocks"].append(
-                {
-                    "x_in": x_in,
-                    "pre": pre,
-                    "y": y,
-                    "pre_pool_dims": pre_pool_dims,
-                    "main_cols": main_cols,
-                    "proj_cols": proj_cols,
-                }
-            )
-    return out
+        x = _block(block, x, cache, ws)
+    return x
 
 
 def _shards(n, ws):
@@ -260,55 +279,147 @@ def _shards(n, ws):
 
 
 def forward(model: Model, x, keep_intermediates=False, ws=None):
-    """Run the network; returns (logits, cache), cache None unless kept.
+    """Run the network on a batch of patches; returns (logits, cache),
+    cache None unless kept.
 
-    x is a batch of (n, 1, R + window - 1, C + window - 1, S) zero-filled
-    neighbourhoods of R x C output pixels each; a window x window patch is
-    the case R = C = 1.  Each SHARD-sample shard of the batch runs the block stack and then the
+    x is a (n, 1, window, window, S) batch of zero-filled patches.  Each
+    SHARD-sample shard of the batch runs the block stack and then the
     classifier, the shards fanned out over threads (parallel.fan_out); a
-    shard gathers its pixels' features, in (c, h, w, d) order, into its
-    own rows of the batch's cache["flat"].  Returns (n * R * C, classes)
-    logits in (sample, row, col) order.  With a Workspace the cache holds
-    the workspace's arrays (each shard's in its own child workspace),
-    valid until the next call with it; the logits never do.  Only a patch
-    batch keeps its intermediates: backward is defined for patches.
+    shard copies its block-4 outputs, in (c, h, w, d) order, into its own
+    rows of the batch's cache["flat"].  Returns (n, classes) logits.  With
+    a Workspace the cache holds the workspace's arrays (each shard's in
+    its own child workspace), valid until the next call with it; the
+    logits never do.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
-    if (x.ndim != 5 or x.shape[0] == 0 or x.shape[1] != 1 or min(x.shape[2:4]) < w
-            or x.shape[4] != model.config.spectral_depth):
+    if x.ndim != 5 or x.shape[0] == 0 or x.shape[1:] != (1, w, w, model.config.spectral_depth):
         raise ShapeError(
-            f"input dims {x.shape} do not match (n >= 1, 1, >={w}, >={w}, "
-            f"{model.config.spectral_depth})"
-        )
-    rows, cols = x.shape[2] - w + 1, x.shape[3] - w + 1
-    if keep_intermediates and rows * cols > 1:
-        raise ShapeError(
-            f"keep_intermediates needs {w}x{w} patches, got {x.shape[2]}x{x.shape[3]} "
-            f"neighbourhoods: backward is defined for patches only"
+            f"input dims {x.shape} do not match (n >= 1, 1, {w}, {w}, "
+            f"{model.config.spectral_depth}): forward takes patches only"
         )
     slices, shard_ws = _shards(x.shape[0], ws)
-    flat = _scratch(ws, "FC", "features", (x.shape[0] * rows * cols, model.feature_length),
+    flat = _scratch(ws, "FC", "features", (x.shape[0], model.feature_length),
                     np.result_type(x, *model.parameters().values()))
-    per_sample = flat.reshape(x.shape[0], rows * cols, -1)
 
     def shard(i):
         cache = {"blocks": []} if keep_intermediates else None
         out = _run_blocks(model, x[slices[i]], cache, shard_ws[i])
-        n, c, h, _, d = out.shape
-        k = h - rows + 1  # block-4 neighbourhood of one pixel
-        sn, sc, sh, sw, sd = out.strides
-        # (n, R, C, c, k, k, d): each pixel's k x k window, in feature order
-        windows = np.lib.stride_tricks.as_strided(
-            out, (n, rows, cols, c, k, k, d), (sn, sh, sw, sc, sh, sw, sd), writeable=False
-        )
-        features = per_sample[slices[i]].reshape(-1, flat.shape[1])
-        np.copyto(features.reshape(windows.shape), windows)
+        features = flat[slices[i]]
+        np.copyto(features.reshape(out.shape), out)
         return linear_forward(features, model.fc_weights, model.fc_bias), cache
 
     logits, caches = zip(*fan_out(len(slices), shard))
     cache = {"shards": caches, "flat": flat} if keep_intermediates else None
     return np.concatenate(logits), cache
+
+
+def _stages(model: Model):
+    """The stream's stages, each (blocks, shrink): the residual blocks it
+    runs, none for the classifier, and how many rows, and columns, its
+    output has fewer than its input.  A stage starts at each block that
+    shrinks them (Conv1 and Conv2 are 3x3 in space), and the classifier
+    reads a k x k window of block-4 positions per pixel."""
+    trace = dict(shape_trace(model.config))
+    size = model.config.spatial_window
+    stages = []
+    for block in model.blocks:
+        out = trace[block.main.name][1]
+        if out < size or not stages:
+            stages.append(([], size - out))
+        stages[-1][0].append(block)
+        size = out
+    return stages + [((), size - 1)]
+
+
+def stream(model: Model, values, col, steps, ws=None):
+    """Logits of one inference strip, a step of STEP output rows at a time.
+
+    values is the (height, width, S) scene, read as zeros past its edges.
+    The strip is output columns [col, col + STRIP), and steps holds the
+    indices i, in any order, of the wanted steps: scene rows
+    [i * STEP, (i + 1) * STEP).  Yields (row, logits) per wanted step in
+    row order, logits the step's (rows, cols, classes), cropped to the
+    scene.
+
+    Stage s (_stages) walks the strip down in steps too: its step i turns
+    STEP + shrink input rows into the output rows
+    lag + [i * STEP, (i + 1) * STEP), lag being the shrink of the stages
+    after it.  The first stage cuts its input from the scene.  A later
+    stage reads a line buffer: the last shrink rows the stage before gave
+    in its earlier steps, then that stage's step i.  Every step runs at
+    one shape, and each output row depends on its own input rows alone,
+    so a step's bits do not depend on the run it is part of.  A wanted
+    step i runs each stage from step i - ceil(lag / STEP) on; a step
+    whose predecessor did not run starts from a zeroed line buffer, which
+    feeds only rows that no wanted step reads.
+    """
+    stages = _stages(model)
+    lags = [sum(shrink for _, shrink in stages[s + 1:]) for s in range(len(stages))]
+    plans = [set() for _ in stages]
+    for i in steps:
+        for plan, lag in zip(plans, lags):
+            plan.update(range(i - -(-lag // STEP), i + 1))
+    height, width, bands = values.shape
+    half = model.config.spatial_window // 2
+    cut = (1, 1, STEP + stages[0][1], STRIP + lags[0] + stages[0][1], bands)
+    buffers = [None] * len(stages)  # stage s's input, channels-first view
+    for t in sorted(set().union(*plans)):
+        for s, (blocks, _) in enumerate(stages[:-1]):
+            if t in plans[s]:
+                if s == 0:
+                    x = _cut(values, t * STEP + lags[0] - half, col - half, cut, ws)
+                else:
+                    x = buffers[s]
+                for block in blocks:
+                    x = _block(block, x, ws=ws)
+                buffers[s + 1] = _line_buffer(buffers[s + 1], x, stages[s + 1][1],
+                                              t - 1 in plans[s], ws, f"line{s + 1}")
+        if t in plans[-1]:
+            logits = _classify(model, buffers[-1], ws)
+            yield t * STEP, logits[:height - t * STEP, :width - col]
+
+
+def _cut(values, row, col, shape, ws):
+    """The (1, 1, rows, cols, S) input whose first position is scene pixel
+    (row, col), zeros where it lies past the scene's edges."""
+    x = _zeroed(ws, "stream", "input", shape, values.dtype)
+    a0, a1 = max(0, row), min(values.shape[0], row + shape[2])
+    b0, b1 = max(0, col), min(values.shape[1], col + shape[3])
+    if a0 < a1 and b0 < b1:
+        x[0, 0, a0 - row:a1 - row, b0 - col:b1 - col] = values[a0:a1, b0:b1]
+    return x
+
+
+def _line_buffer(buffer, out, shrink, continued, ws, role):
+    """The next stage's input after a step: its first shrink rows are the
+    last shrink rows it held, when continued from the step before, else
+    zeros, and the rest is the step's output out.  role keys it in ws."""
+    n, c, h, w, d = out.shape
+    if buffer is None:
+        buffer = _channels_first(_scratch(ws, "stream", role, (n, h + shrink, w, d, c),
+                                          out.dtype))
+    if continued:
+        buffer[:, :, :shrink] = buffer[:, :, h:h + shrink]
+    else:
+        buffer[:, :, :shrink] = 0
+    buffer[:, :, shrink:] = out
+    return buffer
+
+
+def _classify(model: Model, x, ws):
+    """(STEP, STRIP, classes) logits from the classifier's input rows x,
+    (1, c, STEP + k - 1, STRIP + k - 1, d): each pixel's features are the
+    k x k window of block-4 positions below it, in (c, h, w, d) order."""
+    _, c, h, w, d = x.shape
+    k = h - STEP + 1
+    _, sc, sh, sw, sd = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (STEP, STRIP, c, k, k, d), (sh, sw, sc, sh, sw, sd), writeable=False
+    )
+    features = _scratch(ws, "FC", "features", (STEP * STRIP, model.feature_length), x.dtype)
+    np.copyto(features.reshape(windows.shape), windows)
+    return linear_forward(features, model.fc_weights, model.fc_bias).reshape(STEP, STRIP, -1)
 
 
 def backward(model: Model, cache, grad_logits, ws=None):

@@ -32,19 +32,22 @@ GEMM's blocking, fixed by that shape, fixes each output's accumulation
 order; the depth-fold tap sum then runs element by element in tap order.
 A sample's activations are thus bitwise identical whatever batch it is
 computed in, for a fixed numpy/BLAS build and BLAS thread count; another
-build or thread count may change the last bits.  Backward contractions
-carry no such contract: network.backward hands them one shard of at most
-network.SHARD samples at a time, multiplies per-shard matrices, and sums
-the shards' weight gradients in shard order.  col2im adds
-one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
+build or thread count may change the last bits.  Within one GEMM, each
+output position is computed from its own patch-stack row alone, so it
+keeps its bits whatever the other rows hold: network.stream relies on
+this when it runs a step over a line buffer it zeroed.  Backward
+contractions carry no such contract: network.backward hands them one
+shard of at most network.SHARD samples at a time, multiplies per-shard
+matrices, and sums the shards' weight gradients in shard order.  col2im
+adds one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
 depth-fold layer, whose upstream is first shifted out to every tap.
 
 A Workspace holds the scratch arrays of one training run, or of one
 worker of an inference pass; training.train creates one per run and
 training's class grid one per worker, and each hands it to every forward,
-backward and kernel call it makes.  An inference worker runs every tile
-at the full tile shape, edge tiles included, so its workspace holds one
-set of arrays.  A kernel given one as its ws keyword
+backward, stream and kernel call it makes.  An inference worker runs
+every step of every strip at one shape, edge strips included, so its
+workspace holds one set of arrays.  A kernel given one as its ws keyword
 writes its patch stacks, outputs, padded copies and backward scratch into
 the workspace's array for (layer, role, shape, dtype) instead of
 allocating.  Such an array stays valid until the next call that takes the

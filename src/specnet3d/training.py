@@ -9,28 +9,30 @@ network); the bits depend on network.SHARD, not on the thread count.
 train owns one ops.Workspace, so its steps reuse one set of scratch
 arrays.
 
-Inference (evaluate and predict_map) runs the same network.forward as
-training, one fully-convolutional pass per tile of TILE output pixels on
-a grid anchored at pixel (0, 0), each a one-sample batch of the tile's
-zero-filled neighbourhood.  Every pass covers a full tile, even at the
-scene edge: its input is cut straight from the cube, reading zeros past
-the edge, and its logits are cropped to the scene.  So memory is bounded
-by one tile, not the scene, and a worker's Workspace holds one set of
-arrays.  Both share one class
-grid (_class_grid): the tiles are dealt out over the calling thread and
-helper threads (parallel.fan_out), each worker with its own Workspace,
-while OpenBLAS is held at one thread, and each worker writes its tiles'
-classes straight into one (height, width) grid.  The tile grid depends
-only on the scene shape and a tile's bits neither on the worker that runs
-it nor on the BLAS thread count, so a pixel's logits are bitwise the same
-whichever pixels are requested with it, and evaluate agrees bitwise with
-predict_map.  They match forward on the pixel's own patch to float32
-rounding, not bitwise: a tile and a patch hand BLAS GEMMs of different
-shapes.
+Inference (evaluate and predict_map) runs network.stream: the scene is
+cut into strips of network.STRIP output columns anchored at column 0,
+and each strip is walked down in steps of network.STEP rows anchored at
+row 0.  Every step runs at one shape, even at the scene edge: its input
+is cut straight from the cube, reading zeros past the edge, and its
+logits are cropped to the scene.  So memory is bounded by one step, not
+the scene, and a worker's Workspace holds one set of arrays.  Both share
+one class grid (_class_grid): the strips are dealt out over the calling
+thread and helper threads (parallel.fan_out), each worker with its own
+Workspace, while OpenBLAS is held at one thread, and each worker writes
+its steps' classes straight into one (height, width) grid.
+predict_map streams every step of every strip; evaluate streams only the
+steps holding a requested pixel, with the earlier steps they read.  A
+step's bits depend only on its input rows, neither on where its run
+started, nor on the worker that runs it, nor on the BLAS thread count,
+so a pixel's logits are bitwise the same whichever pixels are requested
+with it, and evaluate agrees bitwise with predict_map.  They match
+forward on the pixel's own patch to float32 rounding, not bitwise: a
+step and a patch hand BLAS GEMMs of different shapes.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,8 @@ from . import parallel
 from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy
-from .network import Model, backward, forward, save_checkpoint
-from .ops import Workspace, _scratch, _zeroed, softmax_cross_entropy
+from .network import STEP, STRIP, Model, backward, forward, save_checkpoint, stream
+from .ops import Workspace, _scratch, softmax_cross_entropy
 
 
 @dataclass
@@ -129,30 +131,6 @@ def _patch_batch(cube: HsiCube, coords, window, ws=None):
     return batch
 
 
-# Output pixels (rows, cols) of one dense inference tile.  Each worker
-# holds one tile's workspace: 11.5 MB at 103 bands for 8x4, 18.7 MB for
-# 8x8, which is why two workers run the narrower tile.
-TILE = (8, 4)
-
-
-def _tile_logits(model: Model, cube: HsiCube, r0, c0, ws=None):
-    """(rows, cols, classes) logits of the tile whose first pixel is
-    (r0, c0), cropped at the scene edge.  The pass itself always covers a
-    full TILE, reading zeros past the edge."""
-    window = model.config.spatial_window
-    half = window // 2
-    tile = _zeroed(ws, "tile", "input",
-                   (1, 1, TILE[0] + window - 1, TILE[1] + window - 1, cube.bands),
-                   cube.values.dtype)
-    a0, a1 = max(0, r0 - half), min(cube.height, r0 + TILE[0] + half)
-    b0, b1 = max(0, c0 - half), min(cube.width, c0 + TILE[1] + half)
-    tile[0, 0, a0 - r0 + half:a1 - r0 + half, b0 - c0 + half:b1 - c0 + half] = (
-        cube.values[a0:a1, b0:b1]
-    )
-    logits, _ = forward(model, tile, ws=ws)
-    return logits.reshape(*TILE, -1)[:cube.height - r0, :cube.width - c0]
-
-
 def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):
     if model.config.spectral_depth != cube.bands:
         raise MismatchError(
@@ -174,7 +152,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     any patch is cut.  Returns the per-epoch history; each entry carries
     the mean training loss and, with eval_test, the test overall accuracy.
     A non-finite batch loss, or a non-finite parameter after the last
-    step, raises NumericError before any checkpoint is written.
+    step, raises NumericError before the checkpoint or the history file
+    is written.
     """
     _check_scene(model, cube, labels)
     train_pixels = [_check_pixel(labels, e) for e in split.train]
@@ -189,38 +168,31 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     ws = Workspace()
 
     history = []
-    history_fh = open(history_path, "w", encoding="utf-8") if history_path else None
-    try:
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(train_pixels))
-            loss_sum = 0.0
-            for batch_no, batch_idx in enumerate(_batched(order, config.batch_size), 1):
-                coords = [train_pixels[i][:2] for i in batch_idx]
-                targets = np.asarray([train_pixels[i][2] - 1 for i in batch_idx])
-                patches = _patch_batch(norm, coords, window, ws)
-                logits, cache = forward(model, patches, keep_intermediates=True, ws=ws)
-                losses, grad_logits = softmax_cross_entropy(logits, targets)
-                batch_loss = float(losses.sum())
-                if not np.isfinite(batch_loss):
-                    raise NumericError(
-                        f"epoch {epoch}, batch {batch_no}: training loss is "
-                        f"{batch_loss}; the run diverged (lower the learning rate)"
-                    )
-                loss_sum += batch_loss
-                grads = backward(model, cache, grad_logits / len(batch_idx), ws=ws)
-                sgd_step(params, grads, opt)
-            entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_pixels)}
-            if eval_test and test_pixels:
-                matrix = evaluate(model, norm, labels, test_pixels)
-                entry["test_overall_accuracy"] = overall_accuracy(matrix)
-            history.append(entry)
-            if history_fh:
-                history_fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            if log and (epoch % config.log_every == 0 or epoch == config.epochs):
-                log(entry)
-    finally:
-        if history_fh:
-            history_fh.close()
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(len(train_pixels))
+        loss_sum = 0.0
+        for batch_no, batch_idx in enumerate(_batched(order, config.batch_size), 1):
+            coords = [train_pixels[i][:2] for i in batch_idx]
+            targets = np.asarray([train_pixels[i][2] - 1 for i in batch_idx])
+            patches = _patch_batch(norm, coords, window, ws)
+            logits, cache = forward(model, patches, keep_intermediates=True, ws=ws)
+            losses, grad_logits = softmax_cross_entropy(logits, targets)
+            batch_loss = float(losses.sum())
+            if not np.isfinite(batch_loss):
+                raise NumericError(
+                    f"epoch {epoch}, batch {batch_no}: training loss is "
+                    f"{batch_loss}; the run diverged (lower the learning rate)"
+                )
+            loss_sum += batch_loss
+            grads = backward(model, cache, grad_logits / len(batch_idx), ws=ws)
+            sgd_step(params, grads, opt)
+        entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_pixels)}
+        if eval_test and test_pixels:
+            matrix = evaluate(model, norm, labels, test_pixels)
+            entry["test_overall_accuracy"] = overall_accuracy(matrix)
+        history.append(entry)
+        if log and (epoch % config.log_every == 0 or epoch == config.epochs):
+            log(entry)
     for name, value in params.items():
         if not np.isfinite(value).all():
             raise NumericError(
@@ -229,28 +201,34 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
             )
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
+    if history_path:
+        # renamed into place whole, so a run that stops leaves no history
+        partial = f"{history_path}.partial"
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
+        os.replace(partial, history_path)
     return history
 
 
-def _class_grid(model: Model, cube: HsiCube, origins):
-    """(height, width) int64 grid of the classes in [1, C] of the tiles
-    whose first pixels are origins, ties going to the lowest class; pixels
-    of other tiles read 0.
+def _class_grid(model: Model, cube: HsiCube, strips):
+    """(height, width) int64 grid of the classes in [1, C] of the given
+    steps of the given strips, ties going to the lowest class; other
+    pixels read 0.  strips is a list of (col, steps) for network.stream.
 
-    Worker i of a fan-out takes origins[i::count] in one Workspace of its
-    own and writes its tiles' classes straight into the grid, where no
-    other tile writes.  OpenBLAS stays at one thread for the whole pass.
+    Worker i of a fan-out takes strips[i::count] in one Workspace of its
+    own and writes its steps' classes straight into the grid, where no
+    other step writes.  OpenBLAS stays at one thread for the whole pass.
     """
     grid = np.zeros((cube.height, cube.width), dtype=np.int64)
-    count = min(len(origins), parallel.workers())
+    count = min(len(strips), parallel.workers())
 
     def deal(i):
         ws = Workspace()
-        for r0, c0 in origins[i::count]:
-            logits = _tile_logits(model, cube, r0, c0, ws)
-            grid[r0:r0 + logits.shape[0], c0:c0 + logits.shape[1]] = (
-                np.argmax(logits, axis=2) + 1
-            )
+        for col, steps in strips[i::count]:
+            for row, logits in stream(model, cube.values, col, steps, ws):
+                grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
+                    np.argmax(logits, axis=2) + 1
+                )
 
     parallel.fan_out(count, deal)
     return grid
@@ -260,13 +238,16 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
     """Confusion matrix over a labeled pixel set (pass the cube already
     normalized the same way training saw it).
 
-    Only the tiles holding a requested pixel run; each pixel's prediction
-    is bitwise the one predict_map gives it.
+    Only the steps holding a requested pixel run, with the earlier steps
+    they depend on; each pixel's prediction is bitwise the one
+    predict_map gives it.
     """
     _check_scene(model, cube, labels)
     pixels = [_check_pixel(labels, e) for e in pixel_set]
-    origins = dict.fromkeys((r - r % TILE[0], c - c % TILE[1]) for r, c, _ in pixels)
-    grid = _class_grid(model, cube, list(origins))
+    strips = {}
+    for r, c, _ in pixels:
+        strips.setdefault(c - c % STRIP, set()).add(r // STEP)
+    grid = _class_grid(model, cube, sorted(strips.items()))
     matrix = ConfusionMatrix.zeros(model.config.num_classes, labels.class_names)
     for r, c, cls in pixels:
         matrix.add(cls, int(grid[r, c]))
@@ -274,10 +255,9 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
 
 
 def predict_map(model: Model, cube: HsiCube) -> np.ndarray:
-    """Classify every pixel of the scene, tile by tile (zero-filled
+    """Classify every pixel of the scene, strip by strip (zero-filled
     neighbourhoods at borders); returns a (height, width) grid of classes
     in [1, C], ties going to the lowest class."""
     _check_scene(model, cube)
-    origins = [(r0, c0) for r0 in range(0, cube.height, TILE[0])
-               for c0 in range(0, cube.width, TILE[1])]
-    return _class_grid(model, cube, origins)
+    steps = range(-(-cube.height // STEP))
+    return _class_grid(model, cube, [(col, steps) for col in range(0, cube.width, STRIP)])

@@ -151,8 +151,23 @@ class TestTrainCommand:
                        "--shuffle-seed", "5"])
         assert rc == 1
         assert "error[E_NUMERIC]" in capsys.readouterr().err
-        assert not (out_dir / "model.ckpt.json").exists()
-        assert not (out_dir / "model.ckpt.raw").exists()
+        # no checkpoint and no history, partial or whole
+        assert sorted(p.name for p in out_dir.iterdir()) == []
+
+    def test_divergence_stderr_starts_with_the_error_code(self, tmp_path, scene_dir):
+        # a fresh interpreter, so numpy's warnings are not filtered by the
+        # test run
+        out_dir = tmp_path / "run"
+        proc = run_python(["-m", "specnet3d.cli", "train",
+                           "--cube", str(scene_dir / "scene.hsc.json"),
+                           "--labels", str(scene_dir / "scene.lbl.json"),
+                           "--split", str(scene_dir / "all.split.json"),
+                           "--out-dir", str(out_dir), "--epochs", "5",
+                           "--learning-rate", "1e6", "--model-seed", "3",
+                           "--shuffle-seed", "5"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error[E_NUMERIC]"), proc.stderr
+        assert sorted(p.name for p in out_dir.iterdir()) == []
 
     def test_default_hyperparameter_echo(self, tmp_path, capsys):
         rc = main(["train", "--cube", str(tmp_path / "missing.hsc.json"),

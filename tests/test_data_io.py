@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,30 @@ class TestNormalize:
         cols = [c for _, c, _ in train]
         sub = out.values[rows, cols, :]
         assert sub.min() >= 0.0 and sub.max() <= 1.0
+
+    def test_bitwise_the_out_of_place_expression_with_one_scene_sized_array(self):
+        cube = seeded_cube((32, 24, 50), seed=10)
+        cube.values[:, :, 3] = 2.5  # a constant band scales by 0
+        before = cube.values.copy()
+        train = [(r, c, 1) for r in range(0, 32, 3) for c in range(0, 24, 5)]
+        manifest = SplitManifest(seed=0, per_class_train=len(train), train=train, test=[])
+        spectra = cube.values[[r for r, _, _ in train], [c for _, c, _ in train]]
+        band_min = spectra.min(axis=0)
+        band_range = spectra.max(axis=0) - band_min
+        safe = np.where(band_range > 0, band_range, 1.0)
+        scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(np.float32)
+        want = (cube.values - band_min) * scale
+        tracemalloc.start()
+        try:
+            out = normalize(cube, manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.dtype == want.dtype
+        assert out.values.tobytes() == want.tobytes()
+        assert cube.values.tobytes() == before.tobytes()
+        # the result, and no second scene-sized temporary
+        assert peak < 1.5 * cube.values.nbytes, peak
 
     def test_empty_train_rejected(self):
         cube = seeded_cube((2, 2, 2))

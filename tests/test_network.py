@@ -12,6 +12,8 @@ from specnet3d.errors import FormatError, MismatchError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
     SHARD,
+    STEP,
+    STRIP,
     Model,
     ModelConfig,
     backward,
@@ -22,6 +24,7 @@ from specnet3d.network import (
     param_count,
     save_checkpoint,
     shape_trace,
+    stream,
 )
 from specnet3d.ops import Workspace, avgpool3d_forward, conv3d_forward, relu
 
@@ -138,6 +141,8 @@ class TestForward:
             forward(model, np.zeros((0, 1, 7, 7, 20), dtype=np.float32))
         with pytest.raises(ShapeError):  # narrower than the window
             forward(model, np.zeros((1, 1, 6, 9, 20), dtype=np.float32))
+        with pytest.raises(ShapeError, match="patches only"):  # a neighbourhood
+            forward(model, np.zeros((1, 1, 9, 9, 20), dtype=np.float32))
 
     def test_zeroed_projection_leaves_skip_path(self):
         model = small_model(seed=2)
@@ -175,20 +180,6 @@ class TestForward:
         for i in (0, 255):
             alone, _ = forward(model, x[i:i + 1])
             assert np.array_equal(full[i], alone[0]), f"pixel {i}"
-
-    # 9x9 neighbourhoods at window 7, also in a batch spanning two shards,
-    # and the inference tile's 14x10
-    @pytest.mark.parametrize("hw, n", [((9, 9), 3), ((9, 9), SHARD + 1), ((14, 10), 3)])
-    def test_neighbourhood_batch_independence_bitwise(self, hw, n):
-        model = small_model(seed=10)
-        x = np.random.default_rng(11).standard_normal((n, 1, *hw, 20)).astype(np.float32)
-        rows, cols = hw[0] - 6, hw[1] - 6
-        full, _ = forward(model, x)
-        assert full.shape == (n * rows * cols, 9)
-        for i in range(n):
-            alone, _ = forward(model, x[i:i + 1])
-            assert (full[i * rows * cols:(i + 1) * rows * cols].tobytes()
-                    == alone.tobytes()), i
 
     def test_intermediates_only_for_patches(self):
         model = small_model()
@@ -414,11 +405,12 @@ class TestWorkspace:
         for seed, n in ((34, 5), (35, 3), (36, 5)):
             x, up = _inputs(seed, n)
             _same_step(_step(model, x, up, ws), _step(model, x, up))
-        rng = np.random.default_rng(37)
-        for rows, cols in ((8, 8), (3, 5), (8, 8)):
-            tile = rng.standard_normal((1, 1, rows + 6, cols + 6, 20)).astype(np.float32)
-            assert (forward(model, tile, ws=ws)[0].tobytes()
-                    == forward(model, tile)[0].tobytes())
+        # inference strips in the same workspace, a full and an edge one
+        values = np.random.default_rng(37).standard_normal(
+            (STEP + 3, STRIP + 2, 20)).astype(np.float32)
+        for col in (0, STRIP, 0):
+            got = [logits.tobytes() for _, logits in stream(model, values, col, range(2), ws)]
+            assert got == [logits.tobytes() for _, logits in stream(model, values, col, range(2))]
 
     def test_step_allocates_a_quarter_of_a_workspace_less_step(self):
         # bound fixed before measuring: with a warm workspace a step

@@ -16,10 +16,12 @@ from specnet3d.data import (
 )
 from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from specnet3d.metrics import ConfusionMatrix, overall_accuracy
-from specnet3d.network import ModelConfig, build_model, forward, save_checkpoint
+from specnet3d import network
+from specnet3d.network import (
+    STEP, STRIP, ModelConfig, build_model, forward, save_checkpoint, stream,
+)
 from specnet3d.ops import Workspace, softmax_cross_entropy
 from specnet3d.training import (
-    TILE,
     OptimizerState,
     TrainConfig,
     evaluate,
@@ -27,7 +29,6 @@ from specnet3d.training import (
     sgd_step,
     train,
     _patch_batch,
-    _tile_logits,
 )
 
 from synth import overfit_scene, striped_scene
@@ -123,9 +124,9 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
                 train(model, cube, labels, split, TrainConfig(epochs=5, shuffle_seed=5),
-                      OptimizerState(learning_rate=1e6), checkpoint_path=ckpt)
-        assert not ckpt.exists()
-        assert not (tmp_path / "m.ckpt.raw").exists()
+                      OptimizerState(learning_rate=1e6), checkpoint_path=ckpt,
+                      history_path=tmp_path / "history.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_last_step_stops_without_checkpoint(self, tmp_path):
         # one batch, so no later forward sees the weights of the last step;
@@ -224,7 +225,7 @@ def inference_digest(out_dir):
     """sha256 of the map PPM and the eval report the CLI writes for a
     seeded 103-band scene and an untrained model."""
     rng = np.random.default_rng(48)
-    shape = (2 * TILE[0] + 3, 2 * TILE[1] + 1)
+    shape = (3 * STEP + 1, STRIP + 5)
     cube = HsiCube(values=rng.random((*shape, 103), dtype=np.float32))
     labels = LabelGrid(labels=rng.integers(1, 5, size=shape).astype(np.uint8))
     paths = {name: os.path.join(out_dir, name) for name in
@@ -385,30 +386,46 @@ class TestPredictMap:
 
 
 def _scene_logits(model, cube):
-    """(height, width, classes) logits assembled from every dense tile."""
+    """(height, width, classes) logits streamed from every step of every
+    strip, and each step's logits bytes keyed by (row, col)."""
     out = np.empty((cube.height, cube.width, model.config.num_classes), np.float32)
-    for r0 in range(0, cube.height, TILE[0]):
-        for c0 in range(0, cube.width, TILE[1]):
-            logits = _tile_logits(model, cube, r0, c0)
-            out[r0:r0 + logits.shape[0], c0:c0 + logits.shape[1]] = logits
-    return out
+    steps = {}
+    for col in range(0, cube.width, STRIP):
+        for row, logits in stream(model, cube.values, col, range(-(-cube.height // STEP))):
+            out[row:row + logits.shape[0], col:col + logits.shape[1]] = logits
+            steps[row, col] = logits.tobytes()
+    return out, steps
+
+
+def _recording_stream(monkeypatch, record):
+    """Patch training's stream to call record(col, row, logits) on every
+    step it yields."""
+    original = training.stream
+
+    def recording(model, values, col, steps, ws=None):
+        for row, logits in original(model, values, col, steps, ws):
+            record(col, row, logits)
+            yield row, logits
+
+    monkeypatch.setattr(training, "stream", recording)
 
 
 class TestDenseInference:
-    # a scene inside one tile, one not a multiple of the tile on either axis,
-    # a single row and a single column, each at windows 5 and 7
+    # a scene inside one step of one strip, one not a multiple of the strip
+    # or the step on either axis, a single row and a single column, each
+    # at windows 5 and 7
     @pytest.mark.parametrize("window", [5, 7])
     @pytest.mark.parametrize("shape", [
-        (TILE[0] - 3, TILE[1] - 2),
-        (2 * TILE[0] + 3, TILE[1] + 5),
-        (1, 2 * TILE[1] + 3),
-        (2 * TILE[0] + 3, 1),
+        (STEP - 1, STRIP - 2),
+        (3 * STEP + 3, STRIP + 5),
+        (1, 2 * STRIP + 3),
+        (3 * STEP + 3, 1),
     ])
     def test_matches_patch_forward(self, shape, window):
         rng = np.random.default_rng(40)
         cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
         model = build_model(ModelConfig(10, 5, window), 41)
-        dense = _scene_logits(model, cube)
+        dense, _ = _scene_logits(model, cube)
         patches = np.concatenate([
             extract_patch(cube, r, c, window)
             for r in range(cube.height) for c in range(cube.width)
@@ -418,25 +435,51 @@ class TestDenseInference:
         np.testing.assert_allclose(dense, patch_logits, rtol=1e-4, atol=1e-5)
         assert np.array_equal(dense.argmax(axis=2), patch_logits.argmax(axis=2))
 
-    def test_prediction_independent_of_requested_pixels(self, monkeypatch):
+    # at window 11 the classifier's window is 7 x 7 and its line buffer
+    # holds more rows than one step gives
+    @pytest.mark.parametrize("window", [5, 7, 11])
+    def test_run_started_mid_strip_is_bitwise_the_full_strip(self, window):
+        # every step alone, and every run from a later step to the end,
+        # against the run down the whole strip; an edge strip as well
         rng = np.random.default_rng(42)
-        shape = (2 * TILE[0] + 3, 2 * TILE[1] + 1)
+        shape = (4 * STEP + 3, STRIP + 5)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        model = build_model(ModelConfig(10, 4, window), 43)
+        _, full = _scene_logits(model, cube)
+        count = -(-shape[0] // STEP)
+        for col in (0, STRIP):
+            for first in range(count):
+                for steps in ([first], range(first, count)):
+                    got = list(stream(model, cube.values, col, steps))
+                    assert [row for row, _ in got] == [i * STEP for i in steps]
+                    for row, logits in got:
+                        assert logits.tobytes() == full[row, col], (row, col)
+
+    def test_prediction_independent_of_requested_pixels(self, monkeypatch):
+        # evaluate runs only the steps its pixels need, and their logits are
+        # bitwise predict_map's
+        rng = np.random.default_rng(44)
+        shape = (4 * STEP + 3, 2 * STRIP + 1)
         cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
         labels = LabelGrid(labels=rng.integers(1, 5, size=shape).astype(np.uint8))
-        model = build_model(ModelConfig(10, 4, 7), 43)
+        model = build_model(ModelConfig(10, 4, 7), 45)
 
-        runs = []
-        original = training._tile_logits
-
-        def recording(model, cube, r0, c0, ws=None):
-            logits = original(model, cube, r0, c0, ws)
-            runs.append(((r0, c0), logits.copy()))
-            return logits
-
-        monkeypatch.setattr(training, "_tile_logits", recording)
+        steps = {}
+        _recording_stream(monkeypatch, lambda col, row, logits:
+                          steps.setdefault((row, col), logits.tobytes()))
         grid = predict_map(model, cube)
-        full_pass = dict(runs)
-        assert len(full_pass) == len(runs)
+        full_pass = dict(steps)
+        # at window 7 the classifier reads 3 x 3 block-4 positions and
+        # Conv2 3 x 3 block-1 positions, so blocks 2-4 run 2 rows behind
+        # the classifier, and block 1 another 2 rows behind them
+        warmup = {"Conv1": -(-4 // STEP), "Conv2": -(-2 // STEP), "FC": 0}
+        ran = []
+        block = network._block
+        classify = network._classify
+        monkeypatch.setattr(network, "_block", lambda b, *args, **kwargs: (
+            ran.append(b.main.name), block(b, *args, **kwargs))[1])
+        monkeypatch.setattr(network, "_classify", lambda *args: (
+            ran.append("FC"), classify(*args))[1])
 
         def from_grid(pixels):
             matrix = ConfusionMatrix.zeros(model.config.num_classes)
@@ -448,23 +491,30 @@ class TestDenseInference:
                       for r in range(shape[0]) for c in range(shape[1])]
         chosen = rng.choice(len(everything), size=len(everything) // 7, replace=False)
         subset = [everything[i] for i in sorted(chosen)]
-        # single pixels run their tile alone; the last tile is clipped on both axes
+        # single pixels run their step alone; the last step is clipped on
+        # both axes
         singles = [[everything[r * shape[1] + c]] for r, c in
-                   [(0, 0), (TILE[0], TILE[1] - 1), (shape[0] - 1, shape[1] - 1)]]
+                   [(0, 0), (2 * STEP, STRIP - 1), (shape[0] - 1, shape[1] - 1)]]
         for pixels in singles + [subset, everything]:
-            runs.clear()
+            steps.clear()
+            ran.clear()
             counts = evaluate(model, cube, labels, pixels).counts
             assert np.array_equal(counts, from_grid(pixels))
-            assert len(runs) == len({(r - r % TILE[0], c - c % TILE[1])
-                                     for r, c, _ in pixels})
-            for origin, logits in runs:
-                assert logits.tobytes() == full_pass[origin].tobytes(), origin
+            wanted = {(r - r % STEP, c - c % STRIP) for r, c, _ in pixels}
+            assert set(steps) == wanted
+            for origin, logits in steps.items():
+                assert logits == full_pass[origin], origin
+            for name, back in warmup.items():
+                runs = set()
+                for row, col in wanted:
+                    runs.update((i, col) for i in range(row // STEP - back, row // STEP + 1))
+                assert ran.count(name) == len(runs), name
 
-    def test_working_set_bounded_by_tile(self):
-        # one tile's working set outweighs a padded copy of a 96x96 scene;
+    def test_working_set_bounded_by_strip(self):
+        # one step's working set outweighs a padded copy of a 96x96 scene;
         # 192x192 is large enough for a scene-sized copy to break the bound
-        rng = np.random.default_rng(44)
-        model = build_model(ModelConfig(16, 4, 7), 45)
+        rng = np.random.default_rng(46)
+        model = build_model(ModelConfig(16, 4, 7), 47)
         peaks = []
         for side in (24, 96, 192):
             cube = HsiCube(values=rng.standard_normal((side, side, 16)).astype(np.float32))
@@ -476,109 +526,85 @@ class TestDenseInference:
                 tracemalloc.stop()
         assert max(peaks[1:]) <= 1.5 * peaks[0]
 
-
-    def test_edge_tile_reuses_the_full_tiles_workspace(self):
-        # the edge tile runs at the full tile's shape, so it takes no
+    def test_edge_strip_reuses_the_full_strips_arrays(self):
+        # the edge strip runs at the full strip's shape, so it takes no
         # array of its own
-        rng = np.random.default_rng(46)
-        shape = (TILE[0] + 2, TILE[1] + 1)
-        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
-        model = build_model(ModelConfig(10, 4, 7), 47)
-        ws = Workspace()
-
-        def arrays():  # the tile's own and its shard's block arrays
-            return [len(w._arrays) for w in (ws, *ws._shards.values())]
-
-        _tile_logits(model, cube, 0, 0, ws)
-        before = arrays()
-        assert _tile_logits(model, cube, TILE[0], TILE[1], ws).shape == (2, 1, 4)
-        assert arrays() == before
-        assert len(before) == 2 and before[1] > 0
-
-    def test_batch_of_tiles_matches_tile_logits(self):
-        # several tiles' neighbourhoods in one forward, edge tiles clipped on
-        # both axes, give each tile's logits bitwise as _tile_logits does
         rng = np.random.default_rng(48)
-        shape = (TILE[0] + 2, 2 * TILE[1] + 1)
+        shape = (STEP + 2, STRIP + 1)
         cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
         model = build_model(ModelConfig(10, 4, 7), 49)
-        padded = np.pad(cube.values, ((3, 3 + TILE[0]), (3, 3 + TILE[1]), (0, 0)))
-        origins = [(r0, c0) for r0 in range(0, shape[0], TILE[0])
-                   for c0 in range(0, shape[1], TILE[1])]
-        batch = np.stack([padded[None, r0:r0 + TILE[0] + 6, c0:c0 + TILE[1] + 6]
-                          for r0, c0 in origins])
-        logits = forward(model, batch)[0].reshape(len(origins), *TILE, -1)
-        for (r0, c0), tile in zip(origins, logits):
-            want = _tile_logits(model, cube, r0, c0)
-            got = tile[:want.shape[0], :want.shape[1]]
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (r0, c0)
+        ws = Workspace()
+        list(stream(model, cube.values, 0, range(2), ws))
+        before = len(ws._arrays)
+        last = list(stream(model, cube.values, STRIP, range(2), ws))[-1][1]
+        assert last.shape == (2, 1, 4)
+        assert len(ws._arrays) == before > 0
+        assert not ws._shards
 
 
 class TestParallelInference:
     def test_bits_independent_of_worker_count(self, monkeypatch):
-        # clipped edge tiles on both axes, so a worker's workspace also
-        # serves tiles of other shapes; 3 workers start more threads than
-        # a 2-CPU host has cores
+        # clipped edge steps on both axes, and 3 workers start more threads
+        # than a 2-CPU host has cores
         rng = np.random.default_rng(51)
-        shape = (3 * TILE[0] + 3, 4 * TILE[1] + 1)
+        shape = (3 * STEP + 3, 4 * STRIP + 1)
         cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
         labels = LabelGrid(labels=rng.integers(1, 5, size=shape).astype(np.uint8))
         model = build_model(ModelConfig(10, 4, 7), 52)
         pixels = [(r, c, int(labels.labels[r, c]))
                   for r in range(shape[0]) for c in range(shape[1])]
-        original = training._tile_logits
         results = []
+        steps, threads = {}, set()
+
+        def record(col, row, logits):
+            steps[row, col] = logits.tobytes()
+            threads.add(threading.get_ident())
+
+        _recording_stream(monkeypatch, record)
         for workers in (1, 3):
             monkeypatch.setattr(parallel, "workers", lambda: workers)
-            tiles, threads = {}, set()
-
-            def recording(model, cube, r0, c0, ws=None):
-                logits = original(model, cube, r0, c0, ws)
-                tiles[r0, c0] = logits.tobytes()
-                threads.add(threading.get_ident())
-                return logits
-
-            monkeypatch.setattr(training, "_tile_logits", recording)
+            steps.clear()
+            threads.clear()
             grid = predict_map(model, cube)
-            map_tiles = dict(tiles)
-            tiles.clear()
+            map_steps = dict(steps)
+            steps.clear()
             counts = evaluate(model, cube, labels, pixels).counts
-            assert tiles == map_tiles
+            assert steps == map_steps
             if parallel._openblas() is not None:
                 assert (len(threads) > 1) == (workers > 1)
-            results.append((grid.tobytes(), counts.tobytes(), map_tiles))
+            results.append((grid.tobytes(), counts.tobytes(), map_steps))
         assert results[0] == results[1]
 
     @pytest.mark.skipif(parallel._openblas() is None,
-                        reason="without OpenBLAS's thread setter tiles run on the "
+                        reason="without OpenBLAS's thread setter strips run on the "
                                "caller at its BLAS thread count")
     def test_bits_independent_of_openblas_threads(self, tmp_path):
         assert_same_digest_at_one_and_two_blas_threads(tmp_path, "inference_digest")
 
     @pytest.mark.skipif(parallel._openblas() is None,
                         reason="without OpenBLAS's thread setter nothing is pinned")
-    def test_blas_threads_restored_after_a_tile_raises(self, monkeypatch):
+    def test_blas_threads_restored_after_a_strip_raises(self, monkeypatch):
         rng = np.random.default_rng(53)
-        shape = (2 * TILE[0], 2 * TILE[1])
+        shape = (2 * STEP, 2 * STRIP)
         cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
         labels = LabelGrid(labels=np.ones(shape, dtype=np.uint8))
         model = build_model(ModelConfig(10, 2, 7), 54)
         monkeypatch.setattr(parallel, "workers", lambda: 2)
         before = parallel.blas_threads()
-        original = training._tile_logits
+        original = training.stream
         during = []
 
-        def failing_at_last_tile(model, cube, r0, c0, ws=None):
+        def failing_at_second_strip(model, values, col, steps, ws=None):
             during.append(parallel.blas_threads())
-            if (r0, c0) == (TILE[0], TILE[1]):  # the fourth tile, in the second deal
-                raise RuntimeError("tile failed")
-            return original(model, cube, r0, c0, ws)
+            if col == STRIP:  # the second strip, in the second deal
+                raise RuntimeError("strip failed")
+            return original(model, values, col, steps, ws)
 
-        monkeypatch.setattr(training, "_tile_logits", failing_at_last_tile)
-        with pytest.raises(RuntimeError, match="tile failed"):
+        monkeypatch.setattr(training, "stream", failing_at_second_strip)
+        with pytest.raises(RuntimeError, match="strip failed"):
             predict_map(model, cube)
         assert parallel.blas_threads() == before
-        with pytest.raises(RuntimeError, match="tile failed"):
+        with pytest.raises(RuntimeError, match="strip failed"):
             evaluate(model, cube, labels, [(shape[0] - 1, shape[1] - 1)])
         assert parallel.blas_threads() == before
-        assert during == [1] * 5
+        assert during == [1] * 3
