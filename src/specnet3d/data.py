@@ -165,6 +165,15 @@ def _field(doc, kind, name, types):
     return value
 
 
+def _dims(header, kind, names):
+    """The header's named int fields, each of which must be >= 1: a dim
+    below 1 is rejected before any payload is read."""
+    for name in names:
+        if header[name] < 1:
+            raise FormatError(f"{kind} header field {name!r} is {header[name]}, must be >= 1")
+    return [header[name] for name in names]
+
+
 def _read_payload(header_path, kind, dtype, count):
     """The count dtype scalars stored in the .raw beside header_path, which
     must hold exactly that many; the size is checked before any allocation,
@@ -204,7 +213,7 @@ def load_cube(header_path) -> HsiCube:
         raise FormatError(
             f"unsupported cube encoding {header.get('dtype')!r}/{header.get('order')!r}"
         )
-    p, q, s = int(header["height"]), int(header["width"]), int(header["bands"])
+    p, q, s = _dims(header, "cube", ("height", "width", "bands"))
     bsq = _read_payload(header_path, "cube", "<f4", s * p * q).reshape(s, p, q)
     values = np.ascontiguousarray(bsq.transpose(1, 2, 0))
     if not np.isfinite(values).all():
@@ -233,7 +242,7 @@ def load_labels(header_path) -> LabelGrid:
         raise FormatError(
             f"unsupported labels encoding {header.get('dtype')!r}/{header.get('order')!r}"
         )
-    p, q = int(header["height"]), int(header["width"])
+    p, q = _dims(header, "labels", ("height", "width"))
     labels = _read_payload(header_path, "labels", np.uint8, p * q).reshape(p, q)
     return LabelGrid(labels=labels, class_names=header.get("class_names"))
 

@@ -18,11 +18,10 @@ return (see ops), so no layer copies to change layout.
 
 forward and backward take batches of window x window patches, the
 training path.  They cut a batch into shards of SHARD samples and fan
-them out over threads (parallel.fan_out), each shard in its own child
-workspace.  A shard is a whole pass: the block stack and then the
-classifier.  backward's contractions multiply per-shard matrices, and
-each gradient, the classifier's included, is the sum of the shards' in
-shard order.
+them out over threads (parallel.fan_out).  A shard is a whole pass: the
+block stack and then the classifier.  backward's contractions multiply
+per-shard matrices, and each gradient, the classifier's included, is the
+sum of the shards' in shard order.
 
 stream is the inference path.  Every layer before the classifier is
 spatially valid or depth-only, so a scene's pixels share their block
@@ -45,8 +44,6 @@ from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
     _channels_first,
     _conv3d_forward_cols,
-    _scratch,
-    _zeroed,
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
@@ -76,8 +73,7 @@ SHARD = 32
 
 # Output columns of one inference strip, and output rows of one step down
 # it (stream).  Algorithm constants like SHARD, not settings: every step
-# of every strip runs at the one shape they fix.  A worker's workspace
-# holds one step's arrays, about 10 MB at 103 bands and window 7.
+# of every strip runs at the one shape they fix.
 STRIP = 12
 STEP = 4
 
@@ -239,17 +235,17 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
     return _assemble(config, rng_seed, draw)
 
 
-def _block(block: ResidualBlockSpec, x, cache=None, ws=None):
+def _block(block: ResidualBlockSpec, x, cache=None):
     """One residual block over a (n, c, h, w, d) input; appends its saved
     activations to cache when one is given."""
-    pre, main_cols = _conv3d_forward_cols(x, block.main, ws=ws)
-    y = relu(pre, ws=ws, name=block.main.name)
-    z, proj_cols = _conv3d_forward_cols(y, block.proj, ws=ws)
+    pre, main_cols = _conv3d_forward_cols(x, block.main)
+    y = relu(pre)
+    z, proj_cols = _conv3d_forward_cols(y, block.proj)
     out = z
     out += y
     pre_pool_dims = out.shape
     if block.pool is not None:
-        out = avgpool3d_forward(out, block.pool, ws=ws)
+        out = avgpool3d_forward(out, block.pool)
     if cache is not None:
         cache["blocks"].append(
             {
@@ -264,21 +260,20 @@ def _block(block: ResidualBlockSpec, x, cache=None, ws=None):
     return out
 
 
-def _run_blocks(model: Model, x, cache=None, ws=None):
+def _run_blocks(model: Model, x, cache=None):
     """The four residual blocks over a (n, 1, h, w, S) input; appends each
     block's saved activations to cache when one is given."""
     for block in model.blocks:
-        x = _block(block, x, cache, ws)
+        x = _block(block, x, cache)
     return x
 
 
-def _shards(n, ws):
-    """The batch's SHARD-sample slices and each one's workspace."""
-    slices = [slice(start, start + SHARD) for start in range(0, n, SHARD)]
-    return slices, [None if ws is None else ws.shard(i) for i in range(len(slices))]
+def _shards(n):
+    """The batch's SHARD-sample slices."""
+    return [slice(start, start + SHARD) for start in range(0, n, SHARD)]
 
 
-def forward(model: Model, x, keep_intermediates=False, ws=None):
+def forward(model: Model, x, keep_intermediates=False):
     """Run the network on a batch of patches; returns (logits, cache),
     cache None unless kept.
 
@@ -286,10 +281,8 @@ def forward(model: Model, x, keep_intermediates=False, ws=None):
     SHARD-sample shard of the batch runs the block stack and then the
     classifier, the shards fanned out over threads (parallel.fan_out); a
     shard copies its block-4 outputs, in (c, h, w, d) order, into its own
-    rows of the batch's cache["flat"].  Returns (n, classes) logits.  With
-    a Workspace the cache holds the workspace's arrays (each shard's in
-    its own child workspace), valid until the next call with it; the
-    logits never do.
+    rows of the batch's cache["flat"].  Returns (n, classes) logits.  The
+    logits and the cache are the caller's: no later call writes into them.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
@@ -298,13 +291,13 @@ def forward(model: Model, x, keep_intermediates=False, ws=None):
             f"input dims {x.shape} do not match (n >= 1, 1, {w}, {w}, "
             f"{model.config.spectral_depth}): forward takes patches only"
         )
-    slices, shard_ws = _shards(x.shape[0], ws)
-    flat = _scratch(ws, "FC", "features", (x.shape[0], model.feature_length),
+    slices = _shards(x.shape[0])
+    flat = np.empty((x.shape[0], model.feature_length),
                     np.result_type(x, *model.parameters().values()))
 
     def shard(i):
         cache = {"blocks": []} if keep_intermediates else None
-        out = _run_blocks(model, x[slices[i]], cache, shard_ws[i])
+        out = _run_blocks(model, x[slices[i]], cache)
         features = flat[slices[i]]
         np.copyto(features.reshape(out.shape), out)
         return linear_forward(features, model.fc_weights, model.fc_bias), cache
@@ -332,7 +325,7 @@ def _stages(model: Model):
     return stages + [((), size - 1)]
 
 
-def stream(model: Model, values, col, steps, ws=None):
+def stream(model: Model, values, col, steps):
     """Logits of one inference strip, a step of STEP output rows at a time.
 
     values is the (height, width, S) scene, read as zeros past its edges.
@@ -368,22 +361,22 @@ def stream(model: Model, values, col, steps, ws=None):
         for s, (blocks, _) in enumerate(stages[:-1]):
             if t in plans[s]:
                 if s == 0:
-                    x = _cut(values, t * STEP + lags[0] - half, col - half, cut, ws)
+                    x = _cut(values, t * STEP + lags[0] - half, col - half, cut)
                 else:
                     x = buffers[s]
                 for block in blocks:
-                    x = _block(block, x, ws=ws)
+                    x = _block(block, x)
                 buffers[s + 1] = _line_buffer(buffers[s + 1], x, stages[s + 1][1],
-                                              t - 1 in plans[s], ws, f"line{s + 1}")
+                                              t - 1 in plans[s])
         if t in plans[-1]:
-            logits = _classify(model, buffers[-1], ws)
+            logits = _classify(model, buffers[-1])
             yield t * STEP, logits[:height - t * STEP, :width - col]
 
 
-def _cut(values, row, col, shape, ws):
+def _cut(values, row, col, shape):
     """The (1, 1, rows, cols, S) input whose first position is scene pixel
     (row, col), zeros where it lies past the scene's edges."""
-    x = _zeroed(ws, "stream", "input", shape, values.dtype)
+    x = np.zeros(shape, values.dtype)
     a0, a1 = max(0, row), min(values.shape[0], row + shape[2])
     b0, b1 = max(0, col), min(values.shape[1], col + shape[3])
     if a0 < a1 and b0 < b1:
@@ -391,14 +384,14 @@ def _cut(values, row, col, shape, ws):
     return x
 
 
-def _line_buffer(buffer, out, shrink, continued, ws, role):
+def _line_buffer(buffer, out, shrink, continued):
     """The next stage's input after a step: its first shrink rows are the
     last shrink rows it held, when continued from the step before, else
-    zeros, and the rest is the step's output out.  role keys it in ws."""
+    zeros, and the rest is the step's output out.  A strip's first step
+    allocates it, channels-last; later steps rewrite it in place."""
     n, c, h, w, d = out.shape
     if buffer is None:
-        buffer = _channels_first(_scratch(ws, "stream", role, (n, h + shrink, w, d, c),
-                                          out.dtype))
+        buffer = _channels_first(np.empty((n, h + shrink, w, d, c), out.dtype))
     if continued:
         buffer[:, :, :shrink] = buffer[:, :, h:h + shrink]
     else:
@@ -407,7 +400,7 @@ def _line_buffer(buffer, out, shrink, continued, ws, role):
     return buffer
 
 
-def _classify(model: Model, x, ws):
+def _classify(model: Model, x):
     """(STEP, STRIP, classes) logits from the classifier's input rows x,
     (1, c, STEP + k - 1, STRIP + k - 1, d): each pixel's features are the
     k x k window of block-4 positions below it, in (c, h, w, d) order."""
@@ -417,15 +410,14 @@ def _classify(model: Model, x, ws):
     windows = np.lib.stride_tricks.as_strided(
         x, (STEP, STRIP, c, k, k, d), (sh, sw, sc, sh, sw, sd), writeable=False
     )
-    features = _scratch(ws, "FC", "features", (STEP * STRIP, model.feature_length), x.dtype)
-    np.copyto(features.reshape(windows.shape), windows)
+    features = windows.reshape(STEP * STRIP, model.feature_length)
     return linear_forward(features, model.fc_weights, model.fc_bias).reshape(STEP, STRIP, -1)
 
 
-def backward(model: Model, cache, grad_logits, ws=None):
+def backward(model: Model, cache, grad_logits):
     """Parameter gradients keyed like Model.parameters(), from a forward
-    cache and the upstream gradient on the logits.  ws is the Workspace
-    the forward ran with, if any; the gradients never alias its arrays.
+    cache and the upstream gradient on the logits.  The gradients are the
+    caller's: no later call writes into them.
 
     Each shard runs the classifier's backward and then the block stack's,
     fanned out like forward, and each gradient is the sum of the shards'
@@ -435,7 +427,7 @@ def backward(model: Model, cache, grad_logits, ws=None):
     if cache is None:
         raise ConfigError("backward requires a cache from forward(keep_intermediates=True)")
     flat = cache["flat"]
-    slices, shard_ws = _shards(len(flat), ws)
+    slices = _shards(len(flat))
 
     def shard(i):
         saved = cache["shards"][i]["blocks"]
@@ -445,7 +437,7 @@ def backward(model: Model, cache, grad_logits, ws=None):
         # block 4 has no pool, so its pre-pool dims are its output's
         g = grad_flat.reshape(saved[-1]["pre_pool_dims"])
         return {"FC.weight": grad_fcw, "FC.bias": grad_fcb,
-                **_block_grads(model, saved, g, shard_ws[i])}
+                **_block_grads(model, saved, g)}
 
     per_shard = fan_out(len(slices), shard)
     grads = per_shard[0]
@@ -455,26 +447,26 @@ def backward(model: Model, cache, grad_logits, ws=None):
     return grads
 
 
-def _block_grads(model: Model, saved_blocks, g, ws):
+def _block_grads(model: Model, saved_blocks, g):
     """Conv parameter gradients of one shard, from its saved block
     activations and the gradient on its block-4 output."""
     grads = {}
     for block, saved in zip(reversed(model.blocks), reversed(saved_blocks)):
         if block.pool is not None:
-            g = avgpool3d_backward(saved["pre_pool_dims"], block.pool, g, ws=ws)
+            g = avgpool3d_backward(saved["pre_pool_dims"], block.pool, g)
         # out = z + y: the skip feeds g straight back to y alongside the
         # projection's input gradient
         gy, gw_proj, gb_proj = conv3d_backward(
-            saved["y"], block.proj, g, cols=saved["proj_cols"], ws=ws
+            saved["y"], block.proj, g, cols=saved["proj_cols"]
         )
         gy += g
         grads[f"{block.proj.name}.weight"] = gw_proj
         grads[f"{block.proj.name}.bias"] = gb_proj
-        gpre = relu_backward(saved["pre"], gy, ws=ws, name=block.main.name)
+        gpre = relu_backward(saved["pre"], gy)
         # nothing consumes the gradient of the network input
         g, gw_main, gb_main = conv3d_backward(
             saved["x_in"], block.main, gpre, cols=saved["main_cols"],
-            input_grad=block is not model.blocks[0], ws=ws,
+            input_grad=block is not model.blocks[0],
         )
         grads[f"{block.main.name}.weight"] = gw_main
         grads[f"{block.main.name}.bias"] = gb_main

@@ -42,102 +42,17 @@ matrices, and sums the shards' weight gradients in shard order.  col2im
 adds one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
 depth-fold layer, whose upstream is first shifted out to every tap.
 
-A Workspace holds the scratch arrays of one training run, or of one
-worker of an inference pass; training.train creates one per run and
-training's class grid one per worker, and each hands it to every forward,
-backward, stream and kernel call it makes.  An inference worker runs
-every step of every strip at one shape, edge strips included, so its
-workspace holds one set of arrays.  A kernel given one as its ws keyword
-writes its patch stacks, outputs, padded copies and backward scratch into
-the workspace's array for (layer, role, shape, dtype) instead of
-allocating.  Such an array stays valid until the next call that takes the
-same key, so a forward cache lasts until the next forward with the same
-workspace.  A batch's shards each keep their arrays in a child workspace
-(Workspace.shard), so shards running at once never share one.  Without a
-workspace every kernel returns freshly allocated arrays.
+Every kernel allocates afresh, on each call, the arrays it returns and
+its patch stacks, padded copies and backward scratch: np.zeros where it
+accumulates, np.empty where it overwrites every element.  So what a
+kernel returns is the caller's to keep; a pointwise layer's patch stack
+is its own input.
 """
 
 import numpy as np
 
 from .errors import MismatchError, ShapeError
 from .tensor import as_tensor5, Conv3dSpec, Pool3dSpec
-
-
-class Workspace:
-    """Scratch arrays reused from call to call, one per (layer, role,
-    shape, dtype); its owner must be done with an array before the next
-    call that takes the same key.
-
-    The arrays are carved from a few blocks, each three times the size of
-    the one before, so all of them together are under 1.5 times the
-    largest.  Once glibc's malloc has unmapped a block (of up to 32 MB), it
-    serves blocks up to that size from its heap and trims the heap only
-    past twice that size, so the next workspace's blocks reuse the memory
-    this one freed instead of faulting fresh pages in on every call.
-
-    A block comes from the arena of the thread that first takes an array,
-    not from one process-wide heap: a helper thread's workspace (a
-    shard's child, an inference worker's own) is carved from glibc's
-    per-thread arena or from fresh mappings, depending on where malloc's
-    dynamic mmap threshold stands when it runs.  So which memory a helper
-    reuses, and the process's peak RSS, can vary between identical runs.
-    """
-
-    FIRST_BLOCK_BYTES = 1 << 20
-
-    def __init__(self):
-        self._arrays = {}
-        self._shards = {}
-        self._free = np.empty(0, np.uint8)
-        self._block_bytes = self.FIRST_BLOCK_BYTES // 3
-
-    def shard(self, i):
-        """The child workspace of a batch's shard i, which holds that
-        shard's arrays so shards can run at once."""
-        if i not in self._shards:
-            self._shards[i] = Workspace()
-        return self._shards[i]
-
-    def take(self, layer, role, shape, dtype):
-        key = (layer, role, tuple(shape), np.dtype(dtype))
-        array = self._arrays.get(key)
-        if array is None:
-            array = self._arrays[key] = self._carve(key[2], key[3])
-        return array
-
-    def _carve(self, shape, dtype):
-        count = int(np.prod(shape))
-        nbytes = -(-max(count, 1) * dtype.itemsize // 64) * 64  # whole 64-byte lines
-        if nbytes > self._free.size:
-            self._block_bytes = max(3 * self._block_bytes, nbytes)
-            self._free = np.empty(self._block_bytes, np.uint8)
-        piece, self._free = self._free[:nbytes], self._free[nbytes:]
-        return piece.view(dtype)[:count].reshape(shape)
-
-
-def _scratch(ws, layer, role, shape, dtype):
-    """Uninitialised array: ws's for the key, or a new one without ws."""
-    if ws is None:
-        return np.empty(shape, dtype)
-    return ws.take(layer, role, shape, dtype)
-
-
-def _zeroed(ws, layer, role, shape, dtype):
-    """Zero-filled array: ws's for the key, or a new one without ws."""
-    if ws is None:
-        return np.zeros(shape, dtype)
-    array = ws.take(layer, role, shape, dtype)
-    array.fill(0)
-    return array
-
-
-def _contiguous(a, ws, layer, role):
-    """a itself when C-contiguous, else a copy of it."""
-    if a.flags.c_contiguous:
-        return a
-    copy = _scratch(ws, layer, role, a.shape, a.dtype)
-    np.copyto(copy, a)
-    return copy
 
 
 def _channels_last(x):
@@ -150,13 +65,13 @@ def _channels_first(x):
     return x.transpose(0, 4, 1, 2, 3)
 
 
-def _pad_spatial(x, padding, ws=None, layer=None):
+def _pad_spatial(x, padding):
     """Zero-pad the three spatial axes of a channels-last array."""
     ph, pw, pd = padding
     if ph == 0 and pw == 0 and pd == 0:
         return x
     n, h, w, d, c = x.shape
-    xp = _zeroed(ws, layer, "pad", (n, h + 2 * ph, w + 2 * pw, d + 2 * pd, c), x.dtype)
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, d + 2 * pd, c), x.dtype)
     xp[:, ph:ph + h, pw:pw + w, pd:pd + d] = x
     return xp
 
@@ -205,13 +120,13 @@ def _stack_geometry(spec: Conv3dSpec, out_dims, padded_depth):
     return spec.kernel, spec.stride, out_dims
 
 
-def _patch_stack(x, spec: Conv3dSpec, out_dims, ws):
+def _patch_stack(x, spec: Conv3dSpec, out_dims):
     """The layer's contiguous patch stack of a (n, c, h, w, d) input."""
     xl = _channels_last(x)
     n, c = xl.shape[0], xl.shape[-1]
     if _layout(spec) == "pointwise":
-        return _contiguous(xl, ws, spec.name, "stack").reshape(n, -1, c)
-    xp = _pad_spatial(xl, spec.padding, ws, spec.name)
+        return np.ascontiguousarray(xl).reshape(n, -1, c)
+    xp = _pad_spatial(xl, spec.padding)
     kernel, stride, dims = _stack_geometry(spec, out_dims, xp.shape[3])
     sn, sH, sW, sD, sC = xp.strides
     sh, sw, sd = stride
@@ -225,9 +140,7 @@ def _patch_stack(x, spec: Conv3dSpec, out_dims, ws):
         strides=(sn, *outer[1], *inner[1], sC),
         writeable=False,
     )
-    stack = _scratch(ws, spec.name, "stack", view.shape, xp.dtype)
-    np.copyto(stack, view)
-    return stack.reshape(n, np.prod(outer[0]), -1)
+    return view.copy().reshape(n, np.prod(outer[0]), -1)
 
 
 def _weight_matrix(spec: Conv3dSpec):
@@ -255,23 +168,20 @@ def _check_conv_input(x, spec: Conv3dSpec):
     return x
 
 
-def _conv3d_forward_cols(x, spec: Conv3dSpec, ws=None):
+def _conv3d_forward_cols(x, spec: Conv3dSpec):
     """conv3d_forward that also hands back its patch stack for reuse."""
     x = _check_conv_input(x, spec)
     n = x.shape[0]
     out_dims = spec.output_dims(x.shape[2:])
-    cols = _patch_stack(x, spec, out_dims, ws)
+    cols = _patch_stack(x, spec, out_dims)
     wmat = _weight_matrix(spec)
-    dtype = np.result_type(cols, wmat)
-    out = _scratch(ws, spec.name, "out", (n, *out_dims, spec.out_channels), dtype)
+    out = np.empty((n, *out_dims, spec.out_channels), np.result_type(cols, wmat))
     layout = _layout(spec)
     if layout == "fold":
         # one column block per depth tap (kd >= 2); tap t of output depth k
         # read padded depth k * sd + t
         sd, kd = spec.stride[2], spec.kernel[2]
-        taps = _scratch(ws, spec.name, "taps", (*cols.shape[:2], wmat.shape[1]), dtype)
-        np.matmul(cols, wmat, out=taps)
-        taps = taps.reshape(n, *out_dims[:2], -1, kd, spec.out_channels)
+        taps = np.matmul(cols, wmat).reshape(n, *out_dims[:2], -1, kd, spec.out_channels)
         span = sd * out_dims[2]
         tap = [taps[:, :, :, t:t + span:sd, t] for t in range(kd)]
         np.add(tap[0], tap[1], out=out)
@@ -301,7 +211,7 @@ def _grad_weights(spec: Conv3dSpec, gmat):
     return np.ascontiguousarray(g.transpose(0, 4, 1, 2, 3))
 
 
-def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, ws=None):
+def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
     """Exact partials of sum(upstream * conv3d_forward(x, spec)).
 
     Returns (grad_x, grad_weights, grad_bias) with the shapes of x,
@@ -321,9 +231,9 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, w
         )
 
     if cols is None:
-        cols = _patch_stack(x, spec, out_dims, ws)
+        cols = _patch_stack(x, spec, out_dims)
     layout = _layout(spec)
-    g = _contiguous(_channels_last(upstream), ws, spec.name, "upstream")
+    g = np.ascontiguousarray(_channels_last(upstream))
     # einsum sums the rows ~4x faster than sum(axis=0), whose inner loop
     # covers only one row of co channels
     grad_bias = np.einsum("mc->c", g.reshape(-1, co))
@@ -334,7 +244,7 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, w
         # depth k * sd + t holds output depth k's gradient
         sd, kd = spec.stride[2], spec.kernel[2]
         padded_depth = d + 2 * spec.padding[2]
-        gmat = _zeroed(ws, spec.name, "taps", (n, cols.shape[1], kd * co), g.dtype)
+        gmat = np.zeros((n, cols.shape[1], kd * co), g.dtype)
         taps = gmat.reshape(n, *out_dims[:2], padded_depth, kd, co)
         span = sd * out_dims[2]
         for t in range(kd):
@@ -343,8 +253,7 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, w
         grad_weights = _grad_weights(spec, gmat.T @ cols.reshape(-1, cols.shape[-1]))
     elif layout == "run":
         gmat = g.reshape(-1, co)
-        per_sample = _scratch(ws, spec.name, "weight_grads", (*cols.shape[:2], co), dtype)
-        np.matmul(cols, g.reshape(n, -1, co), out=per_sample)
+        per_sample = np.matmul(cols, g.reshape(n, -1, co))
         grad_weights = _grad_weights(spec, per_sample.sum(axis=0).T)
     else:
         gmat = g.reshape(-1, co)
@@ -353,15 +262,14 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, w
         return None, grad_weights, grad_bias
 
     if layout == "pointwise":
-        grad_x = _scratch(ws, spec.name, "grad_x", (n, h, w, d, cin), dtype)
-        np.matmul(gmat, wmat.T, out=grad_x.reshape(-1, cin))
+        grad_x = (gmat @ wmat.T).reshape(n, h, w, d, cin)
         return _channels_first(grad_x), grad_weights, grad_bias
     # col2im one window offset at a time: offset q's rows of the weight
     # matrix turn gmat into a contiguous (n, *dims, c) slab, which is added
     # into the input positions that offset's window sweep read
     kernel, stride, dims = _stack_geometry(spec, out_dims, d + 2 * spec.padding[2])
-    grad_x = _zeroed(ws, spec.name, "grad_x", (n, h, w, d, cin), dtype)
-    slab = _scratch(ws, spec.name, "slab", (n, *dims, cin), dtype)
+    grad_x = np.zeros((n, h, w, d, cin), dtype)
+    slab = np.empty((n, *dims, cin), dtype)
     for q, (oh, ow, od), (ih, iw, id_) in _clipped_slices(
             kernel, stride, spec.padding, (h, w, d), dims):
         np.matmul(gmat, wmat[q * cin:(q + 1) * cin].T, out=slab.reshape(-1, cin))
@@ -369,13 +277,13 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True, w
     return _channels_first(grad_x), grad_weights, grad_bias
 
 
-def avgpool3d_forward(x, spec: Pool3dSpec, ws=None):
+def avgpool3d_forward(x, spec: Pool3dSpec):
     """Include-pad average pooling: window sum over the zero-padded input
     divided by the full kernel volume.  Padding taps are skipped, which
     adds nothing: a sum started at +0.0 is unchanged by adding +0.0."""
     xl = _channels_last(as_tensor5(x))
     out_dims = spec.output_dims(xl.shape[1:4])
-    acc = _zeroed(ws, spec.name, "out", (xl.shape[0], *out_dims, xl.shape[-1]), xl.dtype)
+    acc = np.zeros((xl.shape[0], *out_dims, xl.shape[-1]), xl.dtype)
     for _, (oh, ow, od), (ih, iw, id_) in _clipped_slices(
             spec.kernel, spec.stride, spec.padding, xl.shape[1:4], out_dims):
         acc[:, oh, ow, od] += xl[:, ih, iw, id_]
@@ -383,7 +291,7 @@ def avgpool3d_forward(x, spec: Pool3dSpec, ws=None):
     return _channels_first(acc)
 
 
-def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream, ws=None):
+def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream):
     """Route each upstream value back to every input position its window
     covered, divided by the kernel volume; padded positions receive nothing."""
     x_dims = tuple(int(v) for v in x_dims)
@@ -397,43 +305,33 @@ def avgpool3d_backward(x_dims, spec: Pool3dSpec, upstream, ws=None):
         raise ShapeError(
             f"pool upstream shape {upstream.shape} != pooled output {expected}"
         )
-    g = _scratch(ws, spec.name, "upstream", (n, *out_dims, c), upstream.dtype)
-    np.divide(_channels_last(upstream), spec.volume, out=g)
-    grad_x = _zeroed(ws, spec.name, "grad_x", (n, h, w, d, c), g.dtype)
+    g = _channels_last(upstream) / spec.volume
+    grad_x = np.zeros((n, h, w, d, c), g.dtype)
     for _, (oh, ow, od), (ih, iw, id_) in _clipped_slices(
             spec.kernel, spec.stride, spec.padding, (h, w, d), out_dims):
         grad_x[:, ih, iw, id_] += g[:, oh, ow, od]
     return _channels_first(grad_x)
 
 
-def _scratch_like(x, ws, layer, role, dtype):
-    """Uninitialised array of x's shape, channels-last in memory when x has
-    five axes."""
-    if x.ndim != 5:
-        return _scratch(ws, layer, role, x.shape, dtype)
-    return _channels_first(_scratch(ws, layer, role, _channels_last(x).shape, dtype))
+def relu(x):
+    """Element-wise max(0, x), laid out in memory like x."""
+    return np.maximum(np.asarray(x), 0)
 
 
-def relu(x, ws=None, name="relu"):
-    """Element-wise max(0, x).  With ws, name keys the output."""
-    x = np.asarray(x)
-    return np.maximum(x, 0, out=_scratch_like(x, ws, name, "relu", x.dtype))
-
-
-def relu_backward(x, upstream, ws=None, name="relu"):
+def relu_backward(x, upstream):
     """Pass upstream where x > 0; the subgradient at exactly 0 is 0.
 
     The result is np.where(x > 0, upstream, 0) bit for bit (+0.0 wherever
     x <= 0, even under a NaN or infinite upstream), computed as upstream's
     bits ANDed with an all-ones or all-zeros mask, which needs no
-    per-element branch.  With ws, name keys the scratch arrays.
+    per-element branch.
     """
     x = np.asarray(x)
     upstream = np.asarray(upstream)
     if upstream.shape != x.shape:
         raise ShapeError(f"relu upstream shape {upstream.shape} != input {x.shape}")
-    passed = np.greater(x, 0, out=_scratch_like(x, ws, name, "relu_passed", bool))
-    grad = _scratch_like(x, ws, name, "relu_grad", upstream.dtype)
+    passed = np.greater(x, 0)
+    grad = np.empty_like(x, dtype=upstream.dtype)
     # the mask is built in grad's own bits: True -> all ones, False -> 0
     bits = grad.view(f"i{grad.itemsize}")
     np.negative(passed.view(np.int8), out=bits)

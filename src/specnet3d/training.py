@@ -6,8 +6,6 @@ from one seeded generator, and every kernel accumulates in a fixed order,
 so identical seeds reproduce checkpoints and histories bitwise.  Within a
 step, forward and backward fan the batch's shards out over threads (see
 network); the bits depend on network.SHARD, not on the thread count.
-train owns one ops.Workspace, so its steps reuse one set of scratch
-arrays.
 
 Inference (evaluate and predict_map) runs network.stream: the scene is
 cut into strips of network.STRIP output columns anchored at column 0,
@@ -15,11 +13,10 @@ and each strip is walked down in steps of network.STEP rows anchored at
 row 0.  Every step runs at one shape, even at the scene edge: its input
 is cut straight from the cube, reading zeros past the edge, and its
 logits are cropped to the scene.  So memory is bounded by one step, not
-the scene, and a worker's Workspace holds one set of arrays.  Both share
-one class grid (_class_grid): the strips are dealt out over the calling
-thread and helper threads (parallel.fan_out), each worker with its own
-Workspace, while OpenBLAS is held at one thread, and each worker writes
-its steps' classes straight into one (height, width) grid.
+the scene.  Both share one class grid (_class_grid): the strips are dealt
+out over the calling thread and helper threads (parallel.fan_out), while
+OpenBLAS is held at one thread, and each worker writes its steps' classes
+straight into one (height, width) grid.
 predict_map streams every step of every strip; evaluate streams only the
 steps holding a requested pixel, with the earlier steps they read.  A
 step's bits depend only on its input rows, neither on where its run
@@ -42,7 +39,7 @@ from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy
 from .network import STEP, STRIP, Model, backward, forward, save_checkpoint, stream
-from .ops import Workspace, _scratch, softmax_cross_entropy
+from .ops import softmax_cross_entropy
 
 
 @dataclass
@@ -123,9 +120,8 @@ def _batched(seq, size):
         yield seq[start:start + size]
 
 
-def _patch_batch(cube: HsiCube, coords, window, ws=None):
-    batch = _scratch(ws, "patches", "input", (len(coords), 1, window, window, cube.bands),
-                     cube.values.dtype)
+def _patch_batch(cube: HsiCube, coords, window):
+    batch = np.empty((len(coords), 1, window, window, cube.bands), cube.values.dtype)
     for i, (r, c) in enumerate(coords):
         batch[i] = extract_patch(cube, r, c, window)[0]
     return batch
@@ -165,7 +161,6 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     window = model.config.spatial_window
     params = model.parameters()
     rng = np.random.default_rng(config.shuffle_seed)
-    ws = Workspace()
 
     history = []
     for epoch in range(1, config.epochs + 1):
@@ -174,8 +169,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
         for batch_no, batch_idx in enumerate(_batched(order, config.batch_size), 1):
             coords = [train_pixels[i][:2] for i in batch_idx]
             targets = np.asarray([train_pixels[i][2] - 1 for i in batch_idx])
-            patches = _patch_batch(norm, coords, window, ws)
-            logits, cache = forward(model, patches, keep_intermediates=True, ws=ws)
+            patches = _patch_batch(norm, coords, window)
+            logits, cache = forward(model, patches, keep_intermediates=True)
             losses, grad_logits = softmax_cross_entropy(logits, targets)
             batch_loss = float(losses.sum())
             if not np.isfinite(batch_loss):
@@ -184,7 +179,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
                     f"{batch_loss}; the run diverged (lower the learning rate)"
                 )
             loss_sum += batch_loss
-            grads = backward(model, cache, grad_logits / len(batch_idx), ws=ws)
+            grads = backward(model, cache, grad_logits / len(batch_idx))
             sgd_step(params, grads, opt)
         entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_pixels)}
         if eval_test and test_pixels:
@@ -215,17 +210,15 @@ def _class_grid(model: Model, cube: HsiCube, strips):
     steps of the given strips, ties going to the lowest class; other
     pixels read 0.  strips is a list of (col, steps) for network.stream.
 
-    Worker i of a fan-out takes strips[i::count] in one Workspace of its
-    own and writes its steps' classes straight into the grid, where no
-    other step writes.  OpenBLAS stays at one thread for the whole pass.
+    Worker i of a fan-out takes strips[i::count] and writes its steps'
+    classes straight into the grid, where no other step writes.  OpenBLAS stays at one thread for the whole pass.
     """
     grid = np.zeros((cube.height, cube.width), dtype=np.int64)
     count = min(len(strips), parallel.workers())
 
     def deal(i):
-        ws = Workspace()
         for col, steps in strips[i::count]:
-            for row, logits in stream(model, cube.values, col, steps, ws):
+            for row, logits in stream(model, cube.values, col, steps):
                 grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
                     np.argmax(logits, axis=2) + 1
                 )
@@ -244,6 +237,12 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
     """
     _check_scene(model, cube, labels)
     pixels = [_check_pixel(labels, e) for e in pixel_set]
+    classes = model.config.num_classes
+    for r, c, cls in pixels:
+        if cls > classes:
+            raise MismatchError(
+                f"pixel ({r}, {c}) is labeled {cls}, but the model has {classes} classes"
+            )
     strips = {}
     for r, c, _ in pixels:
         strips.setdefault(c - c % STRIP, set()).add(r // STEP)

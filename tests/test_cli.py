@@ -7,7 +7,7 @@ import pytest
 from specnet3d.cli import main
 from specnet3d.data import SplitManifest, save_cube, save_labels, save_split
 from specnet3d.metrics import PALETTE
-from specnet3d.network import ModelConfig, build_model
+from specnet3d.network import ModelConfig, build_model, save_checkpoint
 from specnet3d.training import OptimizerState, TrainConfig, predict_map, train
 
 from synth import overfit_scene
@@ -370,6 +370,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "error[E_MISMATCH]" in err
         assert "12" in err and "20" in err
+
+    def test_class_the_checkpoint_lacks_reported(self, tmp_path, scene_dir, capsys):
+        # the scene's labels hold classes 1-9
+        save_checkpoint(build_model(ModelConfig(overfit_scene()[0].bands, 2, 7), 0),
+                        tmp_path / "two.ckpt.json")
+        rc = main(["eval", "--checkpoint", str(tmp_path / "two.ckpt.json"),
+                   "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"),
+                   "--split", str(scene_dir / "all.split.json"),
+                   "--out", str(tmp_path / "r.json"), "--on", "train"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[E_MISMATCH]: pixel (")
+        assert err.endswith("but the model has 2 classes\n")
+        assert not (tmp_path / "r.json").exists()
 
     def test_empty_test_side_rejected(self, tmp_path, scene_dir, capsys):
         rc = main(["eval", "--checkpoint", str(scene_dir / "model.ckpt.json"),

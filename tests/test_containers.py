@@ -9,10 +9,15 @@ so its pin does not depend on numpy's random stream.
 
 import hashlib
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specnet3d.data import (
     HsiCube,
@@ -227,6 +232,25 @@ def test_huge_declared_dims_rejected_before_allocation(kind, dims, count, tmp_pa
         CONTAINERS[kind][2](path)
 
 
+@pytest.mark.parametrize("kind, dims", [
+    # (-2)(-3) is 6, so the payload size alone does not catch these
+    ("cube", {"height": -2, "width": -3}),
+    ("labels", {"height": -2, "width": -3}),
+    ("labels", {"height": 0}),
+    ("cube", {"bands": 0}),
+])
+def test_non_positive_dims_rejected(kind, dims, tmp_path):
+    path = _written(kind, tmp_path)
+    doc = json.loads(path.read_text())
+    doc.update(dims)
+    path.write_text(json.dumps(doc))
+    # a payload of exactly the scalars the declared dims multiply out to
+    count = math.prod(doc[name] for name in ("height", "width", "bands") if name in doc)
+    _raw(path).write_bytes(bytes(count * CONTAINERS[kind][3]))
+    with pytest.raises(FormatError, match=f"^{kind} header field '{next(iter(dims))}' "):
+        CONTAINERS[kind][2](path)
+
+
 # kind -> (a required header field, a value of the wrong type for it)
 REQUIRED_FIELDS = {
     "cube": ("height", "2"),
@@ -297,3 +321,53 @@ def test_cli_reports_missing_header_field(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error[E_FORMAT]: cube header has no 'height' field")
+
+
+# a few examples each, so the properties add little to the suite's time
+PROPERTY = settings(max_examples=30, deadline=None)
+DIMS = ("height", "width", "bands")
+
+
+@PROPERTY
+@given(
+    values=hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=4),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    labels=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)),
+    class_names=st.none() | st.lists(st.text(max_size=4), min_size=1, max_size=3),
+)
+def test_round_trip_is_bitwise(values, labels, class_names):
+    with tempfile.TemporaryDirectory() as d:
+        save_cube(HsiCube(values=values), Path(d) / "c.hsc.json")
+        save_labels(LabelGrid(labels=labels, class_names=class_names), Path(d) / "l.lbl.json")
+        cube = load_cube(Path(d) / "c.hsc.json")
+        grid = load_labels(Path(d) / "l.lbl.json")
+    assert cube.values.dtype == np.float32 and cube.values.shape == values.shape
+    assert cube.values.tobytes() == values.tobytes()
+    assert grid.labels.dtype == np.uint8 and grid.labels.shape == labels.shape
+    assert grid.labels.tobytes() == labels.tobytes()
+    assert grid.class_names == class_names
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["cube", "labels"]),
+    dims=st.fixed_dictionaries({name: st.integers(-3, 4) | st.integers(2**31, 2**70)
+                                | st.integers(-2**70, -2**31) for name in DIMS}),
+    # a scalar count, or "declared": the count the dims multiply out to
+    scalars=st.integers(0, 64) | st.just("declared"),
+)
+def test_load_gives_declared_shape_or_format_error(kind, dims, scalars):
+    with tempfile.TemporaryDirectory() as d:
+        path = _written(kind, Path(d))
+        doc = json.loads(path.read_text())
+        declared = tuple(dims[name] for name in DIMS if name in doc)
+        doc.update(zip(DIMS, declared))
+        path.write_text(json.dumps(doc))
+        if scalars == "declared":
+            scalars = min(max(math.prod(declared), 0), 4096)
+        _raw(path).write_bytes(bytes(scalars * CONTAINERS[kind][3]))
+        try:
+            loaded = CONTAINERS[kind][2](path)
+        except FormatError:
+            return
+    assert (loaded.values if kind == "cube" else loaded.labels).shape == declared

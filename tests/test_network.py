@@ -1,7 +1,6 @@
 import json
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,8 +11,6 @@ from specnet3d.errors import FormatError, MismatchError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
     SHARD,
-    STEP,
-    STRIP,
     Model,
     ModelConfig,
     backward,
@@ -24,9 +21,8 @@ from specnet3d.network import (
     param_count,
     save_checkpoint,
     shape_trace,
-    stream,
 )
-from specnet3d.ops import Workspace, avgpool3d_forward, conv3d_forward, relu
+from specnet3d.ops import avgpool3d_forward, conv3d_forward, relu
 
 from oracles import assert_close, residual_grads
 
@@ -356,10 +352,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def _step(model, x, up, ws=None):
+def _step(model, x, up):
     """Forward with cache then backward: (logits, grads)."""
-    logits, cache = forward(model, x, keep_intermediates=True, ws=ws)
-    return logits, backward(model, cache, up, ws=ws)
+    logits, cache = forward(model, x, keep_intermediates=True)
+    return logits, backward(model, cache, up)
 
 
 def _same_step(a, b):
@@ -378,56 +374,37 @@ def _inputs(seed, n, bands=20):
     return x, up
 
 
-class TestWorkspace:
-    # the training batch and a ragged last batch
-    @pytest.mark.parametrize("n", [64, 13])
-    def test_same_bits_with_and_without_workspace(self, n):
+def _arrays(tree):
+    """Every array in a nest of dicts, lists and tuples, such as a forward
+    cache or a gradient dict."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, (dict, list, tuple)):
+        for item in tree.values() if isinstance(tree, dict) else tree:
+            yield from _arrays(item)
+
+
+class TestOwnership:
+    # one shard, and two
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_a_later_pass_leaves_earlier_results_alone(self, n):
+        # what forward and backward return is the caller's to keep: B's
+        # pass, run between A's forward and A's backward, neither writes
+        # into A's arrays nor hands back any of their memory
         model = small_model(seed=30)
-        ws = Workspace()
-        _step(model, *_inputs(31, n), ws)  # leaves stale values behind
-        x, up = _inputs(32, n)
-        logits, grads = _step(model, x, up, ws)
-        _same_step((logits, grads), _step(model, x, up))
-        # what forward and backward return is the caller's to keep, and
-        # n = 64 puts most arrays in the shards' child workspaces
-        arrays = [*ws._arrays.values()]
-        for child in ws._shards.values():
-            arrays += child._arrays.values()
-        assert len(ws._shards) == -(-n // SHARD)
-        for array in arrays:
-            assert not np.shares_memory(array, logits)
-            for name, g in grads.items():
-                assert not np.shares_memory(array, g), name
-
-    def test_shapes_a_b_a_match_fresh_calls(self):
-        model = small_model(seed=33)
-        ws = Workspace()
-        for seed, n in ((34, 5), (35, 3), (36, 5)):
-            x, up = _inputs(seed, n)
-            _same_step(_step(model, x, up, ws), _step(model, x, up))
-        # inference strips in the same workspace, a full and an edge one
-        values = np.random.default_rng(37).standard_normal(
-            (STEP + 3, STRIP + 2, 20)).astype(np.float32)
-        for col in (0, STRIP, 0):
-            got = [logits.tobytes() for _, logits in stream(model, values, col, range(2), ws)]
-            assert got == [logits.tobytes() for _, logits in stream(model, values, col, range(2))]
-
-    def test_step_allocates_a_quarter_of_a_workspace_less_step(self):
-        # bound fixed before measuring: with a warm workspace a step
-        # allocates at most a quarter of what the same step does without one
-        model = small_model(bands=40, seed=38)
-        x, up = _inputs(39, 64, bands=40)
-        ws = Workspace()
-        _step(model, x, up, ws)
-        peaks = []
-        for step_ws in (ws, None):
-            tracemalloc.start()
-            try:
-                _step(model, x, up, step_ws)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert 4 * peaks[0] <= peaks[1], peaks
+        (xa, up_a), (xb, up_b) = _inputs(31, n), _inputs(32, n)
+        want = _step(model, xa, up_a)
+        logits_a, cache_a = forward(model, xa, keep_intermediates=True)
+        logits_b, cache_b = forward(model, xb, keep_intermediates=True)
+        grads_a = backward(model, cache_a, up_a)
+        grads_b = backward(model, cache_b, up_b)
+        _same_step((logits_a, grads_a), want)
+        ours = [logits_a, *_arrays(cache_a), *_arrays(grads_a)]
+        theirs = [logits_b, *_arrays(cache_b), *_arrays(grads_b)]
+        assert len(cache_a["shards"]) == -(-n // SHARD)
+        for array in ours:
+            for other in theirs:
+                assert not np.shares_memory(array, other)
 
 
 needs_openblas = pytest.mark.skipif(
@@ -461,12 +438,12 @@ class TestShards:
         model = small_model(bands=12, seed=42)
         x, up = _inputs(43, 6 * SHARD + 5, bands=12)
         monkeypatch.setattr(parallel, "workers", lambda: 1)
-        want = _step(model, x, up, Workspace())
+        want = _step(model, x, up)
         monkeypatch.setattr(parallel, "workers", lambda: 6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [_step(model, x, up, Workspace()) for _ in range(3)]
+            got = [_step(model, x, up) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         for step in got:
@@ -527,7 +504,7 @@ class TestShards:
                 return original(*args)
             return failing
 
-        # _run_blocks(model, x, ...) and _block_grads(model, saved, g, ws)
+        # _run_blocks(model, x, ...) and _block_grads(model, saved, g)
         monkeypatch.setattr(network, "_run_blocks", failing_on_8(network._run_blocks, 1))
         monkeypatch.setattr(network, "_block_grads", failing_on_8(network._block_grads, 2))
         with pytest.raises(RuntimeError, match="shard failed"):

@@ -20,7 +20,7 @@ from specnet3d import network
 from specnet3d.network import (
     STEP, STRIP, ModelConfig, build_model, forward, save_checkpoint, stream,
 )
-from specnet3d.ops import Workspace, softmax_cross_entropy
+from specnet3d.ops import softmax_cross_entropy
 from specnet3d.training import (
     OptimizerState,
     TrainConfig,
@@ -344,6 +344,17 @@ class TestEvaluate:
         with pytest.raises(MismatchError):
             evaluate(model, cube, taller, split.train)
 
+    def test_class_the_model_lacks_rejected_before_any_strip(self, monkeypatch):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 2, 7), 0)
+        r, c, k = next(e for e in split.train if e[2] > 2)
+        ran = []
+        monkeypatch.setattr(training, "stream", lambda *args: ran.append(args) or iter(()))
+        with pytest.raises(MismatchError, match=rf"^pixel \({r}, {c}\) is labeled {k}, "
+                                                r"but the model has 2 classes$"):
+            evaluate(model, cube, labels, split.train)
+        assert ran == []
+
     @pytest.mark.parametrize("pixel", [(-1, 0), (0, -1), (8, 0), (0, 4)])
     def test_pixel_outside_scene_rejected(self, pixel):
         cube, labels, _ = overfit_scene()  # 8x4
@@ -402,8 +413,8 @@ def _recording_stream(monkeypatch, record):
     step it yields."""
     original = training.stream
 
-    def recording(model, values, col, steps, ws=None):
-        for row, logits in original(model, values, col, steps, ws):
+    def recording(model, values, col, steps):
+        for row, logits in original(model, values, col, steps):
             record(col, row, logits)
             yield row, logits
 
@@ -526,21 +537,6 @@ class TestDenseInference:
                 tracemalloc.stop()
         assert max(peaks[1:]) <= 1.5 * peaks[0]
 
-    def test_edge_strip_reuses_the_full_strips_arrays(self):
-        # the edge strip runs at the full strip's shape, so it takes no
-        # array of its own
-        rng = np.random.default_rng(48)
-        shape = (STEP + 2, STRIP + 1)
-        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
-        model = build_model(ModelConfig(10, 4, 7), 49)
-        ws = Workspace()
-        list(stream(model, cube.values, 0, range(2), ws))
-        before = len(ws._arrays)
-        last = list(stream(model, cube.values, STRIP, range(2), ws))[-1][1]
-        assert last.shape == (2, 1, 4)
-        assert len(ws._arrays) == before > 0
-        assert not ws._shards
-
 
 class TestParallelInference:
     def test_bits_independent_of_worker_count(self, monkeypatch):
@@ -594,11 +590,11 @@ class TestParallelInference:
         original = training.stream
         during = []
 
-        def failing_at_second_strip(model, values, col, steps, ws=None):
+        def failing_at_second_strip(model, values, col, steps):
             during.append(parallel.blas_threads())
             if col == STRIP:  # the second strip, in the second deal
                 raise RuntimeError("strip failed")
-            return original(model, values, col, steps, ws)
+            return original(model, values, col, steps)
 
         monkeypatch.setattr(training, "stream", failing_at_second_strip)
         with pytest.raises(RuntimeError, match="strip failed"):
