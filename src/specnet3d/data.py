@@ -103,9 +103,13 @@ class SplitManifest:
     fraction: float | None = None
 
     def train_counts(self):
+        """Training pixels per class; SplitError names the first pair
+        entry, which carries no class."""
         counts = {}
-        for _, _, cls in self.train:
-            counts[cls] = counts.get(cls, 0) + 1
+        for entry in self.train:
+            if len(entry) != 3:
+                raise SplitError(f"training entry {tuple(entry)} carries no class")
+            counts[entry[2]] = counts.get(entry[2], 0) + 1
         return counts
 
 

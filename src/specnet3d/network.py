@@ -19,9 +19,12 @@ return (see ops), so no layer copies to change layout.
 forward and backward take batches of window x window patches, the
 training path.  They cut a batch into shards of SHARD samples and fan
 them out over threads (parallel.fan_out).  A shard is a whole pass: the
-block stack and then the classifier.  backward's contractions multiply
-per-shard matrices, and each gradient, the classifier's included, is the
-sum of the shards' in shard order.
+block stack and then the classifier.  A shard's cache keeps, per block,
+the block's input x_in, the main conv's patch stack main_cols, and the
+ReLU output y, which is all backward needs: y is the projection's patch
+stack, its dims are the pool's input dims, and y > 0 is ReLU's mask.
+backward's contractions multiply per-shard matrices, and each gradient,
+the classifier's included, is the sum of the shards' in shard order.
 
 stream is the inference path.  Every layer before the classifier is
 spatially valid or depth-only, so a scene's pixels share their block
@@ -30,8 +33,8 @@ in steps of STEP rows, and each stage of the network (block 1, blocks
 2-4, the classifier) computes each of its output rows once per strip,
 keeping the rows the next step reads again in a line buffer (fused-layer
 inference; Alwani et al. 2016, "Fused-layer CNN accelerators").
-training deals the strips of a pass out over threads, with OpenBLAS held
-at one thread.
+training fans a pass out over threads one strip per job, with OpenBLAS
+held at one thread.
 """
 
 import math
@@ -106,14 +109,6 @@ class ModelConfig:
             "num_classes": self.num_classes,
             "spatial_window": self.spatial_window,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            spectral_depth=int(d["spectral_depth"]),
-            num_classes=int(d["num_classes"]),
-            spatial_window=int(d["spatial_window"]),
-        )
 
 
 @dataclass
@@ -240,23 +235,13 @@ def _block(block: ResidualBlockSpec, x, cache=None):
     activations to cache when one is given."""
     pre, main_cols = _conv3d_forward_cols(x, block.main)
     y = relu(pre)
-    z, proj_cols = _conv3d_forward_cols(y, block.proj)
-    out = z
+    del pre  # backward takes ReLU's gradient from y
+    out, _ = _conv3d_forward_cols(y, block.proj)
     out += y
-    pre_pool_dims = out.shape
     if block.pool is not None:
         out = avgpool3d_forward(out, block.pool)
     if cache is not None:
-        cache["blocks"].append(
-            {
-                "x_in": x,
-                "pre": pre,
-                "y": y,
-                "pre_pool_dims": pre_pool_dims,
-                "main_cols": main_cols,
-                "proj_cols": proj_cols,
-            }
-        )
+        cache["blocks"].append({"x_in": x, "y": y, "main_cols": main_cols})
     return out
 
 
@@ -281,8 +266,10 @@ def forward(model: Model, x, keep_intermediates=False):
     SHARD-sample shard of the batch runs the block stack and then the
     classifier, the shards fanned out over threads (parallel.fan_out); a
     shard copies its block-4 outputs, in (c, h, w, d) order, into its own
-    rows of the batch's cache["flat"].  Returns (n, classes) logits.  The
-    logits and the cache are the caller's: no later call writes into them.
+    rows of the batch's cache["flat"], and shard i's cache["shards"][i]
+    ["blocks"] holds one {"x_in", "y", "main_cols"} dict per block (see
+    the module docstring).  Returns (n, classes) logits.  The logits and
+    the cache are the caller's: no later call writes into them.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
@@ -434,8 +421,8 @@ def backward(model: Model, cache, grad_logits):
         grad_flat, grad_fcw, grad_fcb = linear_backward(
             flat[slices[i]], model.fc_weights, grad_logits[slices[i]]
         )
-        # block 4 has no pool, so its pre-pool dims are its output's
-        g = grad_flat.reshape(saved[-1]["pre_pool_dims"])
+        # block 4 has no pool, and out = z + y has y's dims
+        g = grad_flat.reshape(saved[-1]["y"].shape)
         return {"FC.weight": grad_fcw, "FC.bias": grad_fcb,
                 **_block_grads(model, saved, g)}
 
@@ -453,16 +440,15 @@ def _block_grads(model: Model, saved_blocks, g):
     grads = {}
     for block, saved in zip(reversed(model.blocks), reversed(saved_blocks)):
         if block.pool is not None:
-            g = avgpool3d_backward(saved["pre_pool_dims"], block.pool, g)
+            g = avgpool3d_backward(saved["y"].shape, block.pool, g)
         # out = z + y: the skip feeds g straight back to y alongside the
-        # projection's input gradient
-        gy, gw_proj, gb_proj = conv3d_backward(
-            saved["y"], block.proj, g, cols=saved["proj_cols"]
-        )
+        # projection's input gradient; the projection's patch stack is y
+        gy, gw_proj, gb_proj = conv3d_backward(saved["y"], block.proj, g)
         gy += g
         grads[f"{block.proj.name}.weight"] = gw_proj
         grads[f"{block.proj.name}.bias"] = gb_proj
-        gpre = relu_backward(saved["pre"], gy)
+        # y > 0 exactly where ReLU's input is > 0
+        gpre = relu_backward(saved["y"], gy)
         # nothing consumes the gradient of the network input
         g, gw_main, gb_main = conv3d_backward(
             saved["x_in"], block.main, gpre, cols=saved["main_cols"],
@@ -508,8 +494,8 @@ def load_checkpoint(json_path) -> Model:
     """Rebuild a Model bit-exactly from its manifest + blob pair."""
     manifest = _read_header(json_path, "checkpoint", CHECKPOINT_FORMAT_VERSION,
                             [("config", dict), ("layers", list)])
-    for field in ("spectral_depth", "num_classes", "spatial_window"):
-        _field(manifest["config"], "checkpoint config", field, int)
+    config = {field: _field(manifest["config"], "checkpoint config", field, int)
+              for field in ("spectral_depth", "num_classes", "spatial_window")}
     if "rng_seed" in manifest:
         _field(manifest, "checkpoint", "rng_seed", int)
     declared = manifest["layers"]
@@ -534,8 +520,10 @@ def load_checkpoint(json_path) -> Model:
             )
         return np.empty(weight_shape, dtype="<f4"), np.empty(bias_shape, dtype="<f4")
 
-    config = ModelConfig.from_dict(manifest["config"])
-    model = _assemble(config, int(manifest.get("rng_seed", 0)), allocate)
+    try:
+        model = _assemble(ModelConfig(**config), int(manifest.get("rng_seed", 0)), allocate)
+    except (ConfigError, ShapeError) as exc:
+        raise FormatError(f"checkpoint config in {json_path} builds no model: {exc}") from exc
     params = list(model.parameters().values())  # the blob's order
     sizes = [p.size for p in params]
     blob = _read_payload(json_path, "checkpoint", "<f4", sum(sizes))

@@ -321,10 +321,12 @@ def relu(x):
 def relu_backward(x, upstream):
     """Pass upstream where x > 0; the subgradient at exactly 0 is 0.
 
-    The result is np.where(x > 0, upstream, 0) bit for bit (+0.0 wherever
-    x <= 0, even under a NaN or infinite upstream), computed as upstream's
-    bits ANDed with an all-ones or all-zeros mask, which needs no
-    per-element branch.
+    x may be ReLU's input or its output relu(input): the two are > 0 at
+    the same elements, NaN, signed zeros and infinities included, so
+    either gives the same bits.  The result is np.where(x > 0, upstream,
+    0) bit for bit (+0.0 wherever x <= 0, even under a NaN or infinite
+    upstream), computed as upstream's bits ANDed with an all-ones or
+    all-zeros mask, which needs no per-element branch.
     """
     x = np.asarray(x)
     upstream = np.asarray(upstream)

@@ -1,4 +1,4 @@
-"""Shards of one batch, or deals of an inference pass's strips, run on the
+"""Shards of one batch, or the strips of an inference pass, run on the
 calling thread and helper threads.
 
 OpenBLAS's thread count is process-wide.  It is read and set through the

@@ -13,10 +13,10 @@ and each strip is walked down in steps of network.STEP rows anchored at
 row 0.  Every step runs at one shape, even at the scene edge: its input
 is cut straight from the cube, reading zeros past the edge, and its
 logits are cropped to the scene.  So memory is bounded by one step, not
-the scene.  Both share one class grid (_class_grid): the strips are dealt
-out over the calling thread and helper threads (parallel.fan_out), while
-OpenBLAS is held at one thread, and each worker writes its steps' classes
-straight into one (height, width) grid.
+the scene.  Both share one class grid (_class_grid): the strips are fanned
+out over the calling thread and helper threads (parallel.fan_out), one
+strip per job, while OpenBLAS is held at one thread, and each job writes
+its steps' classes straight into one (height, width) grid.
 predict_map streams every step of every strip; evaluate streams only the
 steps holding a requested pixel, with the earlier steps they read.  A
 step's bits depend only on its input rows, neither on where its run
@@ -210,20 +210,20 @@ def _class_grid(model: Model, cube: HsiCube, strips):
     steps of the given strips, ties going to the lowest class; other
     pixels read 0.  strips is a list of (col, steps) for network.stream.
 
-    Worker i of a fan-out takes strips[i::count] and writes its steps'
-    classes straight into the grid, where no other step writes.  OpenBLAS stays at one thread for the whole pass.
+    Each strip is one fan-out job, which writes its steps' classes
+    straight into the grid, where no other step writes.  OpenBLAS stays
+    at one thread for the whole pass.
     """
     grid = np.zeros((cube.height, cube.width), dtype=np.int64)
-    count = min(len(strips), parallel.workers())
 
-    def deal(i):
-        for col, steps in strips[i::count]:
-            for row, logits in stream(model, cube.values, col, steps):
-                grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
-                    np.argmax(logits, axis=2) + 1
-                )
+    def strip(i):
+        col, steps = strips[i]
+        for row, logits in stream(model, cube.values, col, steps):
+            grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
+                np.argmax(logits, axis=2) + 1
+            )
 
-    parallel.fan_out(count, deal)
+    parallel.fan_out(len(strips), strip)
     return grid
 
 

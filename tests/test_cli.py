@@ -530,6 +530,16 @@ class TestInspectCommand:
         assert rc == 1
         assert "error[E_SHAPE]" in capsys.readouterr().err
 
+    def test_checkpoint_config_that_builds_no_model_is_a_format_error(
+            self, tmp_path, scene_dir, capsys):
+        ckpt = tmp_path / "model.ckpt.json"
+        doc = json.loads((scene_dir / "model.ckpt.json").read_text())
+        doc["config"]["spectral_depth"] = 2
+        ckpt.write_text(json.dumps(doc))
+        (tmp_path / "model.ckpt.raw").write_bytes((scene_dir / "model.ckpt.raw").read_bytes())
+        assert main(["inspect", "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith("error[E_FORMAT]: checkpoint config in ")
+
 
 class TestHelpAndGlobals:
     def test_train_help_lists_defaults(self, capsys):

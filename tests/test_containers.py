@@ -288,6 +288,12 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
     ("checkpoint", lambda doc: doc["layers"][3].pop("weight_shape")),
     ("checkpoint", lambda doc: doc["layers"].__setitem__(0, "Conv1")),
     ("checkpoint", lambda doc: doc.update(rng_seed="0")),
+    # each a config no model builds from; spectral_depth 2 is a valid
+    # ModelConfig whose Conv1 outgrows the depth
+    ("checkpoint", lambda doc: doc["config"].update(spectral_depth=0)),
+    ("checkpoint", lambda doc: doc["config"].update(num_classes=0)),
+    ("checkpoint", lambda doc: doc["config"].update(spatial_window=4)),
+    ("checkpoint", lambda doc: doc["config"].update(spectral_depth=2)),
     ("split", lambda doc: doc["test"].append(5)),
     ("split", lambda doc: doc["test"].append([5])),
     ("split", lambda doc: doc["test"].append([])),

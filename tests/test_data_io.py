@@ -120,6 +120,11 @@ class TestSplitContainer:
         assert reloaded.train == [(1, 1), (2, 2, 1)]
         assert reloaded.test == [(0, 2)]
 
+    def test_train_counts_name_the_first_pair_entry(self):
+        manifest = SplitManifest(seed=0, train=[(2, 2, 1), (0, 0), (1, 1)], test=[])
+        with pytest.raises(SplitError, match=r"^training entry \(0, 0\) carries no class"):
+            manifest.train_counts()
+
 
 class TestNormalize:
     def test_pair_entries_match_triples(self):

@@ -22,7 +22,7 @@ from specnet3d.network import (
     save_checkpoint,
     shape_trace,
 )
-from specnet3d.ops import avgpool3d_forward, conv3d_forward, relu
+from specnet3d.ops import _patch_stack, avgpool3d_forward, conv3d_forward, relu
 
 from oracles import assert_close, residual_grads
 
@@ -405,6 +405,18 @@ class TestOwnership:
         for array in ours:
             for other in theirs:
                 assert not np.shares_memory(array, other)
+
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_cache_holds_each_blocks_relu_output_once(self, n):
+        # backward rebuilds the projection's patch stack from y, and a
+        # pointwise stack is a view of its input, not a copy
+        model = small_model(seed=33)
+        _, cache = forward(model, _inputs(34, n)[0], keep_intermediates=True)
+        for shard in cache["shards"]:
+            for block, saved in zip(model.blocks, shard["blocks"], strict=True):
+                assert saved.keys() == {"x_in", "y", "main_cols"}
+                y = saved["y"]
+                assert np.shares_memory(_patch_stack(y, block.proj, y.shape[2:]), y)
 
 
 needs_openblas = pytest.mark.skipif(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specnet3d.errors import MismatchError, ShapeError
 from specnet3d.network import _BLOCK_PLAN
@@ -364,6 +366,23 @@ class TestRelu:
         g = relu_backward(x, up)
         fd = finite_difference(loss, [x])[0]
         assert_close(g, fd, 1e-3, "relu grad")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_backward_from_output_is_bitwise_backward_from_input(self, data):
+        # network.backward takes ReLU's gradient from its saved output
+        shape = data.draw(hnp.array_shapes(max_dims=3, max_side=5))
+        specials = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf])
+
+        def floats(dtype):
+            width = np.dtype(dtype).itemsize * 8
+            return hnp.arrays(dtype, shape, elements=st.floats(width=width) | specials)
+
+        x = data.draw(st.sampled_from([np.float32, np.float64]).flatmap(floats))
+        up = data.draw(st.sampled_from([np.float32, np.float64]).flatmap(floats))
+        want = relu_backward(x, up)
+        got = relu_backward(relu(x), up)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestLinear:

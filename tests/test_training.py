@@ -592,7 +592,7 @@ class TestParallelInference:
 
         def failing_at_second_strip(model, values, col, steps):
             during.append(parallel.blas_threads())
-            if col == STRIP:  # the second strip, in the second deal
+            if col == STRIP:  # the second strip, in its own job
                 raise RuntimeError("strip failed")
             return original(model, values, col, steps)
 
