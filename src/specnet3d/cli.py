@@ -128,9 +128,9 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--cube", required=True)
     p.add_argument("--out", required=True, help="output image path (.ppm)")
-    p.add_argument("--split",
-                   help="optional manifest supplying the normalization "
-                        "statistics used at training time")
+    p.add_argument("--split", required=True,
+                   help="split manifest (.split.json) the checkpoint was trained "
+                        "on; it supplies the normalization statistics")
 
     p = sub.add_parser("inspect",
                        help="print the shape trace and parameter ledger")
@@ -315,9 +315,7 @@ def cmd_eval(args):
 
 def cmd_predict_map(args):
     model = load_checkpoint(args.checkpoint)
-    cube = load_cube(args.cube)
-    if args.split:
-        cube = normalize(cube, load_split(args.split))
+    cube = normalize(load_cube(args.cube), load_split(args.split))
     grid = predict_map(model, cube)
     render_class_map(grid, args.out)
     print(f"wrote {args.out} ({cube.height}x{cube.width})")

@@ -325,13 +325,19 @@ def extract_patch(cube: HsiCube, row, col, window):
             f"patch center ({row}, {col}) outside image {cube.height}x{cube.width}"
         )
     half = window // 2
-    patch = np.zeros((1, 1, window, window, cube.bands), dtype=cube.values.dtype)
-    r0, r1 = max(0, row - half), min(cube.height, row + half + 1)
-    c0, c1 = max(0, col - half), min(cube.width, col + half + 1)
-    patch[0, 0, r0 - row + half:r1 - row + half, c0 - col + half:c1 - col + half] = (
-        cube.values[r0:r1, c0:c1, :]
-    )
-    return patch
+    return _cut(cube.values, row - half, col - half, window, window)
+
+
+def _cut(values, row, col, rows, cols):
+    """The (1, 1, rows, cols, S) window of the (height, width, S) raster
+    values whose first position is pixel (row, col), zeros where it lies
+    past the raster's edges: a training patch, or a stream step's input."""
+    x = np.zeros((1, 1, rows, cols, values.shape[2]), values.dtype)
+    r0, r1 = max(0, row), min(values.shape[0], row + rows)
+    c0, c1 = max(0, col), min(values.shape[1], col + cols)
+    if r0 < r1 and c0 < c1:
+        x[0, 0, r0 - row:r1 - row, c0 - col:c1 - col] = values[r0:r1, c0:c1]
+    return x
 
 
 def stratified_split(labels: LabelGrid, per_class_train=None, *, fraction=None,

@@ -8,9 +8,10 @@ activation follows the residual addition, and the classifier consumes the
 flattened block-4 output directly, in (c, h, w, d) order.  The skip is
 part of the architecture, not an option.
 
-The architecture is walked from _BLOCK_PLAN in one place, _assemble:
-build_model feeds it seeded draws, load_checkpoint the checkpoint's
-arrays.  The checkpoint is a data container (manifest + float32 blob).
+The architecture is stated once, in _BLOCK_PLAN, and the layer names
+follow from it.  _assemble is the one place that walks it: build_model
+feeds it seeded draws, load_checkpoint the checkpoint's arrays.  The
+checkpoint is a data container (manifest + float32 blob).
 
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
@@ -38,10 +39,11 @@ held at one thread.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import data
 from .data import _field, _read_header, _read_payload, _write_container
 from .errors import ConfigError, FormatError, MismatchError, ShapeError
 from .ops import (
@@ -80,10 +82,8 @@ SHARD = 32
 STRIP = 12
 STEP = 4
 
-CONV_LAYER_NAMES = (
-    "Conv1", "Conv1_1", "Conv2", "Conv2_1",
-    "Conv3", "Conv3_1", "Conv4", "Conv4_1",
-)
+# each block's main conv ConvN, then its projection ConvN_1
+CONV_LAYER_NAMES = tuple(n for name, *_ in _BLOCK_PLAN for n in (name, f"{name}_1"))
 LAYER_NAMES = CONV_LAYER_NAMES + ("FC",)
 
 
@@ -103,13 +103,6 @@ class ModelConfig:
                 f"spatial_window must be odd and >= 1, got {self.spatial_window}"
             )
 
-    def to_dict(self):
-        return {
-            "spectral_depth": self.spectral_depth,
-            "num_classes": self.num_classes,
-            "spatial_window": self.spatial_window,
-        }
-
 
 @dataclass
 class ResidualBlockSpec:
@@ -118,17 +111,6 @@ class ResidualBlockSpec:
     main: Conv3dSpec
     proj: Conv3dSpec
     pool: Pool3dSpec | None = None
-
-    def __post_init__(self):
-        if not (
-            self.proj.in_channels == self.proj.out_channels == self.main.out_channels
-        ):
-            raise ShapeError(
-                f"{self.proj.name}: projection must preserve {self.main.name}'s "
-                f"{self.main.out_channels} channels for the identity skip"
-            )
-        if self.proj.kernel != (1, 1, 1) or self.proj.stride != (1, 1, 1):
-            raise ShapeError(f"{self.proj.name}: projection must be 1x1x1, stride 1")
 
 
 @dataclass
@@ -149,10 +131,6 @@ class Model:
         params["FC.weight"] = self.fc_weights
         params["FC.bias"] = self.fc_bias
         return params
-
-    @property
-    def feature_length(self):
-        return self.fc_weights.shape[1]
 
 
 def _pool_spec(conv_name):
@@ -279,7 +257,7 @@ def forward(model: Model, x, keep_intermediates=False):
             f"{model.config.spectral_depth}): forward takes patches only"
         )
     slices = _shards(x.shape[0])
-    flat = np.empty((x.shape[0], model.feature_length),
+    flat = np.empty((x.shape[0], model.fc_weights.shape[1]),
                     np.result_type(x, *model.parameters().values()))
 
     def shard(i):
@@ -340,15 +318,15 @@ def stream(model: Model, values, col, steps):
     for i in steps:
         for plan, lag in zip(plans, lags):
             plan.update(range(i - -(-lag // STEP), i + 1))
-    height, width, bands = values.shape
+    height, width = values.shape[:2]
     half = model.config.spatial_window // 2
-    cut = (1, 1, STEP + stages[0][1], STRIP + lags[0] + stages[0][1], bands)
+    cut = (STEP + stages[0][1], STRIP + lags[0] + stages[0][1])
     buffers = [None] * len(stages)  # stage s's input, channels-first view
     for t in sorted(set().union(*plans)):
         for s, (blocks, _) in enumerate(stages[:-1]):
             if t in plans[s]:
                 if s == 0:
-                    x = _cut(values, t * STEP + lags[0] - half, col - half, cut)
+                    x = data._cut(values, t * STEP + lags[0] - half, col - half, *cut)
                 else:
                     x = buffers[s]
                 for block in blocks:
@@ -358,17 +336,6 @@ def stream(model: Model, values, col, steps):
         if t in plans[-1]:
             logits = _classify(model, buffers[-1])
             yield t * STEP, logits[:height - t * STEP, :width - col]
-
-
-def _cut(values, row, col, shape):
-    """The (1, 1, rows, cols, S) input whose first position is scene pixel
-    (row, col), zeros where it lies past the scene's edges."""
-    x = np.zeros(shape, values.dtype)
-    a0, a1 = max(0, row), min(values.shape[0], row + shape[2])
-    b0, b1 = max(0, col), min(values.shape[1], col + shape[3])
-    if a0 < a1 and b0 < b1:
-        x[0, 0, a0 - row:a1 - row, b0 - col:b1 - col] = values[a0:a1, b0:b1]
-    return x
 
 
 def _line_buffer(buffer, out, shrink, continued):
@@ -397,7 +364,7 @@ def _classify(model: Model, x):
     windows = np.lib.stride_tricks.as_strided(
         x, (STEP, STRIP, c, k, k, d), (sh, sw, sc, sh, sw, sd), writeable=False
     )
-    features = windows.reshape(STEP * STRIP, model.feature_length)
+    features = windows.reshape(STEP * STRIP, -1)
     return linear_forward(features, model.fc_weights, model.fc_bias).reshape(STEP, STRIP, -1)
 
 
@@ -461,13 +428,11 @@ def _block_grads(model: Model, saved_blocks, g):
 
 def param_count(model: Model):
     """Per-layer trainable parameter counts plus (conv_total, total)."""
-    counts = {}
-    for block in model.blocks:
-        for spec in (block.main, block.proj):
-            counts[spec.name] = spec.parameter_count()
-    conv_total = sum(counts.values())
-    counts["FC"] = model.fc_weights.size + model.fc_bias.size
-    return counts, conv_total, conv_total + counts["FC"]
+    params = model.parameters()
+    counts = {name: params[f"{name}.weight"].size + params[f"{name}.bias"].size
+              for name in LAYER_NAMES}
+    total = sum(counts.values())
+    return counts, total - counts["FC"], total
 
 
 def save_checkpoint(model: Model, json_path):
@@ -475,7 +440,7 @@ def save_checkpoint(model: Model, json_path):
     (.raw); layers in network order, weights before bias."""
     params = model.parameters()
     manifest = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "rng_seed": model.rng_seed,
         "layers": [
             {

@@ -111,10 +111,6 @@ class Conv3dSpec(_WindowSpec):
                     f"{self.name}: bias shape {self.bias.shape} != ({self.out_channels},)"
                 )
 
-    def parameter_count(self):
-        kh, kw, kd = self.kernel
-        return self.out_channels * (self.in_channels * kh * kw * kd + 1)
-
 
 @dataclass
 class Pool3dSpec(_WindowSpec):

@@ -145,18 +145,15 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     """Run the epoch loop over the split's training pixels.
 
     The cube is min-max normalized from training-pixel statistics before
-    any patch is cut.  Returns the per-epoch history; each entry carries
-    the mean training loss and, with eval_test, the test overall accuracy.
-    A non-finite batch loss, or a non-finite parameter after the last
-    step, raises NumericError before the checkpoint or the history file
-    is written.
+    any patch is cut; an empty training set fails there with SplitError.
+    Returns the per-epoch history; each entry carries the mean training
+    loss and, with eval_test, the test overall accuracy.  A non-finite
+    batch loss, or a non-finite parameter after the last step, raises
+    NumericError before the checkpoint or the history file is written.
     """
     _check_scene(model, cube, labels)
     train_pixels = [_check_pixel(labels, e) for e in split.train]
     test_pixels = [_check_pixel(labels, e) for e in split.test]
-    if not train_pixels:
-        raise SplitError("split has no training pixels")
-
     norm = normalize(cube, split)
     window = model.config.spatial_window
     params = model.parameters()

@@ -439,6 +439,16 @@ class TestPredictMapCommand:
         assert "error[E_SPLIT]" in err and f"({pixel[0]}, {pixel[1]})" in err
         assert not out.exists()
 
+    def test_split_is_required(self, tmp_path, scene_dir, capsys):
+        # a checkpoint expects the input train normalized from its split
+        out = tmp_path / "map.ppm"
+        with pytest.raises(SystemExit) as exc:
+            main(["predict-map", "--checkpoint", str(scene_dir / "model.ckpt.json"),
+                  "--cube", str(scene_dir / "scene.hsc.json"), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--split" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_p6_and_is_idempotent(self, tmp_path, scene_dir, capsys):
         a = tmp_path / "a.ppm"
         b = tmp_path / "b.ppm"

@@ -323,6 +323,7 @@ def test_cli_reports_missing_header_field(tmp_path, capsys):
     del doc["height"]
     cube.write_text(json.dumps(doc))
     rc = main(["predict-map", "--checkpoint", str(ckpt), "--cube", str(cube),
+               "--split", str(_written("split", tmp_path)),
                "--out", str(tmp_path / "map.ppm")])
     assert rc == 1
     err = capsys.readouterr().err

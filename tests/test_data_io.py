@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from specnet3d.data import (
+    _cut,
     HsiCube,
     LabelGrid,
     SplitManifest,
@@ -235,6 +237,36 @@ class TestExtractPatch:
         mask = (b != 0)
         assert np.array_equal(a[mask], b[mask])
         assert (a == 2.0).all()
+
+    # windows inside the raster, partly outside it, and wholly outside it
+    @settings(max_examples=60, deadline=None)
+    @given(height=st.integers(1, 6), width=st.integers(1, 6), bands=st.integers(1, 3),
+           row=st.integers(-12, 12), col=st.integers(-12, 12),
+           rows=st.integers(1, 8), cols=st.integers(1, 8), seed=st.integers(0, 99))
+    @example(height=6, width=6, bands=2, row=1, col=2, rows=3, cols=4, seed=0)
+    @example(height=6, width=6, bands=2, row=-2, col=4, rows=5, cols=5, seed=0)
+    @example(height=6, width=6, bands=2, row=-9, col=7, rows=3, cols=3, seed=0)
+    def test_cut_is_a_slice_of_the_zero_padded_raster(self, height, width, bands, row, col,
+                                                      rows, cols, seed):
+        values = seeded_cube((height, width, bands), seed).values
+        pad = 20  # beyond any window's reach past the raster
+        padded = np.zeros((height + 2 * pad, width + 2 * pad, bands), np.float32)
+        padded[pad:pad + height, pad:pad + width] = values
+        want = padded[pad + row:pad + row + rows, pad + col:pad + col + cols]
+        got = _cut(values, row, col, rows, cols)
+        assert got.shape == (1, 1, rows, cols, bands) and got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(height=st.integers(1, 9), width=st.integers(1, 9), half=st.integers(0, 5),
+           data=st.data())
+    def test_patch_is_the_cut_around_its_center(self, height, width, half, data):
+        cube = seeded_cube((height, width, 3), height * 10 + width)
+        r = data.draw(st.integers(0, height - 1))
+        c = data.draw(st.integers(0, width - 1))
+        window = 2 * half + 1
+        want = _cut(cube.values, r - half, c - half, window, window)
+        assert extract_patch(cube, r, c, window).tobytes() == want.tobytes()
 
 
 def grid_with_sizes(sizes, width=100):

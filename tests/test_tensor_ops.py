@@ -80,10 +80,6 @@ class TestTensor5:
         with pytest.raises(ShapeError):
             as_tensor5(np.zeros((2, 3, 4)))
 
-    def test_spec_parameter_count(self):
-        spec = Conv3dSpec("c", 35, 20, (3, 3, 3))
-        assert spec.parameter_count() == 35 * (20 * 27 + 1)
-
     def test_pool_error_names_stage(self):
         with pytest.raises(ShapeError, match="Pool2 depth"):
             Pool3dSpec((1, 1, 3), (1, 1, 2), name="Pool2").output_dims((3, 3, 2))

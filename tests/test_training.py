@@ -128,6 +128,16 @@ class TestTrainLoop:
                       history_path=tmp_path / "history.jsonl")
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_training_set_stops_without_checkpoint(self, tmp_path):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 3)
+        empty = SplitManifest(seed=0, train=[], test=split.test)
+        with pytest.raises(SplitError):
+            train(model, cube, labels, empty, TrainConfig(epochs=1), OptimizerState(),
+                  checkpoint_path=tmp_path / "m.ckpt.json",
+                  history_path=tmp_path / "history.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_last_step_stops_without_checkpoint(self, tmp_path):
         # one batch, so no later forward sees the weights of the last step;
         # 1e39 is finite in float64 and overflows the float32 weights
@@ -521,21 +531,31 @@ class TestDenseInference:
                     runs.update((i, col) for i in range(row // STEP - back, row // STEP + 1))
                 assert ran.count(name) == len(runs), name
 
-    def test_working_set_bounded_by_strip(self):
+    def test_working_set_bounded_by_strip(self, monkeypatch):
         # one step's working set outweighs a padded copy of a 96x96 scene;
-        # 192x192 is large enough for a scene-sized copy to break the bound
+        # 192x192 is large enough for a scene-sized copy to break the bound.
+        # One worker, so a peak does not depend on how many strips happened
+        # to run at once.  Each side's least peak over three calls: every
+        # read of a 5-axis array's __array_interface__ (as_strided reads it)
+        # adds and drops an entry of CPython's ~1 MB table of interned
+        # strings, so every few ten thousand reads the table is rebuilt,
+        # and the call that rebuilds it also holds the new copy
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
         rng = np.random.default_rng(46)
         model = build_model(ModelConfig(16, 4, 7), 47)
         peaks = []
         for side in (24, 96, 192):
             cube = HsiCube(values=rng.standard_normal((side, side, 16)).astype(np.float32))
-            tracemalloc.start()
-            try:
-                predict_map(model, cube)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks[1:]) <= 1.5 * peaks[0]
+            calls = []
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    predict_map(model, cube)
+                    calls.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(min(calls))
+        assert max(peaks[1:]) <= 1.5 * peaks[0], peaks
 
 
 class TestParallelInference:
