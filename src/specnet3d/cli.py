@@ -1,7 +1,9 @@
 """Command-line workflow: split, train, eval, predict-map, inspect.
 
 All randomness flows from two explicit seeds (--model-seed for weight
-init, --seed/--shuffle-seed for the split and batch order).
+init, --seed/--shuffle-seed for the split and batch order).  The
+commands check nothing themselves: each precondition is checked once,
+by the library call that needs it, and train writes the report.
 
 Each option's default is declared once, on its add_argument, and taken
 from OptimizerState, TrainConfig or ModelConfig where the library has
@@ -29,8 +31,8 @@ from .data import (
     save_split,
     stratified_split,
 )
-from .errors import ConfigError, MismatchError, SpecnetError
-from .metrics import kappa, overall_accuracy, render_class_map, write_report
+from .errors import ConfigError, SpecnetError
+from .metrics import kappa, load_report, overall_accuracy, render_class_map, write_report
 from .network import (
     CONV_LAYER_NAMES,
     ModelConfig,
@@ -260,11 +262,13 @@ def cmd_train(args):
     model = build_model(model_config, args.model_seed)
     checkpoint_path = os.path.join(args.out_dir, "model.ckpt.json")
     history_path = os.path.join(args.out_dir, "history.jsonl")
-    history = train(
+    report_path = os.path.join(args.out_dir, "report.json")
+    train(
         model, cube, labels, split, config, opt,
         eval_test=args.eval_test,
         checkpoint_path=checkpoint_path,
         history_path=history_path,
+        report_path=report_path,
         log=lambda entry: print(
             f"epoch {entry['epoch']}: mean_loss={entry['mean_loss']:.6f}"
             + (
@@ -274,16 +278,10 @@ def cmd_train(args):
             )
         ),
     )
-
-    # final report over the test side when present, else over train
-    norm = normalize(cube, split)
-    side = split.test if split.test else split.train
-    matrix = evaluate(model, norm, labels, side)
-    report_path = os.path.join(args.out_dir, "report.json")
-    write_report(matrix, report_path, history=history)
+    report = load_report(report_path)
     print(
-        f"final overall_accuracy={overall_accuracy(matrix):.4f} "
-        f"kappa={kappa(matrix):.4f} ({'test' if split.test else 'train'} side)"
+        f"final overall_accuracy={report['overall_accuracy']:.4f} "
+        f"kappa={report['kappa']:.4f} ({'test' if split.test else 'train'} side)"
     )
     print(f"wrote {checkpoint_path}, {history_path}, {report_path}")
     return 0
@@ -294,15 +292,8 @@ def cmd_eval(args):
     cube = load_cube(args.cube)
     labels = load_labels(args.labels)
     split = load_split(args.split)
-    if model.config.spectral_depth != cube.bands:
-        raise MismatchError(
-            f"checkpoint was trained on {model.config.spectral_depth} bands "
-            f"but the cube has {cube.bands}"
-        )
     norm = normalize(cube, split)
     side = split.test if args.on == "test" else split.train
-    if not side:
-        raise ConfigError(f"split has no {args.on} pixels to evaluate")
     matrix = evaluate(model, norm, labels, side)
     write_report(matrix, args.out)
     print(

@@ -46,6 +46,9 @@ class ConfusionMatrix:
         return cls(np.zeros((num_classes, num_classes), dtype=np.int64), class_names)
 
     def add(self, true_cls, pred_cls):
+        for cls in (true_cls, pred_cls):
+            if not 1 <= cls <= self.num_classes:
+                raise MetricError(f"class {cls} is outside [1, {self.num_classes}]")
         self.counts[true_cls - 1, pred_cls - 1] += 1
 
     @property
@@ -130,6 +133,8 @@ def render_class_map(grid, out_path):
     if grid.ndim != 2:
         raise ShapeError(f"class map must be 2-D, got ndim={grid.ndim}")
     height, width = grid.shape
+    if grid.min() < 0:
+        raise ShapeError(f"class map holds class {grid.min()}; classes are >= 0")
     lut_size = int(grid.max()) + 1
     lut = np.asarray([class_color(c) for c in range(lut_size)], dtype=np.uint8)
     pixels = lut[grid]

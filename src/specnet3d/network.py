@@ -10,8 +10,9 @@ part of the architecture, not an option.
 
 The architecture is stated once, in _BLOCK_PLAN, and the layer names
 follow from it.  _assemble is the one place that walks it: build_model
-feeds it seeded draws, load_checkpoint the checkpoint's arrays.  The
-checkpoint is a data container (manifest + float32 blob).
+feeds it seeded draws, load_checkpoint empty arrays the blob fills.  The
+checkpoint is a data container (manifest + float32 blob) whose layer
+list is the model's _layer_table, the one layer check on loading.
 
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
@@ -39,13 +40,13 @@ held at one thread.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import data
 from .data import _field, _read_header, _read_payload, _write_container
-from .errors import ConfigError, FormatError, MismatchError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .ops import (
     _channels_first,
     _conv3d_forward_cols,
@@ -435,60 +436,54 @@ def param_count(model: Model):
     return counts, total - counts["FC"], total
 
 
+def _layer_table(model: Model):
+    """The checkpoint's layer list: names and shapes, in network order."""
+    params = model.parameters()
+    return [
+        {
+            "name": name,
+            "weight_shape": list(params[f"{name}.weight"].shape),
+            "bias_shape": list(params[f"{name}.bias"].shape),
+        }
+        for name in LAYER_NAMES
+    ]
+
+
 def save_checkpoint(model: Model, json_path):
     """Write the manifest (.json) and the raw little-endian float32 blob
     (.raw); layers in network order, weights before bias."""
-    params = model.parameters()
     manifest = {
         "config": asdict(model.config),
         "rng_seed": model.rng_seed,
-        "layers": [
-            {
-                "name": name,
-                "weight_shape": list(params[f"{name}.weight"].shape),
-                "bias_shape": list(params[f"{name}.bias"].shape),
-            }
-            for name in LAYER_NAMES
-        ],
+        "layers": _layer_table(model),
     }
     _write_container(json_path, CHECKPOINT_FORMAT_VERSION, manifest,
-                     params.values(), "<f4")
+                     model.parameters().values(), "<f4")
 
 
 def load_checkpoint(json_path) -> Model:
-    """Rebuild a Model bit-exactly from its manifest + blob pair."""
+    """Rebuild a Model bit-exactly from its manifest + blob pair; the first
+    layer entry that differs from _layer_table is a FormatError."""
     manifest = _read_header(json_path, "checkpoint", CHECKPOINT_FORMAT_VERSION,
                             [("config", dict), ("layers", list)])
-    config = {field: _field(manifest["config"], "checkpoint config", field, int)
-              for field in ("spectral_depth", "num_classes", "spatial_window")}
-    if "rng_seed" in manifest:
-        _field(manifest, "checkpoint", "rng_seed", int)
-    declared = manifest["layers"]
-    for d in declared:
-        if not isinstance(d, dict):
-            raise FormatError(f"checkpoint layer entry {d!r} is not an object")
-        for field, types in (("name", str), ("weight_shape", list), ("bias_shape", list)):
-            _field(d, "checkpoint layer", field, types)
-    if [d["name"] for d in declared] != list(LAYER_NAMES):
-        raise FormatError(
-            f"checkpoint layer order {[d['name'] for d in declared]} does not "
-            f"match the architecture"
-        )
-    entries = iter(declared)
+    config = {f.name: _field(manifest["config"], "checkpoint config", f.name, int)
+              for f in fields(ModelConfig)}
+    rng_seed = _field(manifest, "checkpoint", "rng_seed", int) if "rng_seed" in manifest else 0
 
     def allocate(name, weight_shape, bias_shape):
-        d = next(entries)
-        if tuple(d["weight_shape"]) != weight_shape or tuple(d["bias_shape"]) != bias_shape:
-            raise MismatchError(
-                f"{name}: checkpoint shapes {d['weight_shape']}/{d['bias_shape']} "
-                f"do not match model shapes {list(weight_shape)}/{list(bias_shape)}"
-            )
         return np.empty(weight_shape, dtype="<f4"), np.empty(bias_shape, dtype="<f4")
 
     try:
-        model = _assemble(ModelConfig(**config), int(manifest.get("rng_seed", 0)), allocate)
+        model = _assemble(ModelConfig(**config), rng_seed, allocate)
     except (ConfigError, ShapeError) as exc:
         raise FormatError(f"checkpoint config in {json_path} builds no model: {exc}") from exc
+    declared, table = manifest["layers"], _layer_table(model)
+    for i in range(max(len(declared), len(table))):
+        got, want = declared[i:i + 1] or "nothing", table[i:i + 1] or "nothing"
+        if got != want:
+            raise FormatError(
+                f"checkpoint layer entry {i} is {got}, but its config builds {want}"
+            )
     params = list(model.parameters().values())  # the blob's order
     sizes = [p.size for p in params]
     blob = _read_payload(json_path, "checkpoint", "<f4", sum(sizes))

@@ -37,7 +37,7 @@ import numpy as np
 from . import parallel
 from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
-from .metrics import ConfusionMatrix, overall_accuracy
+from .metrics import ConfusionMatrix, overall_accuracy, write_report
 from .network import STEP, STRIP, Model, backward, forward, save_checkpoint, stream
 from .ops import softmax_cross_entropy
 
@@ -99,7 +99,8 @@ def sgd_step(params, grads, state: OptimizerState):
         w -= state.learning_rate * v
 
 
-def _check_pixel(labels: LabelGrid, entry):
+def _check_pixel(labels: LabelGrid, classes, entry):
+    """(row, col, class) of a split entry, checked against labels and classes."""
     row, col = int(entry[0]), int(entry[1])
     if not (0 <= row < labels.height and 0 <= col < labels.width):
         raise SplitError(
@@ -111,6 +112,10 @@ def _check_pixel(labels: LabelGrid, entry):
     if len(entry) > 2 and int(entry[2]) != cls:
         raise MismatchError(
             f"pixel ({row}, {col}) is labeled {cls} but listed as {entry[2]}"
+        )
+    if cls > classes:
+        raise MismatchError(
+            f"pixel ({row}, {col}) is labeled {cls}, but the model has {classes} classes"
         )
     return row, col, cls
 
@@ -141,25 +146,28 @@ def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):
 
 def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
           config: TrainConfig, opt: OptimizerState, eval_test=False,
-          checkpoint_path=None, history_path=None, log=None):
+          checkpoint_path=None, history_path=None, report_path=None, log=None):
     """Run the epoch loop over the split's training pixels.
 
-    The cube is min-max normalized from training-pixel statistics before
-    any patch is cut; an empty training set fails there with SplitError.
+    Every split pixel is checked before the first forward, and the cube
+    is min-max normalized from training-pixel statistics before any
+    patch is cut; an empty training set fails there with SplitError.
     Returns the per-epoch history; each entry carries the mean training
     loss and, with eval_test, the test overall accuracy.  A non-finite
     batch loss, or a non-finite parameter after the last step, raises
-    NumericError before the checkpoint or the history file is written.
+    NumericError before any file is written.  The report is over the
+    test side (else the training side) of the run's own normalized cube.
     """
     _check_scene(model, cube, labels)
-    train_pixels = [_check_pixel(labels, e) for e in split.train]
-    test_pixels = [_check_pixel(labels, e) for e in split.test]
+    train_pixels = [_check_pixel(labels, model.config.num_classes, e) for e in split.train]
+    test_pixels = [_check_pixel(labels, model.config.num_classes, e) for e in split.test]
     norm = normalize(cube, split)
     window = model.config.spatial_window
     params = model.parameters()
     rng = np.random.default_rng(config.shuffle_seed)
 
     history = []
+    matrix = None  # the last epoch's test matrix, with eval_test
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_pixels))
         loss_sum = 0.0
@@ -199,6 +207,10 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
         with open(partial, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
         os.replace(partial, history_path)
+    if report_path:
+        if matrix is None:
+            matrix = evaluate(model, norm, labels, test_pixels or train_pixels)
+        write_report(matrix, report_path, history=history)
     return history
 
 
@@ -226,20 +238,16 @@ def _class_grid(model: Model, cube: HsiCube, strips):
 
 def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> ConfusionMatrix:
     """Confusion matrix over a labeled pixel set (pass the cube already
-    normalized the same way training saw it).
+    normalized the same way training saw it); an empty set is a ConfigError.
 
     Only the steps holding a requested pixel run, with the earlier steps
     they depend on; each pixel's prediction is bitwise the one
     predict_map gives it.
     """
     _check_scene(model, cube, labels)
-    pixels = [_check_pixel(labels, e) for e in pixel_set]
-    classes = model.config.num_classes
-    for r, c, cls in pixels:
-        if cls > classes:
-            raise MismatchError(
-                f"pixel ({r}, {c}) is labeled {cls}, but the model has {classes} classes"
-            )
+    pixels = [_check_pixel(labels, model.config.num_classes, e) for e in pixel_set]
+    if not pixels:
+        raise ConfigError("the pixel set to evaluate is empty")
     strips = {}
     for r, c, _ in pixels:
         strips.setdefault(c - c % STRIP, set()).add(r // STEP)

@@ -323,6 +323,36 @@ class TestTrainCommand:
         assert proc.stderr.startswith("error[E_CONFIG]: epochs")
         assert not (tmp_path / "bad").exists()
 
+    def test_normalizes_once_and_evaluates_once_per_epoch(self, tmp_path, scene_dir,
+                                                          capsys, monkeypatch):
+        from specnet3d import cli, training
+        from specnet3d.data import load_labels, stratified_split
+
+        split = tmp_path / "held_out.split.json"
+        save_split(stratified_split(load_labels(scene_dir / "scene.lbl.json"), 2, seed=0),
+                   split)
+        calls = []
+        for module, name in ((training, "normalize"), (cli, "normalize"),
+                             (training, "evaluate"), (cli, "evaluate")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--labels", str(scene_dir / "scene.lbl.json"), "--split", str(split),
+                   "--out-dir", str(out_dir), "--epochs", "2", "--eval-test"])
+        assert rc == 0
+        assert calls.count("normalize") == 1
+        assert calls.count("evaluate") == 2
+        history = [json.loads(ln) for ln in
+                   (out_dir / "history.jsonl").read_text().splitlines()]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["overall_accuracy"] == history[-1]["test_overall_accuracy"]
+        assert f"final overall_accuracy={report['overall_accuracy']:.4f}" in (
+            capsys.readouterr().out
+        )
+
     def test_deterministic_artifacts(self, tmp_path, scene_dir, capsys):
         hashes = []
         for name in ("r1", "r2"):

@@ -294,6 +294,9 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
     ("checkpoint", lambda doc: doc["config"].update(num_classes=0)),
     ("checkpoint", lambda doc: doc["config"].update(spatial_window=4)),
     ("checkpoint", lambda doc: doc["config"].update(spectral_depth=2)),
+    # a layer entry with a key the table lacks, and two swapped entries
+    ("checkpoint", lambda doc: doc["layers"][5].update(dtype="<f4")),
+    ("checkpoint", lambda doc: doc["layers"].insert(1, doc["layers"].pop(0))),
     ("split", lambda doc: doc["test"].append(5)),
     ("split", lambda doc: doc["test"].append([5])),
     ("split", lambda doc: doc["test"].append([])),

@@ -44,6 +44,15 @@ def exact_stats(rows):
     return float(p_o), float((p_o - p_e) / (1 - p_e))
 
 
+class TestConfusionMatrix:
+    @pytest.mark.parametrize("true_cls, pred_cls, bad", [(0, 1, 0), (4, 1, 4), (2, 4, 4)])
+    def test_add_rejects_class_outside_the_matrix(self, true_cls, pred_cls, bad):
+        m = ConfusionMatrix.zeros(3)
+        with pytest.raises(MetricError, match=f"^class {bad} "):
+            m.add(true_cls, pred_cls)
+        assert m.total == 0
+
+
 class TestOverallAccuracy:
     def test_diagonal_is_perfect(self):
         m = ConfusionMatrix(np.diag([5, 9, 2]))
@@ -197,6 +206,11 @@ class TestClassMap:
         colors = {class_color(c) for c in range(1, 10)}
         assert len(colors) == 9
         assert class_color(0) == (0, 0, 0)
+
+    def test_rejects_negative_class(self, tmp_path):
+        with pytest.raises(ShapeError, match="class -1"):
+            render_class_map([[-1, 2]], tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
 
     def test_rejects_non_grid(self, tmp_path):
         with pytest.raises(ShapeError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specnet3d import network, parallel
-from specnet3d.errors import FormatError, MismatchError, ShapeError
+from specnet3d.errors import FormatError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
     SHARD,
@@ -337,10 +337,14 @@ class TestCheckpoint:
         else:
             layers[4]["name"] = "Conv5"
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="layer order"):
+        # the first entry that differs from the table the config builds
+        entry = {"missing": 3, "extra": 2, "renamed": 4}[edit]
+        with pytest.raises(FormatError, match=f"^checkpoint layer entry {entry} is "):
             load_checkpoint(path)
 
     def test_layer_shape_mismatch_rejected(self, tmp_path):
+        # shapes that disagree with the manifest's own config: one file
+        # that disagrees with itself is malformed (E_FORMAT)
         model = build_model(ModelConfig(24, 5, 7), 0)
         path = tmp_path / "model.ckpt.json"
         save_checkpoint(model, path)
@@ -348,8 +352,9 @@ class TestCheckpoint:
         # same scalar count, so the blob still fits the manifest
         doc["layers"][-1]["weight_shape"].reverse()
         path.write_text(json.dumps(doc))
-        with pytest.raises(MismatchError, match="FC"):
+        with pytest.raises(FormatError, match="^checkpoint layer entry 8 is .*'FC'") as exc:
             load_checkpoint(path)
+        assert exc.value.code == "E_FORMAT"
 
 
 def _step(model, x, up):

@@ -205,6 +205,17 @@ class TestTrainLoop:
         with pytest.raises(MismatchError):
             train(model, cube, labels, split, TrainConfig(epochs=1), OptimizerState())
 
+    def test_class_the_model_lacks_rejected_before_any_forward(self, monkeypatch):
+        cube, labels, split = overfit_scene()  # labels hold classes 1-9
+        model = build_model(ModelConfig(cube.bands, 2, 7), 0)
+        r, c, k = next(e for e in split.train if e[2] > 2)
+        ran = []
+        monkeypatch.setattr(training, "forward", lambda *args, **kw: ran.append(args))
+        with pytest.raises(MismatchError, match=rf"^pixel \({r}, {c}\) is labeled {k}, "
+                                                r"but the model has 2 classes$"):
+            train(model, cube, labels, split, TrainConfig(epochs=1), OptimizerState())
+        assert ran == []
+
     def test_epochs_invariant(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
@@ -364,6 +375,12 @@ class TestEvaluate:
                                                 r"but the model has 2 classes$"):
             evaluate(model, cube, labels, split.train)
         assert ran == []
+
+    def test_empty_pixel_set_rejected(self):
+        cube, labels, _ = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 0)
+        with pytest.raises(ConfigError, match="empty"):
+            evaluate(model, cube, labels, [])
 
     @pytest.mark.parametrize("pixel", [(-1, 0), (0, -1), (8, 0), (0, 4)])
     def test_pixel_outside_scene_rejected(self, pixel):
