@@ -1,9 +1,10 @@
 """Command-line workflow: split, train, eval, predict-map, inspect.
 
-All randomness flows from two explicit seeds (--model-seed for weight
-init, --seed/--shuffle-seed for the split and batch order).  The
-commands check nothing themselves: each precondition is checked once,
-by the library call that needs it, and train writes the report.
+All randomness flows from three explicit seeds: --model-seed for weight
+init, --seed for a split sampled inline, and --shuffle-seed for the batch
+order.  The commands check nothing themselves: each precondition is
+checked once, by the library call that needs it, and train writes the
+report.
 
 Each option's default is declared once, on its add_argument, and taken
 from OptimizerState, TrainConfig or ModelConfig where the library has
@@ -32,7 +33,7 @@ from .data import (
     stratified_split,
 )
 from .errors import ConfigError, SpecnetError
-from .metrics import kappa, load_report, overall_accuracy, render_class_map, write_report
+from .metrics import load_report, render_class_map, write_report
 from .network import (
     CONV_LAYER_NAMES,
     ModelConfig,
@@ -232,6 +233,14 @@ def cmd_split(args):
     return 0
 
 
+def _scores(report):
+    """A written report's overall accuracy and kappa, as train and eval
+    print them."""
+    kappa = report["kappa"]
+    return (f"overall_accuracy={report['overall_accuracy']:.4f} "
+            f"kappa={'undefined' if kappa is None else f'{kappa:.4f}'}")
+
+
 def cmd_train(args):
     print(
         f"training: learning_rate={args.learning_rate} momentum={args.momentum} "
@@ -278,11 +287,8 @@ def cmd_train(args):
             )
         ),
     )
-    report = load_report(report_path)
-    print(
-        f"final overall_accuracy={report['overall_accuracy']:.4f} "
-        f"kappa={report['kappa']:.4f} ({'test' if split.test else 'train'} side)"
-    )
+    print(f"final {_scores(load_report(report_path))} "
+          f"({'test' if split.test else 'train'} side)")
     print(f"wrote {checkpoint_path}, {history_path}, {report_path}")
     return 0
 
@@ -295,11 +301,7 @@ def cmd_eval(args):
     norm = normalize(cube, split)
     side = split.test if args.on == "test" else split.train
     matrix = evaluate(model, norm, labels, side)
-    write_report(matrix, args.out)
-    print(
-        f"overall_accuracy={overall_accuracy(matrix):.4f} "
-        f"kappa={kappa(matrix):.4f} pixels={matrix.total}"
-    )
+    print(f"{_scores(write_report(matrix, args.out))} pixels={matrix.total}")
     print(f"wrote {args.out}")
     return 0
 

@@ -95,7 +95,8 @@ def kappa(m: ConfusionMatrix) -> float:
 
 
 def write_report(m: ConfusionMatrix, out_path, history=None):
-    """JSON report bundling the matrix and its derived statistics."""
+    """JSON report bundling the matrix and its derived statistics; an
+    undefined per-class accuracy or kappa is written as null."""
     per_class = per_class_accuracy(m)
     doc = {
         "matrix": m.counts.tolist(),
@@ -103,8 +104,11 @@ def write_report(m: ConfusionMatrix, out_path, history=None):
         "per_class_accuracy": [
             None if math.isnan(v) else float(v) for v in per_class
         ],
-        "kappa": kappa(m),
     }
+    try:
+        doc["kappa"] = kappa(m)
+    except MetricError:  # expected agreement 1; an empty matrix failed above
+        doc["kappa"] = None
     if m.class_names:
         doc["class_names"] = m.class_names
     if history is not None:
@@ -115,7 +119,7 @@ def write_report(m: ConfusionMatrix, out_path, history=None):
 def load_report(path):
     return _read_header(path, "report", REPORT_FORMAT_VERSION, [
         ("matrix", list), ("overall_accuracy", (int, float)),
-        ("per_class_accuracy", list), ("kappa", (int, float)),
+        ("per_class_accuracy", list), ("kappa", (int, float, type(None))),
     ])
 
 

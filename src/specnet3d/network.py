@@ -9,10 +9,11 @@ flattened block-4 output directly, in (c, h, w, d) order.  The skip is
 part of the architecture, not an option.
 
 The architecture is stated once, in _BLOCK_PLAN, and the layer names
-follow from it.  _assemble is the one place that walks it: build_model
-feeds it seeded draws, load_checkpoint empty arrays the blob fills.  The
-checkpoint is a data container (manifest + float32 blob) whose layer
-list is the model's _layer_table, the one layer check on loading.
+follow from it.  shape_trace walks it for the dims, and _assemble for the
+layers: build_model feeds it seeded draws, load_checkpoint empty arrays
+the blob fills.  The checkpoint is a data container (manifest + float32
+blob) whose layer list is the model's _layer_table, the one layer check
+on loading.
 
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
@@ -35,8 +36,12 @@ in steps of STEP rows, and each stage of the network (block 1, blocks
 2-4, the classifier) computes each of its output rows once per strip,
 keeping the rows the next step reads again in a line buffer (fused-layer
 inference; Alwani et al. 2016, "Fused-layer CNN accelerators").
-training fans a pass out over threads one strip per job, with OpenBLAS
-held at one thread.
+class_grid, the one inference pass of evaluate and predict_map, fans a
+pass out over threads one strip per job, with OpenBLAS held at one
+thread.  A step's bits depend on its input rows alone, not on which
+other pixels are wanted, the worker or the BLAS thread count.  They
+match forward on each pixel's own patch to float32 rounding, not
+bitwise: a step and a patch hand BLAS GEMMs of different shapes.
 """
 
 import math
@@ -337,6 +342,37 @@ def stream(model: Model, values, col, steps):
         if t in plans[-1]:
             logits = _classify(model, buffers[-1])
             yield t * STEP, logits[:height - t * STEP, :width - col]
+
+
+def class_grid(model: Model, values, pixels=None):
+    """(height, width) int64 grid of the classes in [1, C] the model gives
+    the (height, width, S) scene values, ties going to the lowest class.
+
+    pixels, (row, col, ...) entries, name the wanted pixels: only the
+    steps holding one of them run, with the earlier steps they read, and
+    pixels outside those steps read 0.  With none, every step of every
+    strip runs.  A strip's job writes its steps' classes straight into the
+    grid, where no other step writes.
+    """
+    height, width = values.shape[:2]
+    if pixels is None:  # one origin pixel per step
+        pixels = [(row, col) for row in range(0, height, STEP)
+                  for col in range(0, width, STRIP)]
+    steps_by_col = {}
+    for row, col, *_ in pixels:
+        steps_by_col.setdefault(col - col % STRIP, set()).add(row // STEP)
+    strips = sorted(steps_by_col.items())
+    grid = np.zeros((height, width), dtype=np.int64)
+
+    def strip(i):
+        col, steps = strips[i]
+        for row, logits in stream(model, values, col, steps):
+            grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
+                np.argmax(logits, axis=2) + 1
+            )
+
+    fan_out(len(strips), strip)
+    return grid
 
 
 def _line_buffer(buffer, out, shrink, continued):

@@ -342,8 +342,8 @@ def relu_backward(x, upstream):
 
 
 def linear_forward(x, weights, bias):
-    """logits[c] = bias[c] + sum_f weights[c, f] * x[f], for one sample (F,)
-    or a batch (n, F).
+    """logits[i, c] = bias[c] + sum_f weights[c, f] * x[i, f], for a batch
+    x of shape (n, F).
 
     Each row is its own (1, F) x (F, C) product, so a row's logits do not
     depend on how many rows come with it.
@@ -351,42 +351,32 @@ def linear_forward(x, weights, bias):
     x = np.ascontiguousarray(x)
     weights = np.ascontiguousarray(weights)
     bias = np.asarray(bias)
-    if x.shape[-1] != weights.shape[1]:
+    if x.ndim != 2:
+        raise ShapeError(f"linear input must be an (n, F) batch, got ndim={x.ndim}")
+    if x.shape[1] != weights.shape[1]:
         raise ShapeError(
-            f"feature length {x.shape[-1]} != classifier width {weights.shape[1]}"
+            f"feature length {x.shape[1]} != classifier width {weights.shape[1]}"
         )
-    if x.ndim == 1:
-        return linear_forward(x[None, :], weights, bias)[0]
-    if x.ndim == 2:
-        return np.matmul(x[:, None, :], weights.T)[:, 0] + bias
-    raise ShapeError(f"linear input must be 1-D or 2-D, got ndim={x.ndim}")
+    return np.matmul(x[:, None, :], weights.T)[:, 0] + bias
 
 
 def linear_backward(x, weights, upstream):
-    """Exact partials of sum(upstream * linear_forward(x, ...)).
+    """Exact partials of sum(upstream * linear_forward(x, ...)), x an (n, F)
+    batch.
 
     Returns (grad_x, grad_weights, grad_bias).
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
     upstream = np.asarray(upstream)
-    if x.ndim == 1:
-        x2 = x[None, :]
-        g2 = upstream[None, :]
-    else:
-        x2 = x
-        g2 = upstream
-    if g2.shape != (x2.shape[0], weights.shape[0]):
+    if x.ndim != 2:
+        raise ShapeError(f"linear input must be an (n, F) batch, got ndim={x.ndim}")
+    if upstream.shape != (x.shape[0], weights.shape[0]):
         raise ShapeError(
             f"linear upstream shape {upstream.shape} does not match "
-            f"{x2.shape[0]} samples x {weights.shape[0]} classes"
+            f"{x.shape[0]} samples x {weights.shape[0]} classes"
         )
-    grad_x = g2 @ weights
-    grad_weights = g2.T @ x2
-    grad_bias = g2.sum(axis=0)
-    if x.ndim == 1:
-        grad_x = grad_x[0]
-    return grad_x, grad_weights, grad_bias
+    return upstream @ weights, upstream.T @ x, upstream.sum(axis=0)
 
 
 def softmax_cross_entropy(logits, target):

@@ -7,24 +7,9 @@ so identical seeds reproduce checkpoints and histories bitwise.  Within a
 step, forward and backward fan the batch's shards out over threads (see
 network); the bits depend on network.SHARD, not on the thread count.
 
-Inference (evaluate and predict_map) runs network.stream: the scene is
-cut into strips of network.STRIP output columns anchored at column 0,
-and each strip is walked down in steps of network.STEP rows anchored at
-row 0.  Every step runs at one shape, even at the scene edge: its input
-is cut straight from the cube, reading zeros past the edge, and its
-logits are cropped to the scene.  So memory is bounded by one step, not
-the scene.  Both share one class grid (_class_grid): the strips are fanned
-out over the calling thread and helper threads (parallel.fan_out), one
-strip per job, while OpenBLAS is held at one thread, and each job writes
-its steps' classes straight into one (height, width) grid.
-predict_map streams every step of every strip; evaluate streams only the
-steps holding a requested pixel, with the earlier steps they read.  A
-step's bits depend only on its input rows, neither on where its run
-started, nor on the worker that runs it, nor on the BLAS thread count,
-so a pixel's logits are bitwise the same whichever pixels are requested
-with it, and evaluate agrees bitwise with predict_map.  They match
-forward on the pixel's own patch to float32 rounding, not bitwise: a
-step and a patch hand BLAS GEMMs of different shapes.
+evaluate and predict_map are the two uses of network.class_grid, the one
+inference pass: predict_map classifies every pixel of the scene, and
+evaluate only the requested ones, each bitwise as predict_map does.
 """
 
 import json
@@ -34,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
 from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy, write_report
-from .network import STEP, STRIP, Model, backward, forward, save_checkpoint, stream
+from .network import Model, backward, class_grid, forward, save_checkpoint
 from .ops import softmax_cross_entropy
 
 
@@ -214,28 +198,6 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     return history
 
 
-def _class_grid(model: Model, cube: HsiCube, strips):
-    """(height, width) int64 grid of the classes in [1, C] of the given
-    steps of the given strips, ties going to the lowest class; other
-    pixels read 0.  strips is a list of (col, steps) for network.stream.
-
-    Each strip is one fan-out job, which writes its steps' classes
-    straight into the grid, where no other step writes.  OpenBLAS stays
-    at one thread for the whole pass.
-    """
-    grid = np.zeros((cube.height, cube.width), dtype=np.int64)
-
-    def strip(i):
-        col, steps = strips[i]
-        for row, logits in stream(model, cube.values, col, steps):
-            grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
-                np.argmax(logits, axis=2) + 1
-            )
-
-    parallel.fan_out(len(strips), strip)
-    return grid
-
-
 def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> ConfusionMatrix:
     """Confusion matrix over a labeled pixel set (pass the cube already
     normalized the same way training saw it); an empty set is a ConfigError.
@@ -248,10 +210,7 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
     pixels = [_check_pixel(labels, model.config.num_classes, e) for e in pixel_set]
     if not pixels:
         raise ConfigError("the pixel set to evaluate is empty")
-    strips = {}
-    for r, c, _ in pixels:
-        strips.setdefault(c - c % STRIP, set()).add(r // STEP)
-    grid = _class_grid(model, cube, sorted(strips.items()))
+    grid = class_grid(model, cube.values, pixels)
     matrix = ConfusionMatrix.zeros(model.config.num_classes, labels.class_names)
     for r, c, cls in pixels:
         matrix.add(cls, int(grid[r, c]))
@@ -263,5 +222,4 @@ def predict_map(model: Model, cube: HsiCube) -> np.ndarray:
     neighbourhoods at borders); returns a (height, width) grid of classes
     in [1, C], ties going to the lowest class."""
     _check_scene(model, cube)
-    steps = range(-(-cube.height // STEP))
-    return _class_grid(model, cube, [(col, steps) for col in range(0, cube.width, STRIP)])
+    return class_grid(model, cube.values)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specnet3d.cli import main
-from specnet3d.data import SplitManifest, save_cube, save_labels, save_split
+from specnet3d.data import HsiCube, LabelGrid, SplitManifest, save_cube, save_labels, save_split
 from specnet3d.metrics import PALETTE
 from specnet3d.network import ModelConfig, build_model, save_checkpoint
 from specnet3d.training import OptimizerState, TrainConfig, predict_map, train
@@ -31,6 +31,23 @@ def scene_dir(tmp_path_factory):
     train(model, cube, labels, split, TrainConfig(epochs=200, shuffle_seed=5),
           OptimizerState(), checkpoint_path=d / "model.ckpt.json")
     return d
+
+
+@pytest.fixture
+def one_class_dir(tmp_path):
+    """A 6x6 scene labeled class 1 throughout: a one-class model predicts
+    every pixel right, so kappa is undefined."""
+    rng = np.random.default_rng(60)
+    save_cube(HsiCube(values=rng.random((6, 6, 12), dtype=np.float32)),
+              tmp_path / "one.hsc.json")
+    save_labels(LabelGrid(labels=np.ones((6, 6), dtype=np.uint8)), tmp_path / "one.lbl.json")
+    return tmp_path
+
+
+def _train_one_class(d):
+    return main(["train", "--cube", str(d / "one.hsc.json"),
+                 "--labels", str(d / "one.lbl.json"), "--out-dir", str(d / "run"),
+                 "--per-class-train", "5", "--epochs", "1", "--learning-rate", "0.001"])
 
 
 class TestSplitCommand:
@@ -371,6 +388,18 @@ class TestTrainCommand:
         assert hashes[0] == hashes[1]
 
 
+    def test_undefined_kappa_written_as_null(self, one_class_dir, capsys):
+        assert _train_one_class(one_class_dir) == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "final overall_accuracy=1.0000 kappa=undefined (test side)" in out
+        run = one_class_dir / "run"
+        assert sorted(p.name for p in run.iterdir()) == [
+            "history.jsonl", "model.ckpt.json", "model.ckpt.raw", "report.json",
+            "train.split.json",
+        ]
+        assert json.loads((run / "report.json").read_text())["kappa"] is None
+
+
 class TestEvalCommand:
     def test_perfect_on_training_side(self, tmp_path, scene_dir, capsys):
         out = tmp_path / "report.json"
@@ -385,9 +414,22 @@ class TestEvalCommand:
         assert report["kappa"] == 1.0
         assert "overall_accuracy=1.0000" in capsys.readouterr().out
 
-    def test_band_mismatch_reports_both(self, tmp_path, scene_dir, capsys):
-        from specnet3d.data import HsiCube
+    def test_undefined_kappa_written_as_null(self, one_class_dir, capsys):
+        # train exits 1 on an undefined kappa without this fix; its
+        # checkpoint is written before the report either way
+        _train_one_class(one_class_dir)
+        run = one_class_dir / "run"
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run / "model.ckpt.json"),
+                   "--cube", str(one_class_dir / "one.hsc.json"),
+                   "--labels", str(one_class_dir / "one.lbl.json"),
+                   "--split", str(run / "train.split.json"), "--out", str(run / "eval.json")])
+        assert rc == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.startswith(
+            "overall_accuracy=1.0000 kappa=undefined pixels=31\n")
+        assert json.loads((run / "eval.json").read_text())["kappa"] is None
 
+    def test_band_mismatch_reports_both(self, tmp_path, scene_dir, capsys):
         rng = np.random.default_rng(0)
         other = HsiCube(values=rng.standard_normal((8, 4, 20)).astype(np.float32))
         save_cube(other, tmp_path / "other.hsc.json")
@@ -453,8 +495,6 @@ class TestEvalCommand:
 class TestPredictMapCommand:
     @pytest.mark.parametrize("pixel", [(9, 0, 1), (-1, 0, 1)])
     def test_split_pixel_outside_cube_rejected(self, tmp_path, scene_dir, capsys, pixel):
-        from specnet3d.data import HsiCube, SplitManifest
-
         rng = np.random.default_rng(1)
         save_cube(HsiCube(values=rng.random((6, 6, 12), dtype=np.float32)),
                   tmp_path / "small.hsc.json")

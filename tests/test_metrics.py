@@ -172,6 +172,15 @@ class TestReport:
         doc = load_report(path)
         assert doc["per_class_accuracy"][1] is None
 
+    def test_undefined_kappa_serialized_as_null(self, tmp_path):
+        # one class, all of it right: expected agreement is 1
+        path = tmp_path / "report.json"
+        assert write_report(ConfusionMatrix([[5]]), path)["kappa"] is None
+        assert load_report(path)["kappa"] is None
+        assert load_report(path)["overall_accuracy"] == 1.0
+        with pytest.raises(MetricError):
+            write_report(ConfusionMatrix([[0]]), tmp_path / "empty.json")
+
 
 class TestClassMap:
     def test_two_by_two_palette(self, tmp_path):

@@ -383,14 +383,14 @@ class TestRelu:
 
 class TestLinear:
     def test_identity_weights(self):
-        x = np.asarray([1.0, -2.0, 3.0], dtype=np.float32)
+        x = np.asarray([[1.0, -2.0, 3.0]], dtype=np.float32)
         logits = linear_forward(x, np.eye(3, dtype=np.float32), np.zeros(3, np.float32))
         assert np.array_equal(logits, x)
 
     def test_zero_input_gives_bias(self):
         b = np.asarray([0.5, -1.0], dtype=np.float32)
-        logits = linear_forward(np.zeros(4, np.float32), np.zeros((2, 4), np.float32), b)
-        assert np.array_equal(logits, b)
+        logits = linear_forward(np.zeros((1, 4), np.float32), np.zeros((2, 4), np.float32), b)
+        assert np.array_equal(logits, b[None, :])
 
     def test_classifier_parameter_arithmetic(self):
         w = np.zeros((9, 4095), dtype=np.float32)
@@ -399,8 +399,15 @@ class TestLinear:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            linear_forward(np.zeros(5, np.float32), np.zeros((2, 4), np.float32),
+            linear_forward(np.zeros((1, 5), np.float32), np.zeros((2, 4), np.float32),
                            np.zeros(2, np.float32))
+
+    def test_single_sample_without_batch_axis_rejected(self):
+        w = np.zeros((2, 4), np.float32)
+        with pytest.raises(ShapeError, match="ndim=1"):
+            linear_forward(np.zeros(4, np.float32), w, np.zeros(2, np.float32))
+        with pytest.raises(ShapeError, match="ndim=1"):
+            linear_backward(np.zeros(4, np.float32), w, np.zeros(2, np.float32))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(40)

@@ -370,7 +370,7 @@ class TestEvaluate:
         model = build_model(ModelConfig(cube.bands, 2, 7), 0)
         r, c, k = next(e for e in split.train if e[2] > 2)
         ran = []
-        monkeypatch.setattr(training, "stream", lambda *args: ran.append(args) or iter(()))
+        monkeypatch.setattr(network, "stream", lambda *args: ran.append(args) or iter(()))
         with pytest.raises(MismatchError, match=rf"^pixel \({r}, {c}\) is labeled {k}, "
                                                 r"but the model has 2 classes$"):
             evaluate(model, cube, labels, split.train)
@@ -436,16 +436,16 @@ def _scene_logits(model, cube):
 
 
 def _recording_stream(monkeypatch, record):
-    """Patch training's stream to call record(col, row, logits) on every
+    """Patch network's stream to call record(col, row, logits) on every
     step it yields."""
-    original = training.stream
+    original = network.stream
 
     def recording(model, values, col, steps):
         for row, logits in original(model, values, col, steps):
             record(col, row, logits)
             yield row, logits
 
-    monkeypatch.setattr(training, "stream", recording)
+    monkeypatch.setattr(network, "stream", recording)
 
 
 class TestDenseInference:
@@ -624,7 +624,7 @@ class TestParallelInference:
         model = build_model(ModelConfig(10, 2, 7), 54)
         monkeypatch.setattr(parallel, "workers", lambda: 2)
         before = parallel.blas_threads()
-        original = training.stream
+        original = network.stream
         during = []
 
         def failing_at_second_strip(model, values, col, steps):
@@ -633,7 +633,7 @@ class TestParallelInference:
                 raise RuntimeError("strip failed")
             return original(model, values, col, steps)
 
-        monkeypatch.setattr(training, "stream", failing_at_second_strip)
+        monkeypatch.setattr(network, "stream", failing_at_second_strip)
         with pytest.raises(RuntimeError, match="strip failed"):
             predict_map(model, cube)
         assert parallel.blas_threads() == before
