@@ -196,8 +196,20 @@ def _read_payload(header_path, kind, dtype, count):
     return payload
 
 
+# about this many bytes of the cube are copied into the band-sequential
+# payload at a time, so that a block's scattered reads stay in cache
+_SAVE_BLOCK_BYTES = 1 << 18
+
+
 def save_cube(cube: HsiCube, header_path):
-    """Write the JSON header and the band-sequential f32le payload."""
+    """Write the JSON header and the band-sequential f32le payload.
+
+    The payload is filled a block of image rows at a time
+    (_SAVE_BLOCK_BYTES of the cube, at least one row), converting any
+    dtype or memory order in that copy, so no second cube-sized array is
+    made; the bytes are those of values.transpose(2, 0, 1) as f32le,
+    whatever the block size.
+    """
     header = {
         "height": cube.height,
         "width": cube.width,
@@ -205,8 +217,12 @@ def save_cube(cube: HsiCube, header_path):
         "dtype": "f32le",
         "order": "bsq",
     }
-    _write_container(header_path, CUBE_FORMAT_VERSION, header,
-                     [cube.values.transpose(2, 0, 1)], "<f4")
+    values = cube.values
+    bsq = np.empty((cube.bands, cube.height, cube.width), "<f4")
+    rows = max(1, _SAVE_BLOCK_BYTES // values[0].nbytes)
+    for r in range(0, cube.height, rows):
+        bsq[:, r:r + rows] = values[r:r + rows].transpose(2, 0, 1)
+    _write_container(header_path, CUBE_FORMAT_VERSION, header, [bsq], "<f4")
 
 
 def load_cube(header_path) -> HsiCube:
@@ -292,7 +308,9 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
 
     Test pixels outside the training range map outside [0, 1] (no
     clamping); a band constant over the training set maps to all zeros.
-    A training pixel outside the cube raises SplitError.
+    A training pixel outside the cube raises SplitError.  A floating cube
+    keeps its dtype; any other cube is scaled in float32, bitwise as its
+    float32 copy would be.
     """
     if not stats_source.train:
         raise SplitError("normalization needs a non-empty training set")
@@ -305,12 +323,13 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
             f"training pixel ({rows[k]}, {cols[k]}) lies outside the "
             f"{cube.height}x{cube.width} cube"
         )
-    spectra = cube.values[rows, cols, :]
+    dtype = cube.values.dtype if np.issubdtype(cube.values.dtype, np.floating) else np.float32
+    spectra = cube.values[rows, cols, :].astype(dtype, copy=False)
     band_min = spectra.min(axis=0)
     band_range = spectra.max(axis=0) - band_min
     safe = np.where(band_range > 0, band_range, 1.0)
-    scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(cube.values.dtype)
-    values = cube.values - band_min
+    scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(dtype)
+    values = np.subtract(cube.values, band_min, dtype=dtype)
     values *= scale  # in place: one scene-sized array, not two
     return HsiCube(values=values)
 
@@ -372,9 +391,9 @@ def stratified_split(labels: LabelGrid, per_class_train=None, *, fraction=None,
         perm = rng.permutation(n)
         chosen = np.zeros(n, dtype=bool)
         chosen[perm[:take]] = True
-        for idx in range(n):
-            entry = (int(coords[idx, 0]), int(coords[idx, 1]), cls)
-            (train if chosen[idx] else test).append(entry)
+        for side, mask in ((train, chosen), (test, ~chosen)):
+            rows, cols = coords[mask].T.tolist()
+            side += zip(rows, cols, itertools.repeat(cls))
     return SplitManifest(
         seed=seed,
         per_class_train=per_class_train,

@@ -140,7 +140,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     loss and, with eval_test, the test overall accuracy.  A non-finite
     batch loss, or a non-finite parameter after the last step, raises
     NumericError before any file is written.  The report is over the
-    test side (else the training side) of the run's own normalized cube.
+    test side (else the training side) of the run's own normalized cube,
+    and its matrix is computed before the first write too.
     """
     _check_scene(model, cube, labels)
     train_pixels = [_check_pixel(labels, model.config.num_classes, e) for e in split.train]
@@ -183,6 +184,9 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
                 f"{name} is not finite after the last step; the run diverged "
                 f"(lower the learning rate)"
             )
+    if report_path and matrix is None:
+        # evaluated before the first write, so its failure leaves no file
+        matrix = evaluate(model, norm, labels, test_pixels or train_pixels)
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     if history_path:
@@ -192,8 +196,6 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
             fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
         os.replace(partial, history_path)
     if report_path:
-        if matrix is None:
-            matrix = evaluate(model, norm, labels, test_pixels or train_pixels)
         write_report(matrix, report_path, history=history)
     return history
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from specnet3d.data import (
+    _SAVE_BLOCK_BYTES,
     _cut,
     HsiCube,
     LabelGrid,
@@ -36,6 +37,51 @@ class TestCubeContainer:
         loaded = load_cube(path)
         assert np.array_equal(loaded.values, cube.values)
         assert loaded.values.dtype == np.float32
+
+    @staticmethod
+    def multi_block_shape(width=64, bands=32):
+        # three whole row blocks and half of a fourth
+        rows = _SAVE_BLOCK_BYTES // (width * bands * 4)
+        assert rows > 1
+        return (3 * rows + rows // 2, width, bands)
+
+    @staticmethod
+    def bsq_bytes(values):
+        return values.transpose(2, 0, 1).astype("<f4").tobytes()
+
+    def test_multi_block_payload_is_the_band_sequential_cube(self, tmp_path):
+        cube = seeded_cube(self.multi_block_shape(), seed=2)
+        path = tmp_path / "scene.hsc.json"
+        save_cube(cube, path)
+        assert (tmp_path / "scene.hsc.raw").read_bytes() == self.bsq_bytes(cube.values)
+        loaded = load_cube(path)
+        assert loaded.values.dtype == np.float32
+        assert loaded.values.tobytes() == cube.values.tobytes()
+
+    def test_float64_cube_stored_as_its_float32_rounding(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(self.multi_block_shape(width=40, bands=20))
+        save_cube(HsiCube(values=values), tmp_path / "scene.hsc.json")
+        assert (tmp_path / "scene.hsc.raw").read_bytes() == self.bsq_bytes(values)
+
+    def test_strided_cube_stored_as_its_contiguous_copy(self, tmp_path):
+        height, width, bands = self.multi_block_shape()
+        whole = seeded_cube((height, width, 2 * bands), seed=4).values
+        for values in (whole[:, ::-1, 1::2], np.asfortranarray(whole[:, :, :bands])):
+            save_cube(HsiCube(values=values), tmp_path / "scene.hsc.json")
+            assert (tmp_path / "scene.hsc.raw").read_bytes() == self.bsq_bytes(values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_save_holds_the_payload_and_no_second_cube(self, tmp_path, dtype):
+        values = seeded_cube(self.multi_block_shape(), seed=5).values.astype(dtype)
+        payload = values.size * 4
+        tracemalloc.start()
+        try:
+            save_cube(HsiCube(values=values), tmp_path / "scene.hsc.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload, (peak, payload)
 
     def test_truncated_payload_rejected(self, tmp_path):
         cube = seeded_cube((4, 5, 6))
@@ -196,6 +242,16 @@ class TestNormalize:
         # the result, and no second scene-sized temporary
         assert peak < 1.5 * cube.values.nbytes, peak
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int8, np.int64])
+    def test_integer_cube_scaled_as_its_float32_copy(self, dtype):
+        ints = np.asarray([[[4, 2]], [[8, 6]], [[3, 4]]], dtype=dtype)
+        manifest = SplitManifest(seed=0, train=[(0, 0), (1, 0)], test=[])
+        out = normalize(HsiCube(values=ints), manifest)
+        want = normalize(HsiCube(values=ints.astype(np.float32)), manifest)
+        assert out.values.dtype == np.float32
+        assert out.values.tobytes() == want.values.tobytes()
+        assert out.values[:, 0].tolist() == [[0, 0], [1, 1], [-0.25, 0.5]]
+
     def test_empty_train_rejected(self):
         cube = seeded_cube((2, 2, 2))
         with pytest.raises(SplitError):
@@ -312,6 +368,14 @@ class TestStratifiedSplit:
         assert train | test == labeled
         for _, _, cls in manifest.train + manifest.test:
             assert cls >= 1
+
+    def test_entries_are_int_tuples_in_row_major_order_per_class(self):
+        labels = grid_with_sizes([60, 70, 80], width=20)
+        manifest = stratified_split(labels, 20, seed=4)
+        for side in (manifest.train, manifest.test):
+            assert {type(v) for e in side for v in e} == {int}
+            assert all(type(e) is tuple for e in side)
+            assert side == sorted(side, key=lambda e: (e[2], e[0], e[1]))
 
     def test_taking_whole_class_empties_test(self):
         labels = grid_with_sizes([40, 40], width=10)

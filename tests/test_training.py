@@ -138,6 +138,21 @@ class TestTrainLoop:
                   history_path=tmp_path / "history.jsonl")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_report_evaluation_leaves_no_artifact(self, tmp_path, monkeypatch):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 3)
+
+        def failing_evaluate(*args, **kwargs):
+            raise MismatchError("evaluation failed")
+
+        monkeypatch.setattr(training, "evaluate", failing_evaluate)
+        with pytest.raises(MismatchError, match="evaluation failed"):
+            train(model, cube, labels, split, TrainConfig(epochs=1), OptimizerState(),
+                  checkpoint_path=tmp_path / "m.ckpt.json",
+                  history_path=tmp_path / "history.jsonl",
+                  report_path=tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_last_step_stops_without_checkpoint(self, tmp_path):
         # one batch, so no later forward sees the weights of the last step;
         # 1e39 is finite in float64 and overflows the float32 weights
