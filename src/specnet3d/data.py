@@ -10,10 +10,28 @@ its `.json` header, which must hold exactly the scalars the header
 declares.  Cubes are band-sequential float32 (`.hsc.json` + `.hsc.raw`),
 labels row-major unsigned bytes (`.lbl.json` + `.lbl.raw`), and split
 manifests header only (`.split.json`).
+
+The header bytes are those of json.dumps(header, indent=2,
+sort_keys=True) plus a newline, but the writer builds them one top-level
+field at a time.  CPython's json uses its C encoder only when no indent
+is given, so with indent=2 each of a split's ~45k pixel entries would go
+through the pure-Python encoder.  A list of rows of numbers, bools or
+nulls (the split's train and test, the report's matrix) is therefore
+encoded by the C encoder with no indent and "," plus a newline and
+depth-3 indent between items, which is exactly how the indented encoder
+separates a row's items.  A few str.replace calls then lay out the
+rest: in that text "],<separator>[" occurs only between rows, "[[" only
+at the start and "]]" only at the end, and each becomes the newlines
+and depth-2 indent the indented encoder writes there.  No such scalar's
+text holds a bracket, a comma or a newline, so nothing else changes.
+Every other list or dict field goes through the indented encoder, its
+lines shifted one level in (JSON strings hold no raw newline), and a
+scalar, which renders the same at any indent, through the C encoder.
 """
 
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -120,16 +138,64 @@ def _raw_path(json_path):
     return s[: -len(".json")] + ".raw"
 
 
+def _check_pixels(name, entries):
+    """entries, checked to be [row, col] or [row, col, class] lists or
+    tuples of ints or numpy integers: the split's rule on save and load
+    alike.  Bools, JSON true and false among them, are no integers."""
+    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2, 3}
+            and all(t is int or issubclass(t, np.integer)
+                    for t in set(map(type, itertools.chain.from_iterable(entries))))):
+        raise FormatError(
+            f"split header field {name!r} must hold [row, col] or [row, col, class] integers"
+        )
+    return entries
+
+
+# how json.dumps(indent=2) lays out rows of scalars as a top-level field:
+# each row at depth 2 and each row item at depth 3
+_ROW_ITEM_SEPARATOR = ",\n      "
+_ROW_LAYOUT = (("]" + _ROW_ITEM_SEPARATOR + "[", "\n    ],\n    [\n      "),
+               ("[[", "[\n    [\n      "), ("]]", "\n    ]\n  ]"))
+
+
+def _render_field(value):
+    """value as json.dumps(indent=2, sort_keys=True) renders it as the
+    value of a top-level key (see the module docstring)."""
+    if isinstance(value, list) and set(map(type, value)) <= {list, tuple}:
+        # numpy integers encode as ints; every other type as json would
+        text = json.dumps(value, separators=(_ROW_ITEM_SEPARATOR, ":"),
+                          default=operator.index)
+        # no list in a row (each row holds the one "[" it opens with), no
+        # empty row, and no string, so no key: an object in a row can
+        # only be {}, which renders the same at any indent
+        if text.count("[") == len(value) + 1 and '"' not in text and "[]" not in text:
+            for old, new in _ROW_LAYOUT:
+                text = text.replace(old, new)
+            return text
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return json.dumps(value)
+
+
 def _write_container(header_path, version, header, payload=(), dtype=None):
     """Write header, plus format_version, as indented sorted-key JSON with a
     trailing newline; the payload arrays, when given, go back to back as
-    C-order dtype scalars into the .raw beside it.  Returns the header as
-    written."""
+    C-order dtype scalars into the .raw beside it.  The header goes to
+    <header_path>.partial first and is renamed into place whole, so a
+    failed write leaves the previous file, and no partial one.  Returns
+    the header as written."""
     header = {"format_version": version, **header}
     raw_path = _raw_path(header_path) if payload else None
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = "{\n%s\n}\n" % ",\n".join(
+        f"  {json.dumps(key)}: {_render_field(header[key])}" for key in sorted(header))
+    partial = f"{header_path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(partial, header_path)
+    finally:
+        if os.path.exists(partial):  # the write or the rename failed
+            os.remove(partial)
     if payload:
         with open(raw_path, "wb") as fh:
             for array in payload:
@@ -268,28 +334,20 @@ def load_labels(header_path) -> LabelGrid:
 
 
 def save_split(manifest: SplitManifest, path):
+    """Write the split manifest; an entry load_split would refuse is a
+    FormatError before any file is opened.  numpy integers save as ints."""
     _write_container(path, SPLIT_FORMAT_VERSION, {
         "seed": manifest.seed,
         "per_class_train": manifest.per_class_train,
         "fraction": manifest.fraction,
-        "train": [[int(v) for v in e] for e in manifest.train],
-        "test": [[int(v) for v in e] for e in manifest.test],
+        "train": _check_pixels("train", manifest.train),
+        "test": _check_pixels("test", manifest.test),
     })
 
 
 def load_split(path) -> SplitManifest:
     doc = _read_header(path, "split", SPLIT_FORMAT_VERSION,
                        [("seed", int), ("train", list), ("test", list)])
-
-    def pixels(name):
-        entries = doc[name]
-        # type() is int, not isinstance: JSON true and false are no pixels
-        if not ({type(e) for e in entries} <= {list} and set(map(len, entries)) <= {2, 3}
-                and set(map(type, itertools.chain.from_iterable(entries))) <= {int}):
-            raise FormatError(
-                f"split header field {name!r} must hold [row, col] or [row, col, class] integers"
-            )
-        return [tuple(e) for e in entries]
 
     def optional(name, types):
         return None if doc.get(name) is None else _field(doc, "split", name, types)
@@ -298,8 +356,8 @@ def load_split(path) -> SplitManifest:
         seed=doc["seed"],
         per_class_train=optional("per_class_train", int),
         fraction=optional("fraction", (int, float)),
-        train=pixels("train"),
-        test=pixels("test"),
+        train=[tuple(e) for e in _check_pixels("train", doc["train"])],
+        test=[tuple(e) for e in _check_pixels("test", doc["test"])],
     )
 
 

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specnet3d.data import (
+    _write_container,
     HsiCube,
     LabelGrid,
     SplitManifest,
@@ -381,3 +382,110 @@ def test_load_gives_declared_shape_or_format_error(kind, dims, scalars):
         except FormatError:
             return
     assert (loaded.values if kind == "cube" else loaded.labels).shape == declared
+
+
+# pixel entries as a split holds them: (row, col) pairs and (row, col,
+# class) triples, with negative ints and ints beyond 32 bits among them
+INTS = st.integers(-5, 5) | st.integers(2**31, 2**40) | st.integers(-2**40, -2**31)
+ENTRIES = st.lists(st.tuples(INTS, INTS) | st.tuples(INTS, INTS, INTS), max_size=6)
+
+
+def _indented(header):
+    return (json.dumps(header, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@PROPERTY
+@given(seed=INTS, train=ENTRIES, test=ENTRIES,
+       sizes=st.sampled_from([(None, None), (3, None), (None, 0.25)]))
+@example(seed=0, train=[], test=[(7, -3)], sizes=(None, None))
+@example(seed=2**33, train=[(0, 1, 2), (3, 4)], test=[(2**31, -2**35, 1)], sizes=(3, None))
+def test_split_bytes_are_the_indented_encoders(seed, train, test, sizes):
+    manifest = SplitManifest(seed=seed, train=train, test=test,
+                             per_class_train=sizes[0], fraction=sizes[1])
+    header = {"format_version": 1, "seed": seed, "per_class_train": sizes[0],
+              "fraction": sizes[1], "train": train, "test": test}
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.split.json"
+        save_split(manifest, path)
+        assert path.read_bytes() == _indented(header)
+        assert load_split(path).train == train
+
+
+@PROPERTY
+@given(matrix=st.integers(1, 4).flatmap(lambda n: hnp.arrays(
+    np.int64, (n, n), elements=st.integers(0, 5) | st.integers(2**31, 2**40))))
+def test_report_bytes_are_the_indented_encoders(matrix):
+    matrix[0, 0] += 1  # an empty matrix has no accuracy
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.json"
+        header = write_report(ConfusionMatrix(matrix), path)
+        assert path.read_bytes() == _indented(header)
+
+
+# any JSON a header field may hold: rows of scalars, empty rows, and
+# strings and keys made of the characters the row layout edits
+TEXT = st.text(alphabet='[]{},:" \n\\a', max_size=3)
+SCALARS = st.none() | st.booleans() | st.integers(-2**40, 2**40) | st.floats() | TEXT
+JSON_VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(TEXT, inner, max_size=3), max_leaves=12)
+ROW_ITEMS = SCALARS | st.dictionaries(TEXT, SCALARS, max_size=1) | st.lists(SCALARS, max_size=2)
+ROWS = st.lists(st.lists(ROW_ITEMS, max_size=3) | st.tuples(ROW_ITEMS) | SCALARS, max_size=4)
+
+
+@PROPERTY
+@given(header=st.dictionaries(TEXT, JSON_VALUES | ROWS, max_size=5))
+# lists that are not rows of scalars but could pass for them
+@example(header={"a": [[1], 2, [[3]]], "b": [[]], "c": [["]]"]], "d": [[{}], (None, 1.5)]})
+def test_any_header_bytes_are_the_indented_encoders(header):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "h.json"
+        written = _write_container(path, 1, header)
+        assert path.read_bytes() == _indented(written)
+
+
+def test_split_rows_skip_the_pure_python_encoder(tmp_path, monkeypatch):
+    # json builds its pure-Python encoder only for an indented dump; a
+    # split written without it kept every row on the C encoder
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    entries = [(i // 100, i % 100, i % 9 + 1) for i in range(10_000)]
+    path = tmp_path / "s.split.json"
+    save_split(SplitManifest(seed=0, train=entries[:900], test=entries[900:],
+                             per_class_train=100), path)
+    assert load_split(path).test == entries[900:]
+
+
+class _FailingFile:
+    """A text file whose write stores half of the text, then fails as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("kind", ["split", "report"])
+def test_failed_header_write_keeps_the_previous_file(kind, tmp_path, monkeypatch):
+    import specnet3d.data
+
+    path = _written(kind, tmp_path)
+    before = CONTAINERS[kind][2](path)
+    monkeypatch.setattr(specnet3d.data, "open",
+                        lambda *a, **kw: _FailingFile(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        CONTAINERS[kind][1](path)
+    monkeypatch.undo()
+    assert path.read_bytes() == GOLDEN_HEADERS[kind].encode("utf-8")
+    assert CONTAINERS[kind][2](path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]

@@ -168,6 +168,32 @@ class TestSplitContainer:
         assert reloaded.train == [(1, 1), (2, 2, 1)]
         assert reloaded.test == [(0, 2)]
 
+    @pytest.mark.parametrize("entry", [
+        (0, 1, True), (0, 2.7, 1), (0, [1], 1), (np.int64(0), np.True_), (0,), (0, 1, 2, 3), 5,
+    ], ids=["bool", "float", "nested list", "numpy bool", "length 1", "length 4", "not a list"])
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_save_refuses_what_load_refuses(self, side, entry, tmp_path):
+        entries = {"train": [(0, 0, 1)], "test": [(1, 1, 1)]}
+        entries[side].append(entry)
+        path = tmp_path / "s.split.json"
+        with pytest.raises(FormatError) as saved:
+            save_split(SplitManifest(seed=0, **entries), path)
+        assert not path.exists()
+        path.write_text(json.dumps({"format_version": 1, "seed": 0, **entries},
+                                   default=lambda v: v.item()))
+        with pytest.raises(FormatError) as loaded:
+            load_split(path)
+        assert str(saved.value) == str(loaded.value) == (
+            f"split header field {side!r} must hold [row, col] or [row, col, class] integers")
+
+    def test_numpy_integer_entries_round_trip(self, tmp_path):
+        train = [tuple(np.array([0, 1, 1], dtype=np.int64)), (np.uint8(2), np.int32(3))]
+        path = tmp_path / "s.split.json"
+        save_split(SplitManifest(seed=0, train=train, test=[(np.int16(-1), 4, 2)]), path)
+        loaded = load_split(path)
+        assert loaded.train == [(0, 1, 1), (2, 3)] and loaded.test == [(-1, 4, 2)]
+        assert {type(v) for e in loaded.train + loaded.test for v in e} == {int}
+
     def test_train_counts_name_the_first_pair_entry(self):
         manifest = SplitManifest(seed=0, train=[(2, 2, 1), (0, 0), (1, 1)], test=[])
         with pytest.raises(SplitError, match=r"^training entry \(0, 0\) carries no class"):
