@@ -11,6 +11,9 @@ declares.  Cubes are band-sequential float32 (`.hsc.json` + `.hsc.raw`),
 labels row-major unsigned bytes (`.lbl.json` + `.lbl.raw`), and split
 manifests header only (`.split.json`).
 
+Every file the package writes, the history and class map too, goes
+through _write_file, a container's payload before its header.
+
 The header bytes are those of json.dumps(header, indent=2,
 sort_keys=True) plus a newline, but the writer builds them one top-level
 field at a time.  CPython's json uses its C encoder only when no indent
@@ -177,29 +180,34 @@ def _render_field(value):
     return json.dumps(value)
 
 
-def _write_container(header_path, version, header, payload=(), dtype=None):
-    """Write header, plus format_version, as indented sorted-key JSON with a
-    trailing newline; the payload arrays, when given, go back to back as
-    C-order dtype scalars into the .raw beside it.  The header goes to
-    <header_path>.partial first and is renamed into place whole, so a
-    failed write leaves the previous file, and no partial one.  Returns
-    the header as written."""
-    header = {"format_version": version, **header}
-    raw_path = _raw_path(header_path) if payload else None
-    text = "{\n%s\n}\n" % ",\n".join(
-        f"  {json.dumps(key)}: {_render_field(header[key])}" for key in sorted(header))
-    partial = f"{header_path}.partial"
+def _write_file(path, chunks):
+    """Write the bytes-like chunks back to back to <path>.partial, then
+    rename it over path: a failed write or rename leaves the previous
+    file, and no partial one."""
+    partial = f"{path}.partial"
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(partial, header_path)
+        with open(partial, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(partial, path)
     finally:
         if os.path.exists(partial):  # the write or the rename failed
             os.remove(partial)
+
+
+def _write_container(header_path, version, header, payload=(), dtype=None):
+    """Write header, plus format_version, as indented sorted-key JSON with a
+    trailing newline; the payload arrays, when given, go back to back as
+    C-order dtype scalars into the .raw beside it.  The header is rendered
+    before any write, and the payload is written before the header, each
+    through _write_file.  Returns the header as written."""
+    header = {"format_version": version, **header}
+    text = "{\n%s\n}\n" % ",\n".join(
+        f"  {json.dumps(key)}: {_render_field(header[key])}" for key in sorted(header))
     if payload:
-        with open(raw_path, "wb") as fh:
-            for array in payload:
-                fh.write(np.ascontiguousarray(array, dtype=dtype))
+        _write_file(_raw_path(header_path),
+                    (np.ascontiguousarray(a, dtype=dtype) for a in payload))
+    _write_file(header_path, [text.encode("utf-8")])
     return header
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .data import _read_header, _write_container
+from .data import _read_header, _write_container, _write_file
 from .errors import MetricError, ShapeError
 
 REPORT_FORMAT_VERSION = 1
@@ -132,7 +132,8 @@ def class_color(cls):
 
 
 def render_class_map(grid, out_path):
-    """Write a (height, width) class grid as a binary PPM (P6) image."""
+    """Write a (height, width) class grid as a binary PPM (P6) image,
+    renamed into place whole (data._write_file)."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ShapeError(f"class map must be 2-D, got ndim={grid.ndim}")
@@ -141,7 +142,4 @@ def render_class_map(grid, out_path):
         raise ShapeError(f"class map holds class {grid.min()}; classes are >= 0")
     lut_size = int(grid.max()) + 1
     lut = np.asarray([class_color(c) for c in range(lut_size)], dtype=np.uint8)
-    pixels = lut[grid]
-    with open(out_path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    _write_file(out_path, [f"P6\n{width} {height}\n255\n".encode("ascii"), lut[grid]])

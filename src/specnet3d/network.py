@@ -9,11 +9,13 @@ flattened block-4 output directly, in (c, h, w, d) order.  The skip is
 part of the architecture, not an option.
 
 The architecture is stated once, in _BLOCK_PLAN, and the layer names
-follow from it.  shape_trace walks it for the dims, and _assemble for the
-layers: build_model feeds it seeded draws, load_checkpoint empty arrays
-the blob fills.  The checkpoint is a data container (manifest + float32
-blob) whose layer list is the model's _layer_table, the one layer check
-on loading.
+follow from it.  _assemble walks it once, for the dims and the layers:
+shape_trace is its trace, and every model starts as its zero model.
+Model.parameters() is the one parameter order, in which build_model
+draws each weight into place and load_checkpoint fills each array from
+the blob.  The checkpoint is a data container (manifest + float32 blob)
+whose layer list is the model's _layer_table, the one layer check on
+loading.
 
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
@@ -139,9 +141,34 @@ class Model:
         return params
 
 
-def _pool_spec(conv_name):
-    """The depth pool closing the block whose main conv is ConvN: PoolN."""
-    return Pool3dSpec(**_POOL, name=f"Pool{conv_name[len('Conv'):]}")
+def _assemble(config: ModelConfig, rng_seed=0):
+    """(model, trace): the fixed architecture for config, walked once from
+    _BLOCK_PLAN, with zero weights and biases, and its shape trace (see
+    shape_trace).  A stage whose window no longer fits raises ShapeError
+    naming it."""
+    w = config.spatial_window
+    dims = (w, w, config.spectral_depth)
+    channels = 1
+    trace = [("input", (channels, *dims))]
+    blocks = []
+    for name, out_channels, kernel, stride, padding, pooled in _BLOCK_PLAN:
+        main = Conv3dSpec(name, out_channels, channels, kernel, stride, padding)
+        proj = Conv3dSpec(f"{name}_1", out_channels, out_channels, (1, 1, 1))
+        # PoolN, the depth pool closing the block of ConvN
+        pool = Pool3dSpec(**_POOL, name=f"Pool{name[len('Conv'):]}") if pooled else None
+        blocks.append(ResidualBlockSpec(main, proj, pool))
+        channels = out_channels
+        dims = main.output_dims(dims)
+        trace.append((name, (channels, *dims)))
+        if pool is not None:
+            dims = pool.output_dims(dims)
+            trace.append((pool.name, (channels, *dims)))
+    flat = channels * math.prod(dims)
+    trace.append(("flatten", flat))
+    model = Model(config=config, blocks=blocks,
+                  fc_weights=np.zeros((config.num_classes, flat), np.float32),
+                  fc_bias=np.zeros(config.num_classes, np.float32), rng_seed=rng_seed)
+    return model, trace
 
 
 def shape_trace(config: ModelConfig):
@@ -150,68 +177,24 @@ def shape_trace(config: ModelConfig):
     Raises ShapeError naming the first stage whose window no longer fits.
     The 1x1x1 projections never change dims and are omitted.
     """
-    w = config.spatial_window
-    dims = (w, w, config.spectral_depth)
-    channels = 1
-    trace = [("input", (channels, *dims))]
-    for name, out_channels, kernel, stride, padding, pooled in _BLOCK_PLAN:
-        conv = Conv3dSpec(name, out_channels, channels, kernel, stride, padding)
-        dims = conv.output_dims(dims)
-        channels = out_channels
-        trace.append((name, (channels, *dims)))
-        if pooled:
-            pool = _pool_spec(name)
-            dims = pool.output_dims(dims)
-            trace.append((pool.name, (channels, *dims)))
-    flat = channels * dims[0] * dims[1] * dims[2]
-    trace.append(("flatten", flat))
-    return trace
+    return _assemble(config)[1]
 
 
 def flattened_length(config: ModelConfig):
     return shape_trace(config)[-1][1]
 
 
-def _assemble(config: ModelConfig, rng_seed, layer_source) -> Model:
-    """The fixed architecture for config, walked from _BLOCK_PLAN; each
-    layer's (weights, bias) comes from layer_source(name, weight_shape,
-    bias_shape), called in network order (Conv1, Conv1_1, ..., FC)."""
-    flat = flattened_length(config)  # validates every stage first
-    blocks = []
-    in_channels = 1
-    for name, out_channels, kernel, stride, padding, pooled in _BLOCK_PLAN:
-        weights, bias = layer_source(
-            name, (out_channels, in_channels, *kernel), (out_channels,)
-        )
-        main = Conv3dSpec(name, out_channels, in_channels, kernel, stride, padding,
-                          weights=weights, bias=bias)
-        weights, bias = layer_source(
-            f"{name}_1", (out_channels, out_channels, 1, 1, 1), (out_channels,)
-        )
-        proj = Conv3dSpec(f"{name}_1", out_channels, out_channels, (1, 1, 1),
-                          weights=weights, bias=bias)
-        pool = _pool_spec(name) if pooled else None
-        blocks.append(ResidualBlockSpec(main, proj, pool))
-        in_channels = out_channels
-
-    fc_weights, fc_bias = layer_source(
-        "FC", (config.num_classes, flat), (config.num_classes,)
-    )
-    return Model(config=config, blocks=blocks, fc_weights=fc_weights,
-                 fc_bias=fc_bias, rng_seed=rng_seed)
-
-
 def build_model(config: ModelConfig, rng_seed: int) -> Model:
     """Instantiate the fixed architecture with fan-in uniform weights and
-    zero biases, reproducibly from rng_seed."""
+    zero biases, reproducibly from rng_seed: each weight of parameters(),
+    in its order, is drawn in place."""
+    model, _ = _assemble(config, rng_seed)
     rng = np.random.default_rng(rng_seed)
-
-    def draw(name, weight_shape, bias_shape):
-        limit = np.sqrt(6.0 / math.prod(weight_shape[1:]))  # fan-in
-        weights = rng.uniform(-limit, limit, size=weight_shape).astype(np.float32)
-        return weights, np.zeros(bias_shape, dtype=np.float32)
-
-    return _assemble(config, rng_seed, draw)
+    for name, p in model.parameters().items():
+        if name.endswith(".weight"):
+            limit = np.sqrt(6.0 / math.prod(p.shape[1:]))  # fan-in
+            p[...] = rng.uniform(-limit, limit, size=p.shape)
+    return model
 
 
 def _block(block: ResidualBlockSpec, x, cache=None):
@@ -505,12 +488,8 @@ def load_checkpoint(json_path) -> Model:
     config = {f.name: _field(manifest["config"], "checkpoint config", f.name, int)
               for f in fields(ModelConfig)}
     rng_seed = _field(manifest, "checkpoint", "rng_seed", int) if "rng_seed" in manifest else 0
-
-    def allocate(name, weight_shape, bias_shape):
-        return np.empty(weight_shape, dtype="<f4"), np.empty(bias_shape, dtype="<f4")
-
     try:
-        model = _assemble(ModelConfig(**config), rng_seed, allocate)
+        model, _ = _assemble(ModelConfig(**config), rng_seed)
     except (ConfigError, ShapeError) as exc:
         raise FormatError(f"checkpoint config in {json_path} builds no model: {exc}") from exc
     declared, table = manifest["layers"], _layer_table(model)

@@ -14,12 +14,11 @@ evaluate only the requested ones, each bitwise as predict_map does.
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import HsiCube, LabelGrid, SplitManifest, extract_patch, normalize
+from .data import HsiCube, LabelGrid, SplitManifest, _write_file, extract_patch, normalize
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy, write_report
 from .network import Model, backward, class_grid, forward, save_checkpoint
@@ -190,11 +189,9 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     if history_path:
-        # renamed into place whole, so a run that stops leaves no history
-        partial = f"{history_path}.partial"
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(entry, sort_keys=True) + "\n" for entry in history)
-        os.replace(partial, history_path)
+        _write_file(history_path, [
+            (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8") for entry in history
+        ])
     if report_path:
         write_report(matrix, report_path, history=history)
     return history

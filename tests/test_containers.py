@@ -4,9 +4,13 @@ checkpoint and report.
 The golden-bytes tests pin every byte the writers produce for tiny
 hand-built inputs, so any change to the header serialisation or payload
 layout shows up here. The checkpoint's weights are set by hand, not drawn,
-so its pin does not depend on numpy's random stream.
+so its pin does not depend on numpy's random stream.  The full-disk tests
+at the end cover every file the package writes, the training history and
+the class map included.
 """
 
+import builtins
+import errno
 import hashlib
 import json
 import math
@@ -32,8 +36,11 @@ from specnet3d.data import (
     save_split,
 )
 from specnet3d.errors import FormatError
-from specnet3d.metrics import ConfusionMatrix, load_report, write_report
+from specnet3d.metrics import ConfusionMatrix, load_report, render_class_map, write_report
 from specnet3d.network import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from specnet3d.training import OptimizerState, TrainConfig, train
+
+from synth import overfit_scene
 
 
 def _write_cube(path):
@@ -472,7 +479,10 @@ class _FailingFile:
 
     def write(self, text):
         self.fh.write(text[: len(text) // 2])
-        raise OSError(28, "No space left on device")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
 
 
 @pytest.mark.parametrize("kind", ["split", "report"])
@@ -489,3 +499,55 @@ def test_failed_header_write_keeps_the_previous_file(kind, tmp_path, monkeypatch
     assert path.read_bytes() == GOLDEN_HEADERS[kind].encode("utf-8")
     assert CONTAINERS[kind][2](path) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def _disk_fills_on(monkeypatch, name):
+    """From now on, a file opened at a path ending in name, or in name plus
+    ".partial", stores half of its first write and then fails as a full
+    disk would, whichever module opens it."""
+    real_open = builtins.open
+
+    def fake_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if str(file).removesuffix(".partial").endswith(name):
+            return _FailingFile(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", fake_open)
+
+
+@pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+def test_failed_payload_write_keeps_the_previous_file(kind, tmp_path, monkeypatch):
+    # the payload goes before the header, so the header never describes a
+    # payload that did not land
+    path = _written(kind, tmp_path)
+    header, payload = path.read_bytes(), _raw(path).read_bytes()
+    _disk_fills_on(monkeypatch, ".raw")
+    with pytest.raises(OSError, match="No space left"):
+        CONTAINERS[kind][1](path)
+    monkeypatch.undo()
+    assert (path.read_bytes(), _raw(path).read_bytes()) == (header, payload)
+    CONTAINERS[kind][2](path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, _raw(path).name])
+
+
+def test_failed_class_map_write_keeps_the_previous_map(tmp_path, monkeypatch):
+    path = tmp_path / "map.ppm"
+    render_class_map([[1, 2], [3, 4]], path)
+    before = path.read_bytes()
+    _disk_fills_on(monkeypatch, "map.ppm")
+    with pytest.raises(OSError, match="No space left"):
+        render_class_map([[4, 3], [2, 1]], path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_failed_history_write_leaves_no_file(tmp_path, monkeypatch):
+    cube, labels, split = overfit_scene()
+    model = build_model(ModelConfig(cube.bands, 9, 7), 3)
+    _disk_fills_on(monkeypatch, "history.jsonl")
+    with pytest.raises(OSError, match="No space left"):
+        train(model, cube, labels, split, TrainConfig(epochs=1), OptimizerState(),
+              history_path=tmp_path / "history.jsonl")
+    assert list(tmp_path.iterdir()) == []

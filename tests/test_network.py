@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import threading
 import warnings
@@ -10,6 +11,7 @@ from specnet3d import network, parallel
 from specnet3d.errors import FormatError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
+    LAYER_NAMES,
     SHARD,
     Model,
     ModelConfig,
@@ -100,9 +102,12 @@ class TestShapeTrace:
         assert trace["Conv2"][1:3] == (3, 3)
         assert trace["Conv4"][1:3] == (3, 3)
 
-    def test_depth_collapse_names_stage(self):
+    # both walk _BLOCK_PLAN through the one _assemble
+    @pytest.mark.parametrize("make", [shape_trace, lambda config: build_model(config, 0)],
+                             ids=["shape_trace", "build_model"])
+    def test_depth_collapse_names_stage(self, make):
         with pytest.raises(ShapeError, match="Conv2"):
-            shape_trace(ModelConfig(4, 9, 7))
+            make(ModelConfig(4, 9, 7))
 
     def test_independent_rederivation(self):
         # re-derive the stage arithmetic from the layer table by hand
@@ -277,6 +282,21 @@ class TestBuildModel:
             assert na == nb and np.array_equal(pa, pb)
         c = build_model(ModelConfig(30, 9, 7), 43)
         assert not np.array_equal(a.blocks[0].main.weights, c.blocks[0].main.weights)
+
+    @pytest.mark.parametrize("config, seed", [(ModelConfig(30, 9, 7), 42),
+                                              (ModelConfig(103, 9, 7), 0)])
+    def test_initial_draws_are_pinned(self, config, seed):
+        # one generator, one fan-in uniform draw per weight in network
+        # order, cast to float32; biases zero
+        params = build_model(config, seed).parameters()
+        assert list(params) == [f"{n}.{k}" for n in LAYER_NAMES for k in ("weight", "bias")]
+        rng = np.random.default_rng(seed)
+        for name in LAYER_NAMES:
+            weight, bias = params[f"{name}.weight"], params[f"{name}.bias"]
+            limit = np.sqrt(6.0 / math.prod(weight.shape[1:]))
+            want = rng.uniform(-limit, limit, weight.shape).astype(np.float32)
+            assert weight.dtype == want.dtype and weight.tobytes() == want.tobytes(), name
+            assert bias.dtype == np.float32 and bias.tobytes() == bytes(bias.nbytes), name
 
     def test_fan_in_bounds(self):
         model = build_model(ModelConfig(102, 9, 7), 3)
