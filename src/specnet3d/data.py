@@ -7,9 +7,13 @@ container is a JSON header carrying format_version, written with
 two-space indent, sorted keys and a trailing newline; an artifact with a
 payload stores it as raw little-endian scalars in the `.raw` file beside
 its `.json` header, which must hold exactly the scalars the header
-declares.  Cubes are band-sequential float32 (`.hsc.json` + `.hsc.raw`),
-labels row-major unsigned bytes (`.lbl.json` + `.lbl.raw`), and split
-manifests header only (`.split.json`).
+declares.  Each raster kind has one format record of its kind name,
+format_version, header dims, dtype and order names and payload scalar,
+which _write_raster writes and _read_raster checks, each dim at least 1:
+_CUBE, band-sequential float32 (`.hsc.json` + `.hsc.raw`), and _LABELS,
+row-major unsigned bytes (`.lbl.json` + `.lbl.raw`).  Split manifests
+are header only (`.split.json`).  _read_header checks optional fields
+(class_names, per_class_train, fraction) unless absent or null.
 
 Every file the package writes, the history and class map too, goes
 through _write_file, a container's payload before its header.
@@ -32,9 +36,10 @@ lines shifted one level in (JSON strings hold no raw newline), and a
 scalar, which renders the same at any indent, through the C encoder.
 """
 
+import collections
 import itertools
 import json
-import operator
+import math
 import os
 from dataclasses import dataclass
 
@@ -42,9 +47,13 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError, SplitError
 
-CUBE_FORMAT_VERSION = 1
-LABELS_FORMAT_VERSION = 1
 SPLIT_FORMAT_VERSION = 1
+
+
+# a raster kind's container format (see the module docstring)
+_Raster = collections.namedtuple("_Raster", "kind version dims dtype order scalar")
+_CUBE = _Raster("cube", 1, ("height", "width", "bands"), "f32le", "bsq", "<f4")
+_LABELS = _Raster("labels", 1, ("height", "width"), "u8", "row-major", "u1")
 
 
 @dataclass
@@ -161,13 +170,18 @@ _ROW_LAYOUT = (("]" + _ROW_ITEM_SEPARATOR + "[", "\n    ],\n    [\n      "),
                ("[[", "[\n    [\n      "), ("]]", "\n    ]\n  ]"))
 
 
+def _plain(value):
+    """json's default hook: a numpy scalar encodes as the number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render_field(value):
     """value as json.dumps(indent=2, sort_keys=True) renders it as the
     value of a top-level key (see the module docstring)."""
     if isinstance(value, list) and set(map(type, value)) <= {list, tuple}:
-        # numpy integers encode as ints; every other type as json would
-        text = json.dumps(value, separators=(_ROW_ITEM_SEPARATOR, ":"),
-                          default=operator.index)
+        text = json.dumps(value, separators=(_ROW_ITEM_SEPARATOR, ":"), default=_plain)
         # no list in a row (each row holds the one "[" it opens with), no
         # empty row, and no string, so no key: an object in a row can
         # only be {}, which renders the same at any indent
@@ -176,8 +190,8 @@ def _render_field(value):
                 text = text.replace(old, new)
             return text
     if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-    return json.dumps(value)
+        return json.dumps(value, indent=2, sort_keys=True, default=_plain).replace("\n", "\n  ")
+    return json.dumps(value, default=_plain)
 
 
 def _write_file(path, chunks):
@@ -211,9 +225,10 @@ def _write_container(header_path, version, header, payload=(), dtype=None):
     return header
 
 
-def _read_header(header_path, kind, version, fields=()):
+def _read_header(header_path, kind, version, fields=(), optional=()):
     """A container's JSON header, checked to be an object carrying the given
-    format_version and each (name, types) field in fields."""
+    format_version and each (name, types) field in fields, and checked on
+    each (name, types) field in optional that is present and not null."""
     with open(header_path, "r", encoding="utf-8") as fh:
         try:
             header = json.load(fh)
@@ -225,6 +240,9 @@ def _read_header(header_path, kind, version, fields=()):
         raise FormatError(f"unknown {kind} format_version {header.get('format_version')!r}")
     for name, types in fields:
         _field(header, kind, name, types)
+    for name, types in optional:
+        if header.get(name) is not None:
+            _field(header, kind, name, types)
     return header
 
 
@@ -241,15 +259,6 @@ def _field(doc, kind, name, types):
             f"{kind} header field {name!r} is {type(value).__name__}, expected {expected}"
         )
     return value
-
-
-def _dims(header, kind, names):
-    """The header's named int fields, each of which must be >= 1: a dim
-    below 1 is rejected before any payload is read."""
-    for name in names:
-        if header[name] < 1:
-            raise FormatError(f"{kind} header field {name!r} is {header[name]}, must be >= 1")
-    return [header[name] for name in names]
 
 
 def _read_payload(header_path, kind, dtype, count):
@@ -270,6 +279,29 @@ def _read_payload(header_path, kind, dtype, count):
     return payload
 
 
+def _write_raster(fmt: _Raster, header_path, dims, payload, **fields):
+    """Write a raster's header, its dims, encoding and any extra fields,
+    and its payload array, converted to fmt's scalar."""
+    header = {**dict(zip(fmt.dims, dims)), "dtype": fmt.dtype, "order": fmt.order, **fields}
+    _write_container(header_path, fmt.version, header, [payload], fmt.scalar)
+
+
+def _read_raster(fmt: _Raster, header_path, optional=()):
+    """(dims, header, flat payload) of a raster, its header checked like
+    _read_header's, then for fmt's encoding and each dim >= 1, all before
+    the payload of exactly the scalars the dims multiply out to is read."""
+    header = _read_header(header_path, fmt.kind, fmt.version,
+                          [(name, int) for name in fmt.dims], optional)
+    encoding = header.get("dtype"), header.get("order")
+    if encoding != (fmt.dtype, fmt.order):
+        raise FormatError(f"unsupported {fmt.kind} encoding {encoding[0]!r}/{encoding[1]!r}")
+    for name in fmt.dims:
+        if header[name] < 1:
+            raise FormatError(f"{fmt.kind} header field {name!r} is {header[name]}, must be >= 1")
+    dims = [header[name] for name in fmt.dims]
+    return dims, header, _read_payload(header_path, fmt.kind, fmt.scalar, math.prod(dims))
+
+
 # about this many bytes of the cube are copied into the band-sequential
 # payload at a time, so that a block's scattered reads stay in cache
 _SAVE_BLOCK_BYTES = 1 << 18
@@ -284,66 +316,36 @@ def save_cube(cube: HsiCube, header_path):
     made; the bytes are those of values.transpose(2, 0, 1) as f32le,
     whatever the block size.
     """
-    header = {
-        "height": cube.height,
-        "width": cube.width,
-        "bands": cube.bands,
-        "dtype": "f32le",
-        "order": "bsq",
-    }
     values = cube.values
-    bsq = np.empty((cube.bands, cube.height, cube.width), "<f4")
+    bsq = np.empty((cube.bands, cube.height, cube.width), _CUBE.scalar)
     rows = max(1, _SAVE_BLOCK_BYTES // values[0].nbytes)
     for r in range(0, cube.height, rows):
         bsq[:, r:r + rows] = values[r:r + rows].transpose(2, 0, 1)
-    _write_container(header_path, CUBE_FORMAT_VERSION, header, [bsq], "<f4")
+    _write_raster(_CUBE, header_path, values.shape, bsq)
 
 
 def load_cube(header_path) -> HsiCube:
     """Load a cube, validating version, payload size, and finiteness."""
-    header = _read_header(header_path, "cube", CUBE_FORMAT_VERSION,
-                          [("height", int), ("width", int), ("bands", int)])
-    if header.get("dtype") != "f32le" or header.get("order") != "bsq":
-        raise FormatError(
-            f"unsupported cube encoding {header.get('dtype')!r}/{header.get('order')!r}"
-        )
-    p, q, s = _dims(header, "cube", ("height", "width", "bands"))
-    bsq = _read_payload(header_path, "cube", "<f4", s * p * q).reshape(s, p, q)
-    values = np.ascontiguousarray(bsq.transpose(1, 2, 0))
+    (p, q, s), _, payload = _read_raster(_CUBE, header_path)
+    values = np.ascontiguousarray(payload.reshape(s, p, q).transpose(1, 2, 0))
     if not np.isfinite(values).all():
         raise FormatError("cube payload contains non-finite values")
     return HsiCube(values=values)
 
 
 def save_labels(grid: LabelGrid, header_path):
-    header = {
-        "height": grid.height,
-        "width": grid.width,
-        "dtype": "u8",
-        "order": "row-major",
-    }
-    if grid.class_names:
-        header["class_names"] = list(grid.class_names)
-    _write_container(header_path, LABELS_FORMAT_VERSION, header, [grid.labels], np.uint8)
+    names = {"class_names": list(grid.class_names)} if grid.class_names else {}
+    _write_raster(_LABELS, header_path, grid.labels.shape, grid.labels, **names)
 
 
 def load_labels(header_path) -> LabelGrid:
-    header = _read_header(header_path, "labels", LABELS_FORMAT_VERSION,
-                          [("height", int), ("width", int)])
-    if header.get("class_names") is not None:
-        _field(header, "labels", "class_names", list)
-    if header.get("dtype") != "u8" or header.get("order") != "row-major":
-        raise FormatError(
-            f"unsupported labels encoding {header.get('dtype')!r}/{header.get('order')!r}"
-        )
-    p, q = _dims(header, "labels", ("height", "width"))
-    labels = _read_payload(header_path, "labels", np.uint8, p * q).reshape(p, q)
-    return LabelGrid(labels=labels, class_names=header.get("class_names"))
+    dims, header, payload = _read_raster(_LABELS, header_path, [("class_names", list)])
+    return LabelGrid(labels=payload.reshape(dims), class_names=header.get("class_names"))
 
 
 def save_split(manifest: SplitManifest, path):
     """Write the split manifest; an entry load_split would refuse is a
-    FormatError before any file is opened.  numpy integers save as ints."""
+    FormatError before any file is opened."""
     _write_container(path, SPLIT_FORMAT_VERSION, {
         "seed": manifest.seed,
         "per_class_train": manifest.per_class_train,
@@ -355,15 +357,12 @@ def save_split(manifest: SplitManifest, path):
 
 def load_split(path) -> SplitManifest:
     doc = _read_header(path, "split", SPLIT_FORMAT_VERSION,
-                       [("seed", int), ("train", list), ("test", list)])
-
-    def optional(name, types):
-        return None if doc.get(name) is None else _field(doc, "split", name, types)
-
+                       [("seed", int), ("train", list), ("test", list)],
+                       [("per_class_train", int), ("fraction", (int, float))])
     return SplitManifest(
         seed=doc["seed"],
-        per_class_train=optional("per_class_train", int),
-        fraction=optional("fraction", (int, float)),
+        per_class_train=doc.get("per_class_train"),
+        fraction=doc.get("fraction"),
         train=[tuple(e) for e in _check_pixels("train", doc["train"])],
         test=[tuple(e) for e in _check_pixels("test", doc["test"])],
     )

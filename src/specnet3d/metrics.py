@@ -120,7 +120,7 @@ def load_report(path):
     return _read_header(path, "report", REPORT_FORMAT_VERSION, [
         ("matrix", list), ("overall_accuracy", (int, float)),
         ("per_class_accuracy", list), ("kappa", (int, float, type(None))),
-    ])
+    ], [("class_names", list), ("history", list)])
 
 
 def class_color(cls):

@@ -66,7 +66,7 @@ from .ops import (
     relu_backward,
 )
 from .parallel import fan_out
-from .tensor import Conv3dSpec, Pool3dSpec
+from .tensor import Conv3dSpec, Pool3dSpec, out_dim
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -264,14 +264,14 @@ def forward(model: Model, x, keep_intermediates=False):
 def _stages(model: Model):
     """The stream's stages, each (blocks, shrink): the residual blocks it
     runs, none for the classifier, and how many rows, and columns, its
-    output has fewer than its input.  A stage starts at each block that
-    shrinks them (Conv1 and Conv2 are 3x3 in space), and the classifier
-    reads a k x k window of block-4 positions per pixel."""
-    trace = dict(shape_trace(model.config))
+    output has fewer than its input.  A stage starts at each block whose
+    main conv, the only layer of a block that changes them, shrinks them
+    (Conv1 and Conv2 are 3x3 in space); the classifier reads a k x k
+    window of block-4 positions per pixel."""
     size = model.config.spatial_window
     stages = []
     for block in model.blocks:
-        out = trace[block.main.name][1]
+        out = out_dim(size, block.main.kernel[0], block.main.stride[0], block.main.padding[0])
         if out < size or not stages:
             stages.append(([], size - out))
         stages[-1][0].append(block)

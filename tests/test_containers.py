@@ -34,6 +34,7 @@ from specnet3d.data import (
     save_cube,
     save_labels,
     save_split,
+    stratified_split,
 )
 from specnet3d.errors import FormatError
 from specnet3d.metrics import ConfusionMatrix, load_report, render_class_map, write_report
@@ -315,6 +316,8 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
     ("split", lambda doc: doc.update(fraction=[1, 2])),
     ("split", lambda doc: doc.update(fraction=True)),
     ("labels", lambda doc: doc.update(class_names="a,b")),
+    ("report", lambda doc: doc.update(class_names="a,b")),
+    ("report", lambda doc: doc.update(history={"epoch": 1})),
 ])
 def test_bad_nested_header_field_raises_format_error(kind, edit, tmp_path):
     path = _written(kind, tmp_path)
@@ -462,6 +465,48 @@ def test_split_rows_skip_the_pure_python_encoder(tmp_path, monkeypatch):
     save_split(SplitManifest(seed=0, train=entries[:900], test=entries[900:],
                              per_class_train=100), path)
     assert load_split(path).test == entries[900:]
+
+
+def _saved_twins(save, suffix, twins, tmp_path):
+    """Save each (numpy-scalar, Python-number) twin pair, check that both
+    sides wrote the same bytes, and yield (numpy side's path, Python side)."""
+    for i, (numpy_side, python_side) in enumerate(twins):
+        paths = [tmp_path / f"{side}{i}{suffix}" for side in ("numpy", "python")]
+        save(numpy_side, paths[0])
+        save(python_side, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes(), i
+        yield paths[0], python_side
+
+
+def test_numpy_scalar_split_headers_save_as_their_numbers(tmp_path):
+    _, labels, _ = overfit_scene()
+    twins = [
+        (stratified_split(labels, np.int64(2), seed=np.int64(3)),
+         stratified_split(labels, 2, seed=3)),
+        (stratified_split(labels, fraction=np.float32(0.5), seed=np.uint8(4)),
+         stratified_split(labels, fraction=0.5, seed=4)),
+    ]
+    for path, python_side in _saved_twins(save_split, ".split.json", twins, tmp_path):
+        assert load_split(path) == python_side
+
+
+def test_numpy_scalar_checkpoint_headers_save_as_their_numbers(tmp_path):
+    twins = [
+        (build_model(ModelConfig(np.int64(8), 2, 5), 0), build_model(ModelConfig(8, 2, 5), 0)),
+        (build_model(ModelConfig(8, np.int32(2), np.int16(5)), np.int64(1)),
+         build_model(ModelConfig(8, 2, 5), 1)),
+    ]
+    for path, python_side in _saved_twins(save_checkpoint, ".ckpt.json", twins, tmp_path):
+        loaded = load_checkpoint(path)
+        assert (loaded.config, loaded.rng_seed) == (python_side.config, python_side.rng_seed)
+        for got, want in zip(loaded.parameters().values(), python_side.parameters().values()):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_other_unencodable_header_values_keep_json_type_error(tmp_path):
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _write_container(tmp_path / "h.json", 1, {"a": {1}})
+    assert list(tmp_path.iterdir()) == []
 
 
 class _FailingFile:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeErro
 from specnet3d.metrics import ConfusionMatrix, overall_accuracy
 from specnet3d import network
 from specnet3d.network import (
-    STEP, STRIP, ModelConfig, build_model, forward, save_checkpoint, stream,
+    STEP, STRIP, ModelConfig, build_model, forward, save_checkpoint, shape_trace, stream,
 )
 from specnet3d.ops import softmax_cross_entropy
 from specnet3d.training import (
@@ -563,6 +564,35 @@ class TestDenseInference:
                     runs.update((i, col) for i in range(row // STEP - back, row // STEP + 1))
                 assert ran.count(name) == len(runs), name
 
+    @pytest.mark.parametrize("window", [5, 7, 9, 11])
+    def test_stages_match_the_shape_trace(self, window):
+        # the stream reads its stages off the main convs; the shape trace
+        # derives the same rows from the whole architecture
+        model = build_model(ModelConfig(10, 4, window), 0)
+        trace = dict(shape_trace(model.config))
+        size, expected = window, []
+        for block in model.blocks:
+            rows = trace[block.main.name][1]
+            if rows < size or not expected:
+                expected.append(([], size - rows))
+            expected[-1][0].append(block.main.name)
+            size = rows
+        expected.append(([], size - 1))
+        got = [([b.main.name for b in blocks], shrink)
+               for blocks, shrink in network._stages(model)]
+        assert got == expected
+
+    def test_inference_builds_no_model(self, monkeypatch):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference assembled a model")
+
+        monkeypatch.setattr(network, "_assemble", refuse)
+        assert predict_map(model, cube).shape == labels.labels.shape
+        assert evaluate(model, cube, labels, split.train).counts.sum() == len(split.train)
+
     def test_working_set_bounded_by_strip(self, monkeypatch):
         # one step's working set outweighs a padded copy of a 96x96 scene;
         # 192x192 is large enough for a scene-sized copy to break the bound.
@@ -628,6 +658,37 @@ class TestParallelInference:
                                "caller at its BLAS thread count")
     def test_bits_independent_of_openblas_threads(self, tmp_path):
         assert_same_digest_at_one_and_two_blas_threads(tmp_path, "inference_digest")
+
+    @pytest.mark.skipif(parallel._openblas() is None,
+                        reason="without OpenBLAS's thread setter nothing is pinned")
+    def test_overlapping_passes_match_a_lone_pass(self, monkeypatch):
+        # two passes over one model and one cube, each holding its first
+        # strip until the other reaches its own, so both sit inside fan_out
+        # at once: their pins overlap rather than nest
+        rng = np.random.default_rng(55)
+        shape = (2 * STEP + 1, 2 * STRIP + 3)
+        cube = HsiCube(values=rng.standard_normal((*shape, 10)).astype(np.float32))
+        model = build_model(ModelConfig(10, 3, 7), 56)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        lone = predict_map(model, cube)
+        before = parallel.blas_threads()
+        barrier = threading.Barrier(2, timeout=30)
+        original = network.stream
+        pins = []
+
+        def meeting(model, values, col, steps):
+            if col == 0:
+                barrier.wait()
+                pins.append((parallel._pins, parallel.blas_threads()))
+                barrier.wait()  # neither pass leaves before both have read
+            return original(model, values, col, steps)
+
+        monkeypatch.setattr(network, "stream", meeting)
+        with ThreadPoolExecutor(2) as pool:
+            grids = list(pool.map(lambda _: predict_map(model, cube), range(2)))
+        assert pins == [(2, 1)] * 2
+        assert [grid.tobytes() for grid in grids] == [lone.tobytes()] * 2
+        assert parallel.blas_threads() == before
 
     @pytest.mark.skipif(parallel._openblas() is None,
                         reason="without OpenBLAS's thread setter nothing is pinned")
