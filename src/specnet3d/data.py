@@ -3,37 +3,24 @@ extraction, and the per-class stratified split protocol.
 
 Every artifact the package writes (cube, labels, split, checkpoint and
 report) goes through the one container writer and reader here.  A
-container is a JSON header carrying format_version, written with
-two-space indent, sorted keys and a trailing newline; an artifact with a
-payload stores it as raw little-endian scalars in the `.raw` file beside
-its `.json` header, which must hold exactly the scalars the header
+container is a JSON header carrying format_version, its bytes those of
+json.dumps(header, indent=2, sort_keys=True) plus a newline; an artifact
+with a payload stores it as raw little-endian scalars in the `.raw` file
+beside its `.json` header, which must hold exactly the scalars the header
 declares.  Each raster kind has one format record of its kind name,
 format_version, header dims, dtype and order names and payload scalar,
 which _write_raster writes and _read_raster checks, each dim at least 1:
 _CUBE, band-sequential float32 (`.hsc.json` + `.hsc.raw`), and _LABELS,
-row-major unsigned bytes (`.lbl.json` + `.lbl.raw`).  Split manifests
-are header only (`.split.json`).  _read_header checks optional fields
-(class_names, per_class_train, fraction) unless absent or null.
+row-major unsigned bytes (`.lbl.json` + `.lbl.raw`).  A split manifest
+(`.split.json` + `.split.raw`, format 2) declares train_count and
+test_count, and its payload holds that many int64 [row, col, class] rows,
+the train rows first; class 0 marks a [row, col] pair, which gives no
+class.  Format 1 splits, header only with the entries as JSON lists,
+still load.  _read_header checks optional fields (class_names,
+per_class_train, fraction) unless absent or null.
 
 Every file the package writes, the history and class map too, goes
 through _write_file, a container's payload before its header.
-
-The header bytes are those of json.dumps(header, indent=2,
-sort_keys=True) plus a newline, but the writer builds them one top-level
-field at a time.  CPython's json uses its C encoder only when no indent
-is given, so with indent=2 each of a split's ~45k pixel entries would go
-through the pure-Python encoder.  A list of rows of numbers, bools or
-nulls (the split's train and test, the report's matrix) is therefore
-encoded by the C encoder with no indent and "," plus a newline and
-depth-3 indent between items, which is exactly how the indented encoder
-separates a row's items.  A few str.replace calls then lay out the
-rest: in that text "],<separator>[" occurs only between rows, "[[" only
-at the start and "]]" only at the end, and each becomes the newlines
-and depth-2 indent the indented encoder writes there.  No such scalar's
-text holds a bracket, a comma or a newline, so nothing else changes.
-Every other list or dict field goes through the indented encoder, its
-lines shifted one level in (JSON strings hold no raw newline), and a
-scalar, which renders the same at any indent, through the C encoder.
 """
 
 import collections
@@ -47,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError, SplitError
 
-SPLIT_FORMAT_VERSION = 1
+SPLIT_FORMAT_VERSION = 2
 
 
 # a raster kind's container format (see the module docstring)
@@ -163,35 +150,11 @@ def _check_pixels(name, entries):
     return entries
 
 
-# how json.dumps(indent=2) lays out rows of scalars as a top-level field:
-# each row at depth 2 and each row item at depth 3
-_ROW_ITEM_SEPARATOR = ",\n      "
-_ROW_LAYOUT = (("]" + _ROW_ITEM_SEPARATOR + "[", "\n    ],\n    [\n      "),
-               ("[[", "[\n    [\n      "), ("]]", "\n    ]\n  ]"))
-
-
 def _plain(value):
     """json's default hook: a numpy scalar encodes as the number it holds."""
     if isinstance(value, np.generic):
         return value.item()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _render_field(value):
-    """value as json.dumps(indent=2, sort_keys=True) renders it as the
-    value of a top-level key (see the module docstring)."""
-    if isinstance(value, list) and set(map(type, value)) <= {list, tuple}:
-        text = json.dumps(value, separators=(_ROW_ITEM_SEPARATOR, ":"), default=_plain)
-        # no list in a row (each row holds the one "[" it opens with), no
-        # empty row, and no string, so no key: an object in a row can
-        # only be {}, which renders the same at any indent
-        if text.count("[") == len(value) + 1 and '"' not in text and "[]" not in text:
-            for old, new in _ROW_LAYOUT:
-                text = text.replace(old, new)
-            return text
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, indent=2, sort_keys=True, default=_plain).replace("\n", "\n  ")
-    return json.dumps(value, default=_plain)
 
 
 def _write_file(path, chunks):
@@ -216,8 +179,7 @@ def _write_container(header_path, version, header, payload=(), dtype=None):
     before any write, and the payload is written before the header, each
     through _write_file.  Returns the header as written."""
     header = {"format_version": version, **header}
-    text = "{\n%s\n}\n" % ",\n".join(
-        f"  {json.dumps(key)}: {_render_field(header[key])}" for key in sorted(header))
+    text = json.dumps(header, indent=2, sort_keys=True, default=_plain) + "\n"
     if payload:
         _write_file(_raw_path(header_path),
                     (np.ascontiguousarray(a, dtype=dtype) for a in payload))
@@ -225,10 +187,9 @@ def _write_container(header_path, version, header, payload=(), dtype=None):
     return header
 
 
-def _read_header(header_path, kind, version, fields=(), optional=()):
-    """A container's JSON header, checked to be an object carrying the given
-    format_version and each (name, types) field in fields, and checked on
-    each (name, types) field in optional that is present and not null."""
+def _read_header(header_path, kind, versions, fields=(), optional=()):
+    """A container's JSON header, checked to be an object carrying one of
+    the format_versions given, then checked by _check_fields."""
     with open(header_path, "r", encoding="utf-8") as fh:
         try:
             header = json.load(fh)
@@ -236,8 +197,14 @@ def _read_header(header_path, kind, version, fields=(), optional=()):
             raise FormatError(f"{kind} header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{kind} header is a JSON {type(header).__name__}, not an object")
-    if header.get("format_version") != version:
+    if header.get("format_version") not in versions:
         raise FormatError(f"unknown {kind} format_version {header.get('format_version')!r}")
+    return _check_fields(header, kind, fields, optional)
+
+
+def _check_fields(header, kind, fields, optional):
+    """header, checked on each (name, types) field in fields, and on each
+    (name, types) field in optional that is present and not null."""
     for name, types in fields:
         _field(header, kind, name, types)
     for name, types in optional:
@@ -246,9 +213,10 @@ def _read_header(header_path, kind, version, fields=(), optional=()):
     return header
 
 
-def _field(doc, kind, name, types):
-    """doc[name], which must be present and an instance of types (a type or
-    a tuple of them); JSON true and false are not numbers."""
+def _field(doc, kind, name, types, minimum=None):
+    """doc[name], which must be present, an instance of types (a type or a
+    tuple of them) and at least minimum, when one is given; JSON true and
+    false are not numbers."""
     types = types if isinstance(types, tuple) else (types,)
     if name not in doc:
         raise FormatError(f"{kind} header has no {name!r} field")
@@ -258,6 +226,8 @@ def _field(doc, kind, name, types):
         raise FormatError(
             f"{kind} header field {name!r} is {type(value).__name__}, expected {expected}"
         )
+    if minimum is not None and value < minimum:
+        raise FormatError(f"{kind} header field {name!r} is {value}, must be >= {minimum}")
     return value
 
 
@@ -290,15 +260,12 @@ def _read_raster(fmt: _Raster, header_path, optional=()):
     """(dims, header, flat payload) of a raster, its header checked like
     _read_header's, then for fmt's encoding and each dim >= 1, all before
     the payload of exactly the scalars the dims multiply out to is read."""
-    header = _read_header(header_path, fmt.kind, fmt.version,
+    header = _read_header(header_path, fmt.kind, (fmt.version,),
                           [(name, int) for name in fmt.dims], optional)
     encoding = header.get("dtype"), header.get("order")
     if encoding != (fmt.dtype, fmt.order):
         raise FormatError(f"unsupported {fmt.kind} encoding {encoding[0]!r}/{encoding[1]!r}")
-    for name in fmt.dims:
-        if header[name] < 1:
-            raise FormatError(f"{fmt.kind} header field {name!r} is {header[name]}, must be >= 1")
-    dims = [header[name] for name in fmt.dims]
+    dims = [_field(header, fmt.kind, name, int, 1) for name in fmt.dims]
     return dims, header, _read_payload(header_path, fmt.kind, fmt.scalar, math.prod(dims))
 
 
@@ -343,29 +310,61 @@ def load_labels(header_path) -> LabelGrid:
     return LabelGrid(labels=payload.reshape(dims), class_names=header.get("class_names"))
 
 
+# the split header's scalar fields, required and optional, on save and load
+_SPLIT_FIELDS = [("seed", int)], [("per_class_train", int), ("fraction", (int, float))]
+
+
+def _pixel_rows(name, entries):
+    """The (n, 3) int64 payload rows of a split side's entries, a pair's
+    class 0; an entry _check_pixels refuses, a triple whose class is < 1,
+    or an index outside int64 is a FormatError."""
+    _check_pixels(name, entries)
+    padded = itertools.chain.from_iterable(e if len(e) == 3 else (*e, 0) for e in entries)
+    try:
+        rows = np.fromiter(padded, np.int64, 3 * len(entries)).reshape(-1, 3)
+    except OverflowError:
+        raise FormatError(f"split {name} entries hold an index outside int64") from None
+    for i in np.flatnonzero(rows[:, 2] < 1).tolist():
+        if len(entries[i]) == 3:
+            raise FormatError(f"split {name} entry {tuple(rows[i].tolist())} has a class < 1")
+    return rows
+
+
+def _entries(rows):
+    """A split side's (n, 3) payload rows as tuples of ints, a row of
+    class 0 as its (row, col) pair."""
+    triples = list(zip(*rows.T.tolist()))
+    return triples if rows[:, 2].all() else [t if t[2] else t[:2] for t in triples]
+
+
 def save_split(manifest: SplitManifest, path):
-    """Write the split manifest; an entry load_split would refuse is a
-    FormatError before any file is opened."""
-    _write_container(path, SPLIT_FORMAT_VERSION, {
-        "seed": manifest.seed,
-        "per_class_train": manifest.per_class_train,
-        "fraction": manifest.fraction,
-        "train": _check_pixels("train", manifest.train),
-        "test": _check_pixels("test", manifest.test),
-    })
+    """Write the split manifest in format 2 (see the module docstring);
+    a field or entry load_split would refuse, a triple whose class is < 1,
+    or an index outside int64 is a FormatError before any file is opened."""
+    header = {name: getattr(manifest, name) for name in ("seed", "per_class_train", "fraction")}
+    header = {k: v.item() if isinstance(v, np.generic) else v for k, v in header.items()}
+    _check_fields(header, "split", *_SPLIT_FIELDS)
+    sides = _pixel_rows("train", manifest.train), _pixel_rows("test", manifest.test)
+    header.update(train_count=len(sides[0]), test_count=len(sides[1]))
+    _write_container(path, SPLIT_FORMAT_VERSION, header, sides, "<i8")
 
 
 def load_split(path) -> SplitManifest:
-    doc = _read_header(path, "split", SPLIT_FORMAT_VERSION,
-                       [("seed", int), ("train", list), ("test", list)],
-                       [("per_class_train", int), ("fraction", (int, float))])
-    return SplitManifest(
-        seed=doc["seed"],
-        per_class_train=doc.get("per_class_train"),
-        fraction=doc.get("fraction"),
-        train=[tuple(e) for e in _check_pixels("train", doc["train"])],
-        test=[tuple(e) for e in _check_pixels("test", doc["test"])],
-    )
+    """A split manifest of format 1 or 2.  Format 2's counts are checked
+    before its payload is read, and that payload's size before any
+    allocation; a negative class there is a FormatError."""
+    doc = _read_header(path, "split", (1, SPLIT_FORMAT_VERSION), *_SPLIT_FIELDS)
+    if doc["format_version"] == 1:
+        train, test = ([tuple(e) for e in _check_pixels(name, _field(doc, "split", name, list))]
+                       for name in ("train", "test"))
+    else:
+        n, m = (_field(doc, "split", name, int, 0) for name in ("train_count", "test_count"))
+        rows = _read_payload(path, "split", "<i8", 3 * (n + m)).reshape(-1, 3)
+        if (rows[:, 2] < 0).any():
+            raise FormatError("split payload holds a negative class")
+        train, test = _entries(rows[:n]), _entries(rows[n:])
+    return SplitManifest(seed=doc["seed"], per_class_train=doc.get("per_class_train"),
+                         fraction=doc.get("fraction"), train=train, test=test)
 
 
 def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:

@@ -117,7 +117,7 @@ def write_report(m: ConfusionMatrix, out_path, history=None):
 
 
 def load_report(path):
-    return _read_header(path, "report", REPORT_FORMAT_VERSION, [
+    return _read_header(path, "report", (REPORT_FORMAT_VERSION,), [
         ("matrix", list), ("overall_accuracy", (int, float)),
         ("per_class_accuracy", list), ("kappa", (int, float, type(None))),
     ], [("class_names", list), ("history", list)])

@@ -9,13 +9,13 @@ flattened block-4 output directly, in (c, h, w, d) order.  The skip is
 part of the architecture, not an option.
 
 The architecture is stated once, in _BLOCK_PLAN, and the layer names
-follow from it.  _assemble walks it once, for the dims and the layers:
-shape_trace is its trace, and every model starts as its zero model.
-Model.parameters() is the one parameter order, in which build_model
-draws each weight into place and load_checkpoint fills each array from
-the blob.  The checkpoint is a data container (manifest + float32 blob)
-whose layer list is the model's _layer_table, the one layer check on
-loading.
+follow from it.  _walk walks it once, for the dims and the blocks:
+shape_trace is its trace, and _assemble adds the classifier to make the
+zero model every model starts as.  Model.parameters() is the one
+parameter order, in which build_model draws each weight into place and
+load_checkpoint fills each array from the blob.  The checkpoint is a
+data container (manifest + float32 blob) whose layer list is the model's
+_layer_table, the one layer check on loading.
 
 Activations stay channels-last in memory through the whole block stack;
 they travel between layers as the (n, c, h, w, d) views the ops take and
@@ -141,11 +141,11 @@ class Model:
         return params
 
 
-def _assemble(config: ModelConfig, rng_seed=0):
-    """(model, trace): the fixed architecture for config, walked once from
-    _BLOCK_PLAN, with zero weights and biases, and its shape trace (see
-    shape_trace).  A stage whose window no longer fits raises ShapeError
-    naming it."""
+def _walk(config: ModelConfig):
+    """(blocks, trace): the residual blocks of config's model, walked once
+    from _BLOCK_PLAN, with zero weights and biases, and its shape trace
+    (see shape_trace).  A stage whose window no longer fits raises
+    ShapeError naming it."""
     w = config.spatial_window
     dims = (w, w, config.spectral_depth)
     channels = 1
@@ -163,12 +163,16 @@ def _assemble(config: ModelConfig, rng_seed=0):
         if pool is not None:
             dims = pool.output_dims(dims)
             trace.append((pool.name, (channels, *dims)))
-    flat = channels * math.prod(dims)
-    trace.append(("flatten", flat))
-    model = Model(config=config, blocks=blocks,
-                  fc_weights=np.zeros((config.num_classes, flat), np.float32),
-                  fc_bias=np.zeros(config.num_classes, np.float32), rng_seed=rng_seed)
-    return model, trace
+    trace.append(("flatten", channels * math.prod(dims)))
+    return blocks, trace
+
+
+def _assemble(config: ModelConfig, rng_seed=0):
+    """The fixed architecture for config, with zero weights and biases."""
+    blocks, trace = _walk(config)
+    return Model(config=config, blocks=blocks,
+                 fc_weights=np.zeros((config.num_classes, trace[-1][1]), np.float32),
+                 fc_bias=np.zeros(config.num_classes, np.float32), rng_seed=rng_seed)
 
 
 def shape_trace(config: ModelConfig):
@@ -177,18 +181,14 @@ def shape_trace(config: ModelConfig):
     Raises ShapeError naming the first stage whose window no longer fits.
     The 1x1x1 projections never change dims and are omitted.
     """
-    return _assemble(config)[1]
-
-
-def flattened_length(config: ModelConfig):
-    return shape_trace(config)[-1][1]
+    return _walk(config)[1]
 
 
 def build_model(config: ModelConfig, rng_seed: int) -> Model:
     """Instantiate the fixed architecture with fan-in uniform weights and
     zero biases, reproducibly from rng_seed: each weight of parameters(),
     in its order, is drawn in place."""
-    model, _ = _assemble(config, rng_seed)
+    model = _assemble(config, rng_seed)
     rng = np.random.default_rng(rng_seed)
     for name, p in model.parameters().items():
         if name.endswith(".weight"):
@@ -483,15 +483,21 @@ def save_checkpoint(model: Model, json_path):
 def load_checkpoint(json_path) -> Model:
     """Rebuild a Model bit-exactly from its manifest + blob pair; the first
     layer entry that differs from _layer_table is a FormatError."""
-    manifest = _read_header(json_path, "checkpoint", CHECKPOINT_FORMAT_VERSION,
+    manifest = _read_header(json_path, "checkpoint", (CHECKPOINT_FORMAT_VERSION,),
                             [("config", dict), ("layers", list)])
     config = {f.name: _field(manifest["config"], "checkpoint config", f.name, int)
               for f in fields(ModelConfig)}
     rng_seed = _field(manifest, "checkpoint", "rng_seed", int) if "rng_seed" in manifest else 0
     try:
-        model, _ = _assemble(ModelConfig(**config), rng_seed)
+        config = ModelConfig(**config)
+        blocks, trace = _walk(config)
     except (ConfigError, ShapeError) as exc:
         raise FormatError(f"checkpoint config in {json_path} builds no model: {exc}") from exc
+    # the blob's size, checked before the classifier the config sizes is made
+    convs = sum(a.size for b in blocks for s in (b.main, b.proj) for a in (s.weights, s.bias))
+    blob = _read_payload(json_path, "checkpoint", "<f4",
+                         convs + config.num_classes * (trace[-1][1] + 1))
+    model = _assemble(config, rng_seed)
     declared, table = manifest["layers"], _layer_table(model)
     for i in range(max(len(declared), len(table))):
         got, want = declared[i:i + 1] or "nothing", table[i:i + 1] or "nothing"
@@ -501,7 +507,6 @@ def load_checkpoint(json_path) -> Model:
             )
     params = list(model.parameters().values())  # the blob's order
     sizes = [p.size for p in params]
-    blob = _read_payload(json_path, "checkpoint", "<f4", sum(sizes))
     for p, piece in zip(params, np.split(blob, np.cumsum(sizes)[:-1])):
         p[...] = piece.reshape(p.shape)
     return model

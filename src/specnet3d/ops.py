@@ -383,16 +383,12 @@ def softmax_cross_entropy(logits, target):
     """Negative log softmax probability of the target class, max-shifted
     for stability, plus the exact logit gradient softmax(logits) - onehot.
 
-    For a single sample pass (C,) logits and an int target; for a batch
-    pass (n, C) logits and (n,) targets, getting per-sample losses and
+    Takes (n, C) logits and (n,) targets, and gives per-sample losses and
     per-sample gradients back (no mean is taken).
     """
     logits = np.asarray(logits)
-    if logits.ndim == 1:
-        loss, grad = softmax_cross_entropy(logits[None, :], np.asarray([target]))
-        return float(loss[0]), grad[0]
     if logits.ndim != 2:
-        raise ShapeError(f"logits must be 1-D or 2-D, got ndim={logits.ndim}")
+        raise ShapeError(f"logits must be an (n, C) batch, got ndim={logits.ndim}")
     n, c = logits.shape
     target = np.asarray(target)
     if target.shape != (n,):

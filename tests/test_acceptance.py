@@ -169,11 +169,11 @@ def test_criterion_3_gradient_suite(capsys):
 
     # softmax cross-entropy
     for _ in range(3):
-        logits = rng.standard_normal(9)
-        target = int(rng.integers(0, 9))
+        logits = rng.standard_normal((1, 9))
+        target = [int(rng.integers(0, 9))]
 
         def loss():
-            return softmax_cross_entropy(logits, target)[0]
+            return softmax_cross_entropy(logits, target)[0][0]
 
         _, grad = softmax_cross_entropy(logits, target)
         assert_close(grad, finite_difference(loss, [logits])[0], 1e-3, "ce grad")

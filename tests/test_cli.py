@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from specnet3d.cli import main
-from specnet3d.data import HsiCube, LabelGrid, SplitManifest, save_cube, save_labels, save_split
+from specnet3d.data import (
+    HsiCube, LabelGrid, SplitManifest, load_split, save_cube, save_labels, save_split,
+)
 from specnet3d.metrics import PALETTE
 from specnet3d.network import ModelConfig, build_model, save_checkpoint
 from specnet3d.training import OptimizerState, TrainConfig, predict_map, train
@@ -60,8 +62,7 @@ class TestSplitCommand:
         # nine per-class lines: "<name> <train> <test>"
         per_class = [ln.split() for ln in lines[:9]]
         assert all(row[-2] == "2" for row in per_class)
-        doc = json.loads(out.read_text())
-        assert len(doc["train"]) == 18
+        assert len(load_split(out).train) == 18
 
     def test_rerun_same_seed_identical_hash(self, tmp_path, scene_dir, capsys):
         a = tmp_path / "a.split.json"
@@ -72,18 +73,19 @@ class TestSplitCommand:
                          "--seed", "9"]) == 0
         capsys.readouterr()
         assert sha(a) == sha(b)
+        assert sha(a.with_suffix(".raw")) == sha(b.with_suffix(".raw"))
 
     def test_fraction_mode(self, tmp_path, scene_dir, capsys):
         out = tmp_path / "f.split.json"
         rc = main(["split", "--labels", str(scene_dir / "scene.lbl.json"),
                    "--out", str(out), "--fraction", "0.5", "--seed", "1"])
         assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["fraction"] == 0.5
+        split = load_split(out)
+        assert split.fraction == 0.5
         # floor(0.5 * 4) = 2 for four-pixel classes, floor(0.5 * 3) = 1 for
         # three-pixel classes
         counts = {}
-        for _, _, cls in doc["train"]:
+        for _, _, cls in split.train:
             counts[cls] = counts.get(cls, 0) + 1
         assert set(counts.values()) == {1, 2}
 
@@ -278,9 +280,9 @@ class TestTrainCommand:
                    "--per-class-train", "2", "--seed", "3"])
         assert rc == 0
         capsys.readouterr()
-        doc = json.loads((out_dir / "train.split.json").read_text())
-        assert doc["per_class_train"] == 2
-        assert len(doc["train"]) == 18
+        split = load_split(out_dir / "train.split.json")
+        assert split.per_class_train == 2
+        assert len(split.train) == 18
 
     def test_required_options_from_config_file(self, tmp_path, scene_dir, capsys):
         cfg = tmp_path / "run.json"
@@ -395,7 +397,7 @@ class TestTrainCommand:
         run = one_class_dir / "run"
         assert sorted(p.name for p in run.iterdir()) == [
             "history.jsonl", "model.ckpt.json", "model.ckpt.raw", "report.json",
-            "train.split.json",
+            "train.split.json", "train.split.raw",
         ]
         assert json.loads((run / "report.json").read_text())["kappa"] is None
 
@@ -507,6 +509,20 @@ class TestPredictMapCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error[E_SPLIT]" in err and f"({pixel[0]}, {pixel[1]})" in err
+        assert not out.exists()
+
+    def test_huge_declared_classes_are_a_format_error(self, tmp_path, scene_dir, capsys):
+        # numpy's "Maximum allowed dimension exceeded" used to surface as E_CONFIG
+        doc = json.loads((scene_dir / "model.ckpt.json").read_text())
+        doc["config"]["num_classes"] = 2**70
+        (tmp_path / "m.ckpt.json").write_text(json.dumps(doc))
+        (tmp_path / "m.ckpt.raw").write_bytes((scene_dir / "model.ckpt.raw").read_bytes())
+        out = tmp_path / "map.ppm"
+        rc = main(["predict-map", "--checkpoint", str(tmp_path / "m.ckpt.json"),
+                   "--cube", str(scene_dir / "scene.hsc.json"),
+                   "--split", str(scene_dir / "all.split.json"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error[E_FORMAT]: checkpoint payload holds ")
         assert not out.exists()
 
     def test_split_is_required(self, tmp_path, scene_dir, capsys):

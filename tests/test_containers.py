@@ -14,6 +14,7 @@ import errno
 import hashlib
 import json
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -77,7 +78,7 @@ def _write_report(path):
 CONTAINERS = {
     "cube": ("c.hsc.json", _write_cube, load_cube, 4),
     "labels": ("l.lbl.json", _write_labels, load_labels, 1),
-    "split": ("s.split.json", _write_split, load_split, None),
+    "split": ("s.split.json", _write_split, load_split, 8),
     "checkpoint": ("m.ckpt.json", _write_checkpoint, load_checkpoint, 4),
     "report": ("r.json", _write_report, load_report, None),
 }
@@ -118,24 +119,12 @@ GOLDEN_HEADERS = {
 }
 """,
     "split": """{
-  "format_version": 1,
+  "format_version": 2,
   "fraction": 0.5,
   "per_class_train": null,
   "seed": 5,
-  "test": [
-    [
-      1,
-      0,
-      2
-    ]
-  ],
-  "train": [
-    [
-      0,
-      1,
-      1
-    ]
-  ]
+  "test_count": 1,
+  "train_count": 1
 }
 """,
     "report": """{
@@ -174,7 +163,31 @@ GOLDEN_PAYLOADS = {
     "cube": struct.pack("<12f", -1.0, -0.5, 0.0, 0.5, 1.0, 1.5,
                         -0.75, -0.25, 0.25, 0.75, 1.25, 1.75),
     "labels": bytes([0, 1, 2, 2, 1, 0]),
+    # int64 [row, col, class] rows: the train side's, then the test side's
+    "split": struct.pack("<6q", 0, 1, 1, 1, 0, 2),
 }
+# the same split as format 1 wrote it, header only, which still loads
+V1_SPLIT_HEADER = """{
+  "format_version": 1,
+  "fraction": 0.5,
+  "per_class_train": null,
+  "seed": 5,
+  "test": [
+    [
+      1,
+      0,
+      2
+    ]
+  ],
+  "train": [
+    [
+      0,
+      1,
+      1
+    ]
+  ]
+}
+"""
 # the checkpoint's 9-layer manifest and 29,962-scalar blob, by length and sha256
 GOLDEN_CHECKPOINT = {
     "m.ckpt.json": (1614, "2e5f6902294907777688e2215566fc67b9a8f7696b3341863101ffb045e3ba02"),
@@ -199,6 +212,12 @@ class TestGoldenBytes:
             assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), name
         # Conv1.weight starts (0 % 7 - 3) / 8, (1 % 7 - 3) / 8, ...
         assert _raw(path).read_bytes()[:12] == struct.pack("<3f", -0.375, -0.25, -0.125)
+
+    def test_v1_split_loads_to_the_same_manifest(self, tmp_path):
+        path = tmp_path / "v1.split.json"
+        path.write_text(V1_SPLIT_HEADER)
+        assert load_split(path) == load_split(_written("split", tmp_path)) == SplitManifest(
+            seed=5, train=[(0, 1, 1)], test=[(1, 0, 2)], fraction=0.5)
 
 
 @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
@@ -264,7 +283,7 @@ def test_non_positive_dims_rejected(kind, dims, tmp_path):
 REQUIRED_FIELDS = {
     "cube": ("height", "2"),
     "labels": ("width", [3]),
-    "split": ("train", {"0": [0, 1, 1]}),
+    "split": ("test_count", "1"),
     "checkpoint": ("layers", 9),
     "report": ("matrix", "3 1 0 2"),
 }
@@ -291,6 +310,13 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
         assert repr(field) in message
 
 
+def _v1(doc):
+    """doc, its contents replaced by the format 1 split's header."""
+    doc.clear()
+    doc.update(json.loads(V1_SPLIT_HEADER))
+    return doc
+
+
 @pytest.mark.parametrize("kind, edit", [
     ("checkpoint", lambda doc: doc["config"].pop("spectral_depth")),
     ("checkpoint", lambda doc: doc["config"].update(num_classes=2.5)),
@@ -306,18 +332,27 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
     # a layer entry with a key the table lacks, and two swapped entries
     ("checkpoint", lambda doc: doc["layers"][5].update(dtype="<f4")),
     ("checkpoint", lambda doc: doc["layers"].insert(1, doc["layers"].pop(0))),
-    ("split", lambda doc: doc["test"].append(5)),
-    ("split", lambda doc: doc["test"].append([5])),
-    ("split", lambda doc: doc["test"].append([])),
-    ("split", lambda doc: doc["train"].append([1, 2, 3, 4])),
-    ("split", lambda doc: doc["train"][0].__setitem__(2, True)),
-    ("split", lambda doc: doc.update(per_class_train="lots")),
-    ("split", lambda doc: doc.update(per_class_train=True)),
-    ("split", lambda doc: doc.update(fraction=[1, 2])),
-    ("split", lambda doc: doc.update(fraction=True)),
+    # format 1 splits, whose entries are in the header
+    ("split", lambda doc: _v1(doc)["test"].append(5)),
+    ("split", lambda doc: _v1(doc)["test"].append([5])),
+    ("split", lambda doc: _v1(doc)["test"].append([])),
+    ("split", lambda doc: _v1(doc)["train"].append([1, 2, 3, 4])),
+    ("split", lambda doc: _v1(doc)["train"][0].__setitem__(2, True)),
+    ("split", lambda doc: _v1(doc).update(per_class_train="lots")),
+    ("split", lambda doc: _v1(doc).update(per_class_train=True)),
+    ("split", lambda doc: _v1(doc).update(fraction=[1, 2])),
+    ("split", lambda doc: _v1(doc).update(fraction=True)),
     ("labels", lambda doc: doc.update(class_names="a,b")),
     ("report", lambda doc: doc.update(class_names="a,b")),
     ("report", lambda doc: doc.update(history={"epoch": 1})),
+    # format 2 splits: a bool or negative count, each before the payload
+    ("split", lambda doc: doc.update(train_count=True)),
+    ("split", lambda doc: doc.update(test_count=False)),
+    ("split", lambda doc: doc.update(train_count=-1)),
+    # counts that sum to the payload's two rows
+    ("split", lambda doc: doc.update(test_count=-2, train_count=4)),
+    ("split", lambda doc: doc.update(per_class_train=True)),
+    ("split", lambda doc: doc.update(seed=None)),
 ])
 def test_bad_nested_header_field_raises_format_error(kind, edit, tmp_path):
     path = _written(kind, tmp_path)
@@ -395,13 +430,22 @@ def test_load_gives_declared_shape_or_format_error(kind, dims, scalars):
 
 
 # pixel entries as a split holds them: (row, col) pairs and (row, col,
-# class) triples, with negative ints and ints beyond 32 bits among them
+# class) triples, with negative ints and ints beyond 32 bits among them;
+# a triple's class is at least 1
 INTS = st.integers(-5, 5) | st.integers(2**31, 2**40) | st.integers(-2**40, -2**31)
-ENTRIES = st.lists(st.tuples(INTS, INTS) | st.tuples(INTS, INTS, INTS), max_size=6)
+CLASSES = st.integers(1, 5) | st.integers(2**31, 2**40)
+ENTRIES = st.lists(st.tuples(INTS, INTS) | st.tuples(INTS, INTS, CLASSES), max_size=6)
 
 
 def _indented(header):
     return (json.dumps(header, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _payload(*sides):
+    """A split payload's bytes: each entry as int64 (row, col, class), a
+    pair's class 0."""
+    rows = [(*e, 0)[:3] for side in sides for e in side]
+    return struct.pack(f"<{3 * len(rows)}q", *(v for row in rows for v in row))
 
 
 @PROPERTY
@@ -412,13 +456,36 @@ def _indented(header):
 def test_split_bytes_are_the_indented_encoders(seed, train, test, sizes):
     manifest = SplitManifest(seed=seed, train=train, test=test,
                              per_class_train=sizes[0], fraction=sizes[1])
-    header = {"format_version": 1, "seed": seed, "per_class_train": sizes[0],
-              "fraction": sizes[1], "train": train, "test": test}
+    header = {"format_version": 2, "seed": seed, "per_class_train": sizes[0],
+              "fraction": sizes[1], "train_count": len(train), "test_count": len(test)}
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "s.split.json"
         save_split(manifest, path)
         assert path.read_bytes() == _indented(header)
-        assert load_split(path).train == train
+        assert _raw(path).read_bytes() == _payload(train, test)
+        assert load_split(path) == manifest
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@PROPERTY
+@given(sides=st.lists(st.lists(st.tuples(INT64, INT64)
+                               | st.tuples(INT64, INT64, st.integers(1, 2**63 - 1)),
+                               max_size=8), min_size=2, max_size=2),
+       seed=INT64)
+@example(sides=[[(-2**63, 2**63 - 1, 2**63 - 1), (0, 0)], [(0, 0), (5, 5, 1)]], seed=-1)
+def test_split_round_trip_keeps_pairs_and_triples(sides, seed):
+    manifest = SplitManifest(seed=seed, train=sides[0], test=sides[1])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "s.split.json"
+        save_split(manifest, path)
+        loaded = load_split(path)
+        # pairs come back as pairs, and every value as a Python int
+        assert loaded == manifest
+        assert {type(v) for e in loaded.train + loaded.test for v in e} <= {int}
+        save_split(loaded, Path(d) / "again.split.json")
+        assert _raw(Path(d) / "again.split.json").read_bytes() == _raw(path).read_bytes()
 
 
 @PROPERTY
@@ -453,18 +520,45 @@ def test_any_header_bytes_are_the_indented_encoders(header):
         assert path.read_bytes() == _indented(written)
 
 
-def test_split_rows_skip_the_pure_python_encoder(tmp_path, monkeypatch):
-    # json builds its pure-Python encoder only for an indented dump; a
-    # split written without it kept every row on the C encoder
-    def refuse(*args, **kwargs):
-        raise AssertionError("the pure-Python JSON encoder was used")
-
-    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+def test_split_header_bytes_do_not_depend_on_the_entry_count(tmp_path):
+    # the entries go to the payload: splits of 0 to 10,000 entries have
+    # headers that differ in the two counts' digits alone
     entries = [(i // 100, i % 100, i % 9 + 1) for i in range(10_000)]
-    path = tmp_path / "s.split.json"
-    save_split(SplitManifest(seed=0, train=entries[:900], test=entries[900:],
-                             per_class_train=100), path)
-    assert load_split(path).test == entries[900:]
+    headers = set()
+    for n in (0, 1, 10, 10_000):
+        path = tmp_path / f"s{n}.split.json"
+        save_split(SplitManifest(seed=0, train=entries[:n // 10], test=entries[n // 10:n],
+                                 per_class_train=100), path)
+        text = path.read_text()
+        doc = json.loads(text)
+        assert (doc["train_count"], doc["test_count"]) == (n // 10, n - n // 10)
+        headers.add(re.sub(r'"(train|test)_count": \d+', "count", text))
+        assert len(_raw(path).read_bytes()) == 24 * n
+        assert load_split(path).test == entries[n // 10:n]
+    assert len(headers) == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"train_count": True}, "split header field 'train_count' is bool, expected int"),
+    ({"test_count": -1}, "split header field 'test_count' is -1, must be >= 0"),
+    # the counts sum to the payload's two rows
+    ({"train_count": 4, "test_count": -2}, "split header field 'test_count' is -2, must be >= 0"),
+    ({"train_count": 2**62}, "split payload holds 6 scalars, its header requires exactly "
+                             f"{3 * (2**62 + 1)}"),
+])
+def test_v2_split_counts_are_checked_before_the_payload(edit, message, tmp_path):
+    path = _written("split", tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(FormatError) as exc:
+        load_split(path)
+    assert str(exc.value) == message
+
+
+def test_v2_split_negative_class_rejected(tmp_path):
+    path = _written("split", tmp_path)
+    _raw(path).write_bytes(struct.pack("<6q", 0, 1, 1, 1, 0, -2))
+    with pytest.raises(FormatError, match="^split payload holds a negative class$"):
+        load_split(path)
 
 
 def _saved_twins(save, suffix, twins, tmp_path):
@@ -532,18 +626,21 @@ class _FailingFile:
 
 @pytest.mark.parametrize("kind", ["split", "report"])
 def test_failed_header_write_keeps_the_previous_file(kind, tmp_path, monkeypatch):
-    import specnet3d.data
-
+    # only the header's write fails; a split's payload, written first,
+    # lands with the same bytes as before
     path = _written(kind, tmp_path)
     before = CONTAINERS[kind][2](path)
-    monkeypatch.setattr(specnet3d.data, "open",
-                        lambda *a, **kw: _FailingFile(open(*a, **kw)), raising=False)
+    _disk_fills_on(monkeypatch, path.name)
     with pytest.raises(OSError, match="No space left"):
         CONTAINERS[kind][1](path)
     monkeypatch.undo()
     assert path.read_bytes() == GOLDEN_HEADERS[kind].encode("utf-8")
     assert CONTAINERS[kind][2](path) == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    names = [path.name]
+    if kind in GOLDEN_PAYLOADS:
+        assert _raw(path).read_bytes() == GOLDEN_PAYLOADS[kind]
+        names.append(_raw(path).name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 def _disk_fills_on(monkeypatch, name):

@@ -186,6 +186,51 @@ class TestSplitContainer:
         assert str(saved.value) == str(loaded.value) == (
             f"split header field {side!r} must hold [row, col] or [row, col, class] integers")
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("seed", True, "int"), ("seed", None, "int"), ("seed", "3", "int"),
+        ("seed", np.True_, "int"), ("per_class_train", True, "int"),
+        ("per_class_train", 2.0, "int"), ("fraction", "0.5", "int or float"),
+        ("fraction", False, "int or float"),
+    ])
+    def test_save_refuses_the_header_fields_load_refuses(self, field, value, expected,
+                                                         tmp_path):
+        manifest = SplitManifest(seed=0, train=[], test=[], per_class_train=1)
+        setattr(manifest, field, value)
+        path = tmp_path / "s.split.json"
+        with pytest.raises(FormatError) as saved:
+            save_split(manifest, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text(json.dumps({"format_version": 2, "seed": 0, "per_class_train": 1,
+                                    "train_count": 0, "test_count": 0, field: value},
+                                   default=lambda v: v.item()))
+        path.with_suffix(".raw").write_bytes(b"")
+        with pytest.raises(FormatError) as loaded:
+            load_split(path)
+        kind = type(value.item() if isinstance(value, np.generic) else value).__name__
+        assert str(saved.value) == str(loaded.value) == (
+            f"split header field {field!r} is {kind}, expected {expected}")
+
+    @pytest.mark.parametrize("size, seed", [(1, True), (True, 0)])
+    def test_bool_sampled_split_is_refused_before_any_write(self, size, seed, tmp_path):
+        # stratified_split runs with a bool count or seed; its file would not load
+        labels = LabelGrid(labels=np.array([[1, 1], [2, 2]], dtype=np.uint8))
+        with pytest.raises(FormatError, match=" is bool, expected int$"):
+            save_split(stratified_split(labels, size, seed=seed), tmp_path / "s.split.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 1, 0), r"^split train entry \(0, 1, 0\) has a class < 1$"),
+        ((0, 1, -3), r"^split train entry \(0, 1, -3\) has a class < 1$"),
+        ((2**63, 1, 1), "^split train entries hold an index outside int64$"),
+        ((0, -2**63 - 1), "^split train entries hold an index outside int64$"),
+        ((np.uint64(2**63), 1, 1), "^split train entries hold an index outside int64$"),
+    ])
+    def test_save_refuses_entries_the_payload_cannot_hold(self, entry, message, tmp_path):
+        manifest = SplitManifest(seed=0, train=[(0, 0), (1, 1, 1), entry], test=[(2, 2, 1)])
+        with pytest.raises(FormatError, match=message):
+            save_split(manifest, tmp_path / "s.split.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_integer_entries_round_trip(self, tmp_path):
         train = [tuple(np.array([0, 1, 1], dtype=np.int64)), (np.uint8(2), np.int32(3))]
         path = tmp_path / "s.split.json"

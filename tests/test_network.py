@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from specnet3d.network import (
     ModelConfig,
     backward,
     build_model,
-    flattened_length,
     forward,
     load_checkpoint,
     param_count,
@@ -94,7 +94,7 @@ class TestShapeTrace:
         assert trace["Pool2"][3] == 25
         assert trace["Conv3"][3] == 25
         assert trace["Conv4"][3] == 13
-        assert flattened_length(ModelConfig(103, 9, 7)) == 4095
+        assert shape_trace(ModelConfig(103, 9, 7))[-1][1] == 4095
 
     @pytest.mark.parametrize("bands", [16, 40, 102, 103, 180])
     def test_spatial_extent_never_depends_on_depth(self, bands):
@@ -102,7 +102,7 @@ class TestShapeTrace:
         assert trace["Conv2"][1:3] == (3, 3)
         assert trace["Conv4"][1:3] == (3, 3)
 
-    # both walk _BLOCK_PLAN through the one _assemble
+    # both walk _BLOCK_PLAN through the one _walk
     @pytest.mark.parametrize("make", [shape_trace, lambda config: build_model(config, 0)],
                              ids=["shape_trace", "build_model"])
     def test_depth_collapse_names_stage(self, make):
@@ -123,7 +123,7 @@ class TestShapeTrace:
             d = floor_dim(d, 3, 1, 1)      # Conv3
             d = floor_dim(d, 2, 2, 1)      # Conv4
             want = 35 * 3 * 3 * d
-            assert flattened_length(ModelConfig(bands, 9, 7)) == want
+            assert shape_trace(ModelConfig(bands, 9, 7))[-1][1] == want
 
 
 class TestForward:
@@ -361,6 +361,28 @@ class TestCheckpoint:
         entry = {"missing": 3, "extra": 2, "renamed": 4}[edit]
         with pytest.raises(FormatError, match=f"^checkpoint layer entry {entry} is "):
             load_checkpoint(path)
+
+    # the fully connected layer alone would take 1 TB to 4 ZB
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 2**70), ("num_classes", 2**28), ("spectral_depth", 2**31),
+    ])
+    def test_huge_declared_config_rejected_before_allocation(self, field, value, tmp_path):
+        model = build_model(ModelConfig(24, 5, 7), 0)
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        doc["config"][field] = value
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^checkpoint payload holds \d+ scalars, "
+                                                  r"its header requires exactly \d+$") as exc:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "E_FORMAT"
+        assert peak < 1 << 20
 
     def test_layer_shape_mismatch_rejected(self, tmp_path):
         # shapes that disagree with the manifest's own config: one file

@@ -427,28 +427,33 @@ class TestLinear:
 
 
 class TestSoftmaxCrossEntropy:
+    # a single sample is a (1, C) batch
     def test_uniform_logits(self):
-        loss, grad = softmax_cross_entropy(np.zeros(9, dtype=np.float32), 4)
-        assert abs(loss - np.log(9.0)) < 1e-6
+        loss, grad = softmax_cross_entropy(np.zeros((1, 9), dtype=np.float32), [4])
+        assert abs(loss[0] - np.log(9.0)) < 1e-6
         assert abs(grad.sum()) < 1e-6
 
     def test_saturated_correct_class(self):
-        logits = np.zeros(9, dtype=np.float32)
-        logits[2] = 30.0
-        loss, _ = softmax_cross_entropy(logits, 2)
-        assert loss < 1e-9
+        logits = np.zeros((1, 9), dtype=np.float32)
+        logits[0, 2] = 30.0
+        loss, _ = softmax_cross_entropy(logits, [2])
+        assert loss[0] < 1e-9
 
     def test_target_out_of_range(self):
         with pytest.raises(MismatchError):
-            softmax_cross_entropy(np.zeros(4, np.float32), 4)
+            softmax_cross_entropy(np.zeros((1, 4), np.float32), [4])
+
+    def test_single_sample_logits_are_refused(self):
+        with pytest.raises(ShapeError, match=r"\(n, C\) batch"):
+            softmax_cross_entropy(np.zeros(4, np.float32), 1)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(41)
-        logits = rng.standard_normal(7)
-        target = 3
+        logits = rng.standard_normal((1, 7))
+        target = [3]
 
         def loss():
-            return softmax_cross_entropy(logits, target)[0]
+            return softmax_cross_entropy(logits, target)[0][0]
 
         _, grad = softmax_cross_entropy(logits, target)
         fd = finite_difference(loss, [logits])[0]
@@ -468,6 +473,6 @@ class TestSoftmaxCrossEntropy:
         targets = rng.integers(0, 6, size=5)
         losses, grads = softmax_cross_entropy(logits, targets)
         for i in range(5):
-            loss_i, grad_i = softmax_cross_entropy(logits[i], int(targets[i]))
-            assert abs(losses[i] - loss_i) < 1e-12
-            assert np.array_equal(grads[i], grad_i)
+            loss_i, grad_i = softmax_cross_entropy(logits[i:i + 1], targets[i:i + 1])
+            assert abs(losses[i] - loss_i[0]) < 1e-12
+            assert np.array_equal(grads[i], grad_i[0])

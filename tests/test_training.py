@@ -589,7 +589,8 @@ class TestDenseInference:
         def refuse(*args, **kwargs):
             raise AssertionError("inference assembled a model")
 
-        monkeypatch.setattr(network, "_assemble", refuse)
+        for name in ("_walk", "_assemble"):
+            monkeypatch.setattr(network, name, refuse)
         assert predict_map(model, cube).shape == labels.labels.shape
         assert evaluate(model, cube, labels, split.train).counts.sum() == len(split.train)
 
