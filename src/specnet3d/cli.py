@@ -195,7 +195,10 @@ def _apply_config_file(parser, argv):
     if not path:
         return
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     doc = {str(k).replace("-", "_"): v for k, v in doc.items()}
@@ -364,7 +367,9 @@ def main(argv=None):
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error[E_CONFIG]: {exc}", file=sys.stderr)
+        # every precondition raises a SpecnetError: a bare ValueError is a
+        # fault of the program, not of the user's input
+        print(f"error[{SpecnetError.code}]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error[E_IO]: {exc}", file=sys.stderr)

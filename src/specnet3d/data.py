@@ -21,9 +21,17 @@ per_class_train, fraction) unless absent or null.
 
 Every file the package writes, the history and class map too, goes
 through _write_file, a container's payload before its header.
+
+The cube-sized passes, save_cube's band-sequential fill, load_cube's read
+and normalize, run a block of image rows at a time (_row_blocks), the
+blocks dealt out over every worker by parallel.fan_out.  load_cube reads
+each block straight into the one (height, width, bands) array it
+returns, so it holds no second cube-sized array; block sizes and worker
+counts change no bit.
 """
 
 import collections
+import contextlib
 import itertools
 import json
 import math
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, FormatError, ShapeError, SplitError
 
 SPLIT_FORMAT_VERSION = 2
@@ -188,12 +197,12 @@ def _write_container(header_path, version, header, payload=(), dtype=None):
 
 
 def _read_header(header_path, kind, versions, fields=(), optional=()):
-    """A container's JSON header, checked to be an object carrying one of
-    the format_versions given, then checked by _check_fields."""
+    """A container's JSON header, checked to be UTF-8 JSON, an object
+    carrying one of the format_versions given, then by _check_fields."""
     with open(header_path, "r", encoding="utf-8") as fh:
         try:
             header = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{kind} header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{kind} header is a JSON {type(header).__name__}, not an object")
@@ -231,10 +240,12 @@ def _field(doc, kind, name, types, minimum=None):
     return value
 
 
-def _read_payload(header_path, kind, dtype, count):
-    """The count dtype scalars stored in the .raw beside header_path, which
-    must hold exactly that many; the size is checked before any allocation,
-    so a header declaring huge dims cannot exhaust memory."""
+@contextlib.contextmanager
+def _open_payload(header_path, kind, dtype, count):
+    """The file descriptor of the .raw beside header_path, open for the with
+    block, the file checked to hold exactly count dtype scalars before the
+    caller allocates anything, so a header declaring huge dims cannot
+    exhaust memory."""
     itemsize = np.dtype(dtype).itemsize
     with open(_raw_path(header_path), "rb") as fh:
         nbytes = os.fstat(fh.fileno()).st_size
@@ -243,9 +254,27 @@ def _read_payload(header_path, kind, dtype, count):
                 f"{kind} payload holds {nbytes // itemsize} scalars, "
                 f"its header requires exactly {count}"
             )
-        payload = np.empty(count, dtype=dtype)
-        if fh.readinto(payload) != nbytes:
+        yield fh.fileno()
+
+
+def _read_into(fd, kind, array, offset):
+    """Fill the C-contiguous array with the payload bytes at offset in fd,
+    by positional reads, which share no file offset between threads; a
+    file that ends first is a FormatError."""
+    view = memoryview(array).cast("B")
+    while view:
+        got = os.preadv(fd, [view], offset)
+        if not got:
             raise FormatError(f"{kind} payload changed while being read")
+        view, offset = view[got:], offset + got
+
+
+def _read_payload(header_path, kind, dtype, count):
+    """The count dtype scalars stored in the .raw beside header_path, which
+    must hold exactly that many (_open_payload)."""
+    with _open_payload(header_path, kind, dtype, count) as fd:
+        payload = np.empty(count, dtype=dtype)
+        _read_into(fd, kind, payload, 0)
     return payload
 
 
@@ -257,46 +286,84 @@ def _write_raster(fmt: _Raster, header_path, dims, payload, **fields):
 
 
 def _read_raster(fmt: _Raster, header_path, optional=()):
-    """(dims, header, flat payload) of a raster, its header checked like
-    _read_header's, then for fmt's encoding and each dim >= 1, all before
-    the payload of exactly the scalars the dims multiply out to is read."""
+    """(dims, header) of a raster, its header checked like _read_header's,
+    then for fmt's encoding and each dim >= 1; its payload holds exactly the
+    scalars the dims multiply out to."""
     header = _read_header(header_path, fmt.kind, (fmt.version,),
                           [(name, int) for name in fmt.dims], optional)
     encoding = header.get("dtype"), header.get("order")
     if encoding != (fmt.dtype, fmt.order):
         raise FormatError(f"unsupported {fmt.kind} encoding {encoding[0]!r}/{encoding[1]!r}")
-    dims = [_field(header, fmt.kind, name, int, 1) for name in fmt.dims]
-    return dims, header, _read_payload(header_path, fmt.kind, fmt.scalar, math.prod(dims))
+    return [_field(header, fmt.kind, name, int, 1) for name in fmt.dims], header
 
 
-# about this many bytes of the cube are copied into the band-sequential
-# payload at a time, so that a block's scattered reads stay in cache
-_SAVE_BLOCK_BYTES = 1 << 18
+# about this many bytes of the cube make one row block of a cube-sized pass
+# (at least one image row), so that a block's strided copy stays in cache;
+# load_cube's blocks are larger, so that each of a block's per-band reads
+# (about 40 KB at PaviaU's width) costs little more than its bytes.  Block
+# sizes are not part of any format.
+_BLOCK_BYTES = 1 << 18
+_LOAD_BLOCK_BYTES = 1 << 22
+
+
+def _row_blocks(height, row_bytes, block_bytes, job):
+    """Split height image rows of row_bytes each into blocks of about
+    block_bytes, and run job(blocks) on parallel.fan_out, one call per
+    worker, each given its round-robin share of the blocks as row slices.
+    A cube of one block is one call on the caller, which starts no thread."""
+    rows = max(1, block_bytes // row_bytes)
+    blocks = [slice(r, min(r + rows, height)) for r in range(0, height, rows)]
+    jobs = min(len(blocks), parallel.workers())
+    parallel.fan_out(jobs, lambda j: job(blocks[j::jobs]))
 
 
 def save_cube(cube: HsiCube, header_path):
     """Write the JSON header and the band-sequential f32le payload.
 
-    The payload is filled a block of image rows at a time
-    (_SAVE_BLOCK_BYTES of the cube, at least one row), converting any
-    dtype or memory order in that copy, so no second cube-sized array is
-    made; the bytes are those of values.transpose(2, 0, 1) as f32le,
-    whatever the block size.
+    The payload is filled a row block at a time (_row_blocks), converting
+    any dtype or memory order in that copy, so no second cube-sized array
+    is made; the bytes are those of values.transpose(2, 0, 1) as f32le,
+    whatever the block size or the number of workers.
     """
     values = cube.values
     bsq = np.empty((cube.bands, cube.height, cube.width), _CUBE.scalar)
-    rows = max(1, _SAVE_BLOCK_BYTES // values[0].nbytes)
-    for r in range(0, cube.height, rows):
-        bsq[:, r:r + rows] = values[r:r + rows].transpose(2, 0, 1)
+
+    def fill(blocks):
+        for block in blocks:
+            bsq[:, block] = values[block].transpose(2, 0, 1)
+
+    _row_blocks(cube.height, values[0].nbytes, _BLOCK_BYTES, fill)
     _write_raster(_CUBE, header_path, values.shape, bsq)
 
 
 def load_cube(header_path) -> HsiCube:
-    """Load a cube, validating version, payload size, and finiteness."""
-    (p, q, s), _, payload = _read_raster(_CUBE, header_path)
-    values = np.ascontiguousarray(payload.reshape(s, p, q).transpose(1, 2, 0))
-    if not np.isfinite(values).all():
-        raise FormatError("cube payload contains non-finite values")
+    """Load a cube, validating version, payload size, and finiteness.
+
+    The (height, width, bands) array is the one cube-sized allocation.  It
+    is filled a row block at a time (_row_blocks): each band's rows of the
+    block come by one positional read into the job's (bands, rows, width)
+    staging buffer, which is checked finite and transposed into place.  A
+    block of every row is one read.
+    """
+    (p, q, s), _ = _read_raster(_CUBE, header_path)
+    band_row = q * np.dtype(_CUBE.scalar).itemsize  # bytes of one band of one row
+    with _open_payload(header_path, _CUBE.kind, _CUBE.scalar, p * q * s) as fd:
+        values = np.empty((p, q, s), _CUBE.scalar)
+
+        def read(blocks):
+            staging = np.empty((s, blocks[0].stop - blocks[0].start, q), _CUBE.scalar)
+            for block in blocks:
+                part = staging[:, :block.stop - block.start]
+                if len(part[0]) == p:  # every row: the bands lie back to back
+                    _read_into(fd, _CUBE.kind, part, 0)
+                else:
+                    for band, rows in enumerate(part):
+                        _read_into(fd, _CUBE.kind, rows, (band * p + block.start) * band_row)
+                if not np.isfinite(part).all():
+                    raise FormatError("cube payload contains non-finite values")
+                values[block] = part.transpose(1, 2, 0)
+
+        _row_blocks(p, s * band_row, _LOAD_BLOCK_BYTES, read)
     return HsiCube(values=values)
 
 
@@ -306,7 +373,8 @@ def save_labels(grid: LabelGrid, header_path):
 
 
 def load_labels(header_path) -> LabelGrid:
-    dims, header, payload = _read_raster(_LABELS, header_path, [("class_names", list)])
+    dims, header = _read_raster(_LABELS, header_path, [("class_names", list)])
+    payload = _read_payload(header_path, _LABELS.kind, _LABELS.scalar, math.prod(dims))
     return LabelGrid(labels=payload.reshape(dims), class_names=header.get("class_names"))
 
 
@@ -393,8 +461,14 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
     band_range = spectra.max(axis=0) - band_min
     safe = np.where(band_range > 0, band_range, 1.0)
     scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(dtype)
-    values = np.subtract(cube.values, band_min, dtype=dtype)
-    values *= scale  # in place: one scene-sized array, not two
+    values = np.empty(cube.values.shape, dtype)  # the one scene-sized array
+
+    def scale_rows(blocks):
+        for block in blocks:
+            np.subtract(cube.values[block], band_min, out=values[block], dtype=dtype)
+            values[block] *= scale
+
+    _row_blocks(cube.height, values[0].nbytes, _BLOCK_BYTES, scale_rows)
     return HsiCube(values=values)
 
 

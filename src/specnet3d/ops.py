@@ -169,7 +169,9 @@ def _check_conv_input(x, spec: Conv3dSpec):
 
 
 def _conv3d_forward_cols(x, spec: Conv3dSpec):
-    """conv3d_forward that also hands back its patch stack for reuse."""
+    """(out, cols): the strided 3D cross-correlation with bias of a
+    (n, c, h, w, d) tensor, and the patch stack it was computed from, which
+    conv3d_backward may reuse."""
     x = _check_conv_input(x, spec)
     n = x.shape[0]
     out_dims = spec.output_dims(x.shape[2:])
@@ -194,12 +196,6 @@ def _conv3d_forward_cols(x, spec: Conv3dSpec):
     return _channels_first(out), cols
 
 
-def conv3d_forward(x, spec: Conv3dSpec):
-    """Strided 3D cross-correlation with bias over a (n, c, h, w, d) tensor."""
-    out, _ = _conv3d_forward_cols(x, spec)
-    return out
-
-
 def _grad_weights(spec: Conv3dSpec, gmat):
     """(out, in, kh, kw, kd) weight gradient from its (columns of the
     layer's weight matrix, rows of it) matrix."""
@@ -212,7 +208,7 @@ def _grad_weights(spec: Conv3dSpec, gmat):
 
 
 def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
-    """Exact partials of sum(upstream * conv3d_forward(x, spec)).
+    """Exact partials of sum(upstream * _conv3d_forward_cols(x, spec)[0]).
 
     Returns (grad_x, grad_weights, grad_bias) with the shapes of x,
     spec.weights and spec.bias; grad_x is None when input_grad is False.

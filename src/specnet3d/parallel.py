@@ -1,5 +1,6 @@
-"""Shards of one batch, or the strips of an inference pass, run on the
-calling thread and helper threads.
+"""Independent jobs run on the calling thread and helper threads: the
+shards of one batch, the strips of an inference pass, or a cube-sized
+I/O pass's share of row blocks.
 
 OpenBLAS's thread count is process-wide.  It is read and set through the
 library's own entry points, found with ctypes in the numpy.libs directory
@@ -8,8 +9,8 @@ at one, so each thread's GEMMs run on that thread and the threads share
 out the cores instead of BLAS splitting small GEMMs between them.
 
 fan_out(count, fn) is a plain call that returns [fn(0), ..., fn(count - 1)]
-with the pin held inside it.  Each job is one whole pass that writes its
-own output, so no caller work has to sit inside the pin.
+with the pin held inside it.  Each job writes its own output, or its own
+rows of a shared one, so no caller work has to sit inside the pin.
 """
 
 import contextlib
@@ -93,7 +94,9 @@ def workers():
 
 
 def fan_out(count, fn):
-    """[fn(0), ..., fn(count - 1)], the shards fanned out over threads.
+    """[fn(0), ..., fn(count - 1)], the jobs (shards) fanned out over
+    threads: a batch's shards, an inference pass's strips, or the row
+    blocks of a cube-sized pass (data._row_blocks).
 
     The caller runs shard 0 and at most workers() - 1 helper threads take
     the rest, then the caller too, one shard at a time.  Each helper runs

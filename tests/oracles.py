@@ -1,22 +1,29 @@
 """Independent reference implementations the kernels are checked against.
 
 Everything here is deliberately naive: plain Python loops over plain
-Python floats, no shared code with the package's vectorized paths. The one
-exception is residual_grads, which ablates the network's wiring rather
-than checking a kernel, so it composes the package's public ops.
+Python floats, no shared code with the package's vectorized paths. Two
+exceptions: conv3d_forward, the package's convolution as the tests call
+it, and residual_grads, which ablates the network's wiring rather than
+checking a kernel, so it composes the package's ops.
 """
 
 import numpy as np
 
 from specnet3d.ops import (
+    _conv3d_forward_cols,
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
-    conv3d_forward,
     linear_backward,
     relu,
     relu_backward,
 )
+
+
+def conv3d_forward(x, spec):
+    """The package's strided 3D convolution of x, without the patch stack
+    _conv3d_forward_cols also hands back."""
+    return _conv3d_forward_cols(x, spec)[0]
 
 
 def conv3d_reference(x, weights, bias, stride, padding):

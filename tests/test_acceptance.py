@@ -27,7 +27,6 @@ from specnet3d.ops import (
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
-    conv3d_forward,
     linear_backward,
     linear_forward,
     relu,
@@ -37,7 +36,13 @@ from specnet3d.ops import (
 from specnet3d.tensor import Conv3dSpec, Pool3dSpec
 from specnet3d.training import OptimizerState, TrainConfig, evaluate, train
 
-from oracles import assert_close, conv3d_reference, finite_difference, residual_grads
+from oracles import (
+    assert_close,
+    conv3d_forward,
+    conv3d_reference,
+    finite_difference,
+    residual_grads,
+)
 from synth import overfit_scene, striped_scene
 from test_metrics import UNIVERSITY_MATRIX
 

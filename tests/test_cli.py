@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from specnet3d import cli
 from specnet3d.cli import main
 from specnet3d.data import (
     HsiCube, LabelGrid, SplitManifest, load_split, save_cube, save_labels, save_split,
@@ -638,6 +639,30 @@ class TestInspectCommand:
 
 
 class TestHelpAndGlobals:
+    def test_stray_value_error_is_internal(self, monkeypatch, capsys):
+        # it used to be labeled E_CONFIG, blaming the user's configuration
+        def broken(args):
+            raise ValueError("some numpy complaint")
+
+        monkeypatch.setitem(cli._COMMANDS, "inspect", broken)
+        assert main(["inspect"]) == 1
+        assert capsys.readouterr().err == "error[E_INTERNAL]: ValueError: some numpy complaint\n"
+
+    @pytest.mark.parametrize("text", [b"{", b"\xff{}"], ids=["json", "utf8"])
+    def test_config_file_not_utf8_json_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(text)
+        assert main(["inspect", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error[E_CONFIG]: config file {cfg} is not UTF-8 JSON: ")
+
+    def test_header_not_utf8_is_a_format_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt.json"
+        ckpt.write_bytes(b"\xff{}")
+        assert main(["inspect", "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error[E_FORMAT]: checkpoint header is not valid JSON: 'utf-8' codec")
+
     def test_train_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--help"])

@@ -1,12 +1,17 @@
+import contextlib
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from specnet3d import data, parallel
 from specnet3d.data import (
-    _SAVE_BLOCK_BYTES,
+    _BLOCK_BYTES,
     _cut,
     HsiCube,
     LabelGrid,
@@ -29,6 +34,16 @@ def seeded_cube(shape, seed=0):
     return HsiCube(values=rng.standard_normal(shape).astype(np.float32))
 
 
+def whole_array_normalize(values, train):
+    """normalize's float32 result as one out-of-place whole-array expression."""
+    spectra = values[[r for r, _, _ in train], [c for _, c, _ in train]]
+    band_min = spectra.min(axis=0)
+    band_range = spectra.max(axis=0) - band_min
+    safe = np.where(band_range > 0, band_range, 1.0)
+    scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(np.float32)
+    return (values - band_min) * scale
+
+
 class TestCubeContainer:
     def test_round_trip_bitwise(self, tmp_path):
         cube = seeded_cube((4, 5, 6))
@@ -41,7 +56,7 @@ class TestCubeContainer:
     @staticmethod
     def multi_block_shape(width=64, bands=32):
         # three whole row blocks and half of a fourth
-        rows = _SAVE_BLOCK_BYTES // (width * bands * 4)
+        rows = _BLOCK_BYTES // (width * bands * 4)
         assert rows > 1
         return (3 * rows + rows // 2, width, bands)
 
@@ -122,6 +137,125 @@ class TestCubeContainer:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="format_version"):
             load_cube(path)
+
+
+class TestRowBlockPasses:
+    """save_cube, load_cube and normalize run in row blocks fanned out over
+    parallel.fan_out; the bits must not depend on the blocks or workers."""
+
+    SHAPE = (23, 16, 12)   # 6 blocks of 4 rows under the sizes below, the last of 3
+    BLOCK = 4 * 16 * 12 * 4
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Row blocks of 4 rows of SHAPE for every pass; returns a setter
+        for the number of workers."""
+        monkeypatch.setattr(data, "_BLOCK_BYTES", self.BLOCK)
+        monkeypatch.setattr(data, "_LOAD_BLOCK_BYTES", self.BLOCK)
+        return lambda n: monkeypatch.setattr(parallel, "workers", lambda: n)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bitwise_the_whole_array_expressions_at_any_worker_count(
+            self, blocks, workers, tmp_path):
+        blocks(workers)
+        cube = seeded_cube(self.SHAPE, seed=11)
+        cube.values[:, :, 5] = -1.5  # a constant band scales by 0
+        train = [(r, c, 1) for r in range(0, 23, 4) for c in range(1, 16, 3)]
+        path = tmp_path / "scene.hsc.json"
+        save_cube(cube, path)
+        assert ((tmp_path / "scene.hsc.raw").read_bytes()
+                == cube.values.transpose(2, 0, 1).astype("<f4").tobytes())
+        loaded = load_cube(path)
+        assert loaded.values.flags.c_contiguous and loaded.values.dtype == np.float32
+        assert loaded.values.tobytes() == cube.values.tobytes()
+        out = normalize(loaded, SplitManifest(seed=0, train=train, test=[]))
+        assert out.values.tobytes() == whole_array_normalize(cube.values, train).tobytes()
+
+    def test_many_workers_switching_often_keep_every_block(self, blocks, tmp_path):
+        # more workers than cores, each preempted every few microseconds: a
+        # block written twice, lost or read at the wrong offset shows
+        blocks(8)
+        cube = seeded_cube(self.SHAPE, seed=16)
+        train = [(r, r % 16, 1) for r in range(23)]
+        want = whole_array_normalize(cube.values, train).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                save_cube(cube, tmp_path / "scene.hsc.json")
+                loaded = load_cube(tmp_path / "scene.hsc.json")
+                assert loaded.values.tobytes() == cube.values.tobytes()
+                out = normalize(loaded, SplitManifest(seed=0, train=train, test=[]))
+                assert out.values.tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_load_holds_the_payload_and_one_block(self, monkeypatch, tmp_path):
+        # 128 row blocks of 2 rows; the parent's whole-payload read, its
+        # transpose and its finiteness mask came to 2.25x the payload
+        block = 2 * 128 * 32 * 4
+        monkeypatch.setattr(data, "_LOAD_BLOCK_BYTES", block)
+        cube = seeded_cube((256, 128, 32), seed=12)
+        path = tmp_path / "scene.hsc.json"
+        save_cube(cube, path)
+        tracemalloc.start()
+        try:
+            loaded = load_cube(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.values.tobytes() == cube.values.tobytes()
+        assert peak <= 1.1 * cube.values.nbytes + block, (peak, cube.values.nbytes)
+
+    @pytest.mark.parametrize("row", [4, 22], ids=["helper_block", "last_block"])
+    def test_non_finite_in_one_block_rejected(self, blocks, row, tmp_path):
+        # with two workers the helper reads blocks 1, 3 and 5
+        blocks(2)
+        cube = seeded_cube(self.SHAPE, seed=13)
+        cube.values[row, 15, 11] = np.nan
+        path = tmp_path / "scene.hsc.json"
+        save_cube(cube, path)
+        with pytest.raises(FormatError, match="^cube payload contains non-finite values$"):
+            load_cube(path)
+
+    @pytest.mark.parametrize("kind, shape", [("cube", SHAPE), ("cube", (3, 16, 12)),
+                                             ("labels", None)], ids=["cube", "one_block", "labels"])
+    def test_payload_shrinking_after_the_size_check_rejected(
+            self, blocks, kind, shape, monkeypatch, tmp_path):
+        blocks(2)
+        if kind == "cube":
+            path, load = tmp_path / "scene.hsc.json", load_cube
+            save_cube(seeded_cube(shape, seed=14), path)
+        else:
+            path, load = tmp_path / "gt.lbl.json", load_labels
+            save_labels(LabelGrid(labels=np.ones((5, 7), np.uint8)), path)
+        raw = data._raw_path(path)
+        checked = data._open_payload
+
+        @contextlib.contextmanager
+        def shrinking(*args):
+            with checked(*args) as fd:
+                os.truncate(raw, os.path.getsize(raw) - 7)
+                yield fd
+
+        monkeypatch.setattr(data, "_open_payload", shrinking)
+        with pytest.raises(FormatError, match=f"^{kind} payload changed while being read$"):
+            load(path)
+
+    def test_a_cube_of_one_block_starts_no_thread(self, monkeypatch, tmp_path):
+        # the map workload's 16x24 tile at 103 bands is one block of each pass
+        monkeypatch.setattr(parallel, "workers", lambda: 4)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        cube = seeded_cube((16, 24, 103), seed=15)
+        path = tmp_path / "tile.hsc.json"
+        save_cube(cube, path)
+        loaded = load_cube(path)
+        normalize(loaded, SplitManifest(seed=0, train=[(0, 0), (15, 23)], test=[]))
+        assert loaded.values.tobytes() == cube.values.tobytes()
 
 
 class TestLabelContainer:
@@ -295,12 +429,7 @@ class TestNormalize:
         before = cube.values.copy()
         train = [(r, c, 1) for r in range(0, 32, 3) for c in range(0, 24, 5)]
         manifest = SplitManifest(seed=0, per_class_train=len(train), train=train, test=[])
-        spectra = cube.values[[r for r, _, _ in train], [c for _, c, _ in train]]
-        band_min = spectra.min(axis=0)
-        band_range = spectra.max(axis=0) - band_min
-        safe = np.where(band_range > 0, band_range, 1.0)
-        scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(np.float32)
-        want = (cube.values - band_min) * scale
+        want = whole_array_normalize(cube.values, train)
         tracemalloc.start()
         try:
             out = normalize(cube, manifest)

