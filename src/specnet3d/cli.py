@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    _pixel_rows,
     load_cube,
     load_labels,
     load_split,
@@ -227,11 +228,10 @@ def cmd_split(args):
     )
     save_split(manifest, args.out)
     counts = manifest.train_counts()
-    test_counts = {}
-    for _, _, cls in manifest.test:
-        test_counts[cls] = test_counts.get(cls, 0) + 1
+    test_counts = np.bincount(_pixel_rows(manifest.test, "test")[:, 2],
+                              minlength=labels.num_classes + 1)
     for cls in range(1, labels.num_classes + 1):
-        print(f"{labels.class_name(cls)} {counts.get(cls, 0)} {test_counts.get(cls, 0)}")
+        print(f"{labels.class_name(cls)} {counts.get(cls, 0)} {test_counts[cls]}")
     print(f"wrote {args.out}")
     return 0
 

@@ -17,7 +17,9 @@ test_count, and its payload holds that many int64 [row, col, class] rows,
 the train rows first; class 0 marks a [row, col] pair, which gives no
 class.  Format 1 splits, header only with the entries as JSON lists,
 still load.  _read_header checks optional fields (class_names,
-per_class_train, fraction) unless absent or null.
+per_class_train, fraction) unless absent or null.  Every pixel set, a
+split side or what normalize, train and evaluate read, goes through one
+entry rule and converter to the payload's int64 rows, _pixel_rows.
 
 Every file the package writes, the history and class map too, goes
 through _write_file, a container's payload before its header.
@@ -144,19 +146,6 @@ def _raw_path(json_path):
     if not s.endswith(".json"):
         raise FormatError(f"header or manifest path must end in .json: {s}")
     return s[: -len(".json")] + ".raw"
-
-
-def _check_pixels(name, entries):
-    """entries, checked to be [row, col] or [row, col, class] lists or
-    tuples of ints or numpy integers: the split's rule on save and load
-    alike.  Bools, JSON true and false among them, are no integers."""
-    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2, 3}
-            and all(t is int or issubclass(t, np.integer)
-                    for t in set(map(type, itertools.chain.from_iterable(entries))))):
-        raise FormatError(
-            f"split header field {name!r} must hold [row, col] or [row, col, class] integers"
-        )
-    return entries
 
 
 def _plain(value):
@@ -382,19 +371,26 @@ def load_labels(header_path) -> LabelGrid:
 _SPLIT_FIELDS = [("seed", int)], [("per_class_train", int), ("fraction", (int, float))]
 
 
-def _pixel_rows(name, entries):
-    """The (n, 3) int64 payload rows of a split side's entries, a pair's
-    class 0; an entry _check_pixels refuses, a triple whose class is < 1,
-    or an index outside int64 is a FormatError."""
-    _check_pixels(name, entries)
+def _pixel_rows(entries, side=None):
+    """The (n, 3) int64 rows of a pixel set's entries, a pair's class 0.
+    An entry is a [row, col] or [row, col, class] list or tuple of ints or
+    numpy integers (bools, JSON true and false among them, are not), its
+    class >= 1 and each index in int64; any other is a FormatError naming
+    the split side, if any, else the pixel set."""
+    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2, 3}
+            and all(t is int or issubclass(t, np.integer)
+                    for t in set(map(type, itertools.chain.from_iterable(entries))))):
+        where = f"split header field {side!r}" if side else "pixel set"
+        raise FormatError(f"{where} must hold [row, col] or [row, col, class] integers")
+    name = f"split {side}" if side else "pixel set"
     padded = itertools.chain.from_iterable(e if len(e) == 3 else (*e, 0) for e in entries)
     try:
         rows = np.fromiter(padded, np.int64, 3 * len(entries)).reshape(-1, 3)
     except OverflowError:
-        raise FormatError(f"split {name} entries hold an index outside int64") from None
+        raise FormatError(f"{name} entries hold an index outside int64") from None
     for i in np.flatnonzero(rows[:, 2] < 1).tolist():
         if len(entries[i]) == 3:
-            raise FormatError(f"split {name} entry {tuple(rows[i].tolist())} has a class < 1")
+            raise FormatError(f"{name} entry {tuple(rows[i].tolist())} has a class < 1")
     return rows
 
 
@@ -406,24 +402,24 @@ def _entries(rows):
 
 
 def save_split(manifest: SplitManifest, path):
-    """Write the split manifest in format 2 (see the module docstring);
-    a field or entry load_split would refuse, a triple whose class is < 1,
-    or an index outside int64 is a FormatError before any file is opened."""
+    """Write the split manifest in format 2 (see the module docstring); a
+    field or entry load_split refuses is a FormatError before any write."""
     header = {name: getattr(manifest, name) for name in ("seed", "per_class_train", "fraction")}
     header = {k: v.item() if isinstance(v, np.generic) else v for k, v in header.items()}
     _check_fields(header, "split", *_SPLIT_FIELDS)
-    sides = _pixel_rows("train", manifest.train), _pixel_rows("test", manifest.test)
+    sides = _pixel_rows(manifest.train, "train"), _pixel_rows(manifest.test, "test")
     header.update(train_count=len(sides[0]), test_count=len(sides[1]))
     _write_container(path, SPLIT_FORMAT_VERSION, header, sides, "<i8")
 
 
 def load_split(path) -> SplitManifest:
-    """A split manifest of format 1 or 2.  Format 2's counts are checked
-    before its payload is read, and that payload's size before any
-    allocation; a negative class there is a FormatError."""
+    """A split manifest of format 2, or of format 1, whose entries
+    _pixel_rows reads.  Format 2's counts are checked before its payload is read, and that
+    payload's size before any allocation; a negative class there is a
+    FormatError."""
     doc = _read_header(path, "split", (1, SPLIT_FORMAT_VERSION), *_SPLIT_FIELDS)
     if doc["format_version"] == 1:
-        train, test = ([tuple(e) for e in _check_pixels(name, _field(doc, "split", name, list))]
+        train, test = (_entries(_pixel_rows(_field(doc, "split", name, list), name))
                        for name in ("train", "test"))
     else:
         n, m = (_field(doc, "split", name, int, 0) for name in ("train_count", "test_count"))
@@ -444,17 +440,14 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
     keeps its dtype; any other cube is scaled in float32, bitwise as its
     float32 copy would be.
     """
-    if not stats_source.train:
+    rows, cols, _ = _pixel_rows(stats_source.train, "train").T
+    if not len(rows):
         raise SplitError("normalization needs a non-empty training set")
-    rows = np.asarray([e[0] for e in stats_source.train])
-    cols = np.asarray([e[1] for e in stats_source.train])
     outside = (rows < 0) | (rows >= cube.height) | (cols < 0) | (cols >= cube.width)
     if outside.any():
         k = int(np.argmax(outside))
-        raise SplitError(
-            f"training pixel ({rows[k]}, {cols[k]}) lies outside the "
-            f"{cube.height}x{cube.width} cube"
-        )
+        raise SplitError(f"training pixel ({rows[k]}, {cols[k]}) lies outside the "
+                         f"{cube.height}x{cube.width} cube")
     dtype = cube.values.dtype if np.issubdtype(cube.values.dtype, np.floating) else np.float32
     spectra = cube.values[rows, cols, :].astype(dtype, copy=False)
     band_min = spectra.min(axis=0)

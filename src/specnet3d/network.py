@@ -167,9 +167,8 @@ def _walk(config: ModelConfig):
     return blocks, trace
 
 
-def _assemble(config: ModelConfig, rng_seed=0):
-    """The fixed architecture for config, with zero weights and biases."""
-    blocks, trace = _walk(config)
+def _assemble(config: ModelConfig, rng_seed, blocks, trace):
+    """The fixed architecture for config, walked (_walk), with zero weights."""
     return Model(config=config, blocks=blocks,
                  fc_weights=np.zeros((config.num_classes, trace[-1][1]), np.float32),
                  fc_bias=np.zeros(config.num_classes, np.float32), rng_seed=rng_seed)
@@ -188,7 +187,7 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
     """Instantiate the fixed architecture with fan-in uniform weights and
     zero biases, reproducibly from rng_seed: each weight of parameters(),
     in its order, is drawn in place."""
-    model = _assemble(config, rng_seed)
+    model = _assemble(config, rng_seed, *_walk(config))
     rng = np.random.default_rng(rng_seed)
     for name, p in model.parameters().items():
         if name.endswith(".weight"):
@@ -331,30 +330,30 @@ def class_grid(model: Model, values, pixels=None):
     """(height, width) int64 grid of the classes in [1, C] the model gives
     the (height, width, S) scene values, ties going to the lowest class.
 
-    pixels, (row, col, ...) entries, name the wanted pixels: only the
-    steps holding one of them run, with the earlier steps they read, and
-    pixels outside those steps read 0.  With none, every step of every
-    strip runs.  A strip's job writes its steps' classes straight into the
-    grid, where no other step writes.
+    pixels, an (n, >= 2) int array of (row, col, ...) rows, names the
+    wanted pixels: only the steps holding one of them run, with the
+    earlier steps they read, and pixels outside those steps read 0.  With
+    none, every step of every strip runs.  A strip's job writes its steps'
+    classes straight into the grid, where no other step writes.
     """
     height, width = values.shape[:2]
-    if pixels is None:  # one origin pixel per step
-        pixels = [(row, col) for row in range(0, height, STEP)
-                  for col in range(0, width, STRIP)]
+    strips = -(-width // STRIP)  # each wanted step's key is step * strips + strip
+    keys = (range(-(-height // STEP) * strips) if pixels is None
+            else set((pixels[:, 0] // STEP * strips + pixels[:, 1] // STRIP).tolist()))
     steps_by_col = {}
-    for row, col, *_ in pixels:
-        steps_by_col.setdefault(col - col % STRIP, set()).add(row // STEP)
-    strips = sorted(steps_by_col.items())
+    for key in keys:
+        steps_by_col.setdefault(key % strips * STRIP, []).append(key // strips)
+    plan = sorted(steps_by_col.items())
     grid = np.zeros((height, width), dtype=np.int64)
 
     def strip(i):
-        col, steps = strips[i]
+        col, steps = plan[i]
         for row, logits in stream(model, values, col, steps):
             grid[row:row + logits.shape[0], col:col + logits.shape[1]] = (
                 np.argmax(logits, axis=2) + 1
             )
 
-    fan_out(len(strips), strip)
+    fan_out(len(plan), strip)
     return grid
 
 
@@ -482,7 +481,8 @@ def save_checkpoint(model: Model, json_path):
 
 def load_checkpoint(json_path) -> Model:
     """Rebuild a Model bit-exactly from its manifest + blob pair; the first
-    layer entry that differs from _layer_table is a FormatError."""
+    layer entry that differs from _layer_table is a FormatError.  One walk
+    sizes the blob, checked before the classifier is made, and the model."""
     manifest = _read_header(json_path, "checkpoint", (CHECKPOINT_FORMAT_VERSION,),
                             [("config", dict), ("layers", list)])
     config = {f.name: _field(manifest["config"], "checkpoint config", f.name, int)
@@ -497,7 +497,7 @@ def load_checkpoint(json_path) -> Model:
     convs = sum(a.size for b in blocks for s in (b.main, b.proj) for a in (s.weights, s.bias))
     blob = _read_payload(json_path, "checkpoint", "<f4",
                          convs + config.num_classes * (trace[-1][1] + 1))
-    model = _assemble(config, rng_seed)
+    model = _assemble(config, rng_seed, blocks, trace)
     declared, table = manifest["layers"], _layer_table(model)
     for i in range(max(len(declared), len(table))):
         got, want = declared[i:i + 1] or "nothing", table[i:i + 1] or "nothing"

@@ -10,6 +10,10 @@ network); the bits depend on network.SHARD, not on the thread count.
 evaluate and predict_map are the two uses of network.class_grid, the one
 inference pass: predict_map classifies every pixel of the scene, and
 evaluate only the requested ones, each bitwise as predict_map does.
+train and evaluate read a pixel set as data._pixel_rows' (n, 3) int64
+rows, checked against the labels in one vectorized pass (_labeled_rows):
+a training batch is a slice of them, and evaluate's confusion matrix one
+np.bincount over them and the class grid.
 """
 
 import json
@@ -18,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import HsiCube, LabelGrid, SplitManifest, _write_file, extract_patch, normalize
+from .data import (
+    HsiCube, LabelGrid, SplitManifest, _pixel_rows, _write_file, extract_patch, normalize,
+)
 from .errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
 from .metrics import ConfusionMatrix, overall_accuracy, write_report
 from .network import Model, backward, class_grid, forward, save_checkpoint
@@ -82,30 +88,30 @@ def sgd_step(params, grads, state: OptimizerState):
         w -= state.learning_rate * v
 
 
-def _check_pixel(labels: LabelGrid, classes, entry):
-    """(row, col, class) of a split entry, checked against labels and classes."""
-    row, col = int(entry[0]), int(entry[1])
-    if not (0 <= row < labels.height and 0 <= col < labels.width):
-        raise SplitError(
-            f"pixel ({row}, {col}) lies outside the {labels.height}x{labels.width} scene"
-        )
-    cls = int(labels.labels[row, col])
-    if cls == 0:
-        raise SplitError(f"pixel ({row}, {col}) is unlabeled")
-    if len(entry) > 2 and int(entry[2]) != cls:
-        raise MismatchError(
-            f"pixel ({row}, {col}) is labeled {cls} but listed as {entry[2]}"
-        )
-    if cls > classes:
-        raise MismatchError(
-            f"pixel ({row}, {col}) is labeled {cls}, but the model has {classes} classes"
-        )
-    return row, col, cls
-
-
-def _batched(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
+def _labeled_rows(labels: LabelGrid, classes, entries, side=None):
+    """The (n, 3) int64 rows of entries (data._pixel_rows), each class read
+    from labels.  The first entry that fails raises: SplitError outside the
+    scene or unlabeled, MismatchError listed as another class or past the
+    model's classes."""
+    rows = _pixel_rows(entries, side)
+    row, col, listed = rows.T
+    inside = (row >= 0) & (row < labels.height) & (col >= 0) & (col < labels.width)
+    cls = np.zeros_like(listed)
+    cls[inside] = labels.labels[row[inside], col[inside]]
+    bad = ~inside | (cls == 0) | ((listed != 0) & (listed != cls)) | (cls > classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        (r, c, k), got = rows[i].tolist(), int(cls[i])
+        pixel = f"pixel ({r}, {c})"
+        if not inside[i]:
+            raise SplitError(f"{pixel} lies outside the {labels.height}x{labels.width} scene")
+        if got == 0:
+            raise SplitError(f"{pixel} is unlabeled")
+        if k and k != got:
+            raise MismatchError(f"{pixel} is labeled {got} but listed as {k}")
+        raise MismatchError(f"{pixel} is labeled {got}, but the model has {classes} classes")
+    rows[:, 2] = cls
+    return rows
 
 
 def _patch_batch(cube: HsiCube, coords, window):
@@ -143,8 +149,9 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     and its matrix is computed before the first write too.
     """
     _check_scene(model, cube, labels)
-    train_pixels = [_check_pixel(labels, model.config.num_classes, e) for e in split.train]
-    test_pixels = [_check_pixel(labels, model.config.num_classes, e) for e in split.test]
+    classes = model.config.num_classes
+    train_rows = _labeled_rows(labels, classes, split.train, "train")
+    test_rows = _labeled_rows(labels, classes, split.test, "test")
     norm = normalize(cube, split)
     window = model.config.spatial_window
     params = model.parameters()
@@ -153,14 +160,13 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
     history = []
     matrix = None  # the last epoch's test matrix, with eval_test
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_pixels))
+        order = rng.permutation(len(train_rows))
         loss_sum = 0.0
-        for batch_no, batch_idx in enumerate(_batched(order, config.batch_size), 1):
-            coords = [train_pixels[i][:2] for i in batch_idx]
-            targets = np.asarray([train_pixels[i][2] - 1 for i in batch_idx])
-            patches = _patch_batch(norm, coords, window)
+        for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
+            batch = train_rows[order[start:start + config.batch_size]]
+            patches = _patch_batch(norm, batch[:, :2].tolist(), window)
             logits, cache = forward(model, patches, keep_intermediates=True)
-            losses, grad_logits = softmax_cross_entropy(logits, targets)
+            losses, grad_logits = softmax_cross_entropy(logits, batch[:, 2] - 1)
             batch_loss = float(losses.sum())
             if not np.isfinite(batch_loss):
                 raise NumericError(
@@ -168,11 +174,11 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
                     f"{batch_loss}; the run diverged (lower the learning rate)"
                 )
             loss_sum += batch_loss
-            grads = backward(model, cache, grad_logits / len(batch_idx))
+            grads = backward(model, cache, grad_logits / len(batch))
             sgd_step(params, grads, opt)
-        entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_pixels)}
-        if eval_test and test_pixels:
-            matrix = evaluate(model, norm, labels, test_pixels)
+        entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_rows)}
+        if eval_test and len(test_rows):
+            matrix = evaluate(model, norm, labels, split.test)
             entry["test_overall_accuracy"] = overall_accuracy(matrix)
         history.append(entry)
         if log and (epoch % config.log_every == 0 or epoch == config.epochs):
@@ -185,7 +191,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
             )
     if report_path and matrix is None:
         # evaluated before the first write, so its failure leaves no file
-        matrix = evaluate(model, norm, labels, test_pixels or train_pixels)
+        matrix = evaluate(model, norm, labels, split.test if len(test_rows) else split.train)
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     if history_path:
@@ -198,22 +204,22 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
 
 
 def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> ConfusionMatrix:
-    """Confusion matrix over a labeled pixel set (pass the cube already
-    normalized the same way training saw it); an empty set is a ConfigError.
+    """Confusion matrix over a labeled pixel set (_labeled_rows; pass the cube
+    already normalized the way training saw it); an empty set is a ConfigError.
 
     Only the steps holding a requested pixel run, with the earlier steps
     they depend on; each pixel's prediction is bitwise the one
     predict_map gives it.
     """
     _check_scene(model, cube, labels)
-    pixels = [_check_pixel(labels, model.config.num_classes, e) for e in pixel_set]
-    if not pixels:
+    classes = model.config.num_classes
+    rows = _labeled_rows(labels, classes, pixel_set)
+    if not len(rows):
         raise ConfigError("the pixel set to evaluate is empty")
-    grid = class_grid(model, cube.values, pixels)
-    matrix = ConfusionMatrix.zeros(model.config.num_classes, labels.class_names)
-    for r, c, cls in pixels:
-        matrix.add(cls, int(grid[r, c]))
-    return matrix
+    grid = class_grid(model, cube.values, rows)
+    cells = (rows[:, 2] - 1) * classes + grid[rows[:, 0], rows[:, 1]] - 1
+    counts = np.bincount(cells, minlength=classes * classes).reshape(classes, classes)
+    return ConfusionMatrix(counts, labels.class_names)
 
 
 def predict_map(model: Model, cube: HsiCube) -> np.ndarray:

@@ -9,6 +9,7 @@ checking a kernel, so it composes the package's ops.
 
 import numpy as np
 
+from specnet3d.errors import MismatchError, SplitError
 from specnet3d.ops import (
     _conv3d_forward_cols,
     avgpool3d_backward,
@@ -104,6 +105,29 @@ def avgpool3d_reference(x, kernel, stride, padding):
                                     acc += xl[b][ch][hi][wi][di]
                         out[b, ch, i, j, k] = acc / vol
     return out
+
+
+def check_pixel(labels, classes, entry):
+    """(row, col, class) of one pixel entry, checked against the label grid
+    and the model's class count one entry at a time: the per-entry check
+    the vectorized training._labeled_rows replaced, kept as its reference."""
+    row, col = int(entry[0]), int(entry[1])
+    if not (0 <= row < labels.height and 0 <= col < labels.width):
+        raise SplitError(
+            f"pixel ({row}, {col}) lies outside the {labels.height}x{labels.width} scene"
+        )
+    cls = int(labels.labels[row, col])
+    if cls == 0:
+        raise SplitError(f"pixel ({row}, {col}) is unlabeled")
+    if len(entry) > 2 and int(entry[2]) != cls:
+        raise MismatchError(
+            f"pixel ({row}, {col}) is labeled {cls} but listed as {entry[2]}"
+        )
+    if cls > classes:
+        raise MismatchError(
+            f"pixel ({row}, {col}) is labeled {cls}, but the model has {classes} classes"
+        )
+    return row, col, cls
 
 
 def finite_difference(f, arrays, step_scale=1e-4):

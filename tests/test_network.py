@@ -325,6 +325,15 @@ class TestCheckpoint:
             assert loaded.parameters()[name].dtype == np.float32
             assert loaded.parameters()[name].flags.writeable, name
 
+    def test_load_walks_the_block_plan_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(build_model(ModelConfig(24, 5, 7), 3), path)
+        walks = []
+        walk = network._walk
+        monkeypatch.setattr(network, "_walk", lambda config: walks.append(config) or walk(config))
+        load_checkpoint(path)
+        assert walks == [ModelConfig(24, 5, 7)]
+
     def test_unknown_version_rejected(self, tmp_path):
         model = build_model(ModelConfig(24, 5, 7), 0)
         path = tmp_path / "model.ckpt.json"

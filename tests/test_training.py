@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specnet3d import parallel, training
 from specnet3d.cli import main
@@ -15,7 +16,9 @@ from specnet3d.data import (
     HsiCube, LabelGrid, SplitManifest, extract_patch, normalize, save_cube, save_labels,
     save_split, stratified_split,
 )
-from specnet3d.errors import ConfigError, MismatchError, NumericError, ShapeError, SplitError
+from specnet3d.errors import (
+    ConfigError, FormatError, MismatchError, NumericError, ShapeError, SpecnetError, SplitError,
+)
 from specnet3d.metrics import ConfusionMatrix, overall_accuracy
 from specnet3d import network
 from specnet3d.network import (
@@ -32,6 +35,7 @@ from specnet3d.training import (
     _patch_batch,
 )
 
+from oracles import check_pixel
 from synth import overfit_scene, striped_scene
 
 
@@ -404,6 +408,94 @@ class TestEvaluate:
         model = build_model(ModelConfig(cube.bands, 9, 7), 0)
         with pytest.raises(SplitError, match="outside"):
             evaluate(model, cube, labels, [pixel])
+
+
+# a 6x5 grid of classes 0-4 for the pixel-set rule's differential test
+RULE_GRID = LabelGrid(labels=np.random.default_rng(70).integers(0, 5, (6, 5)).astype(np.uint8))
+
+
+@st.composite
+def pixel_sets(draw):
+    """Pairs and triples inside and outside RULE_GRID (negative indices
+    too), unlabeled, listed as their own class or as any class 1-5, as
+    Python ints or numpy integers."""
+    height, width = RULE_GRID.labels.shape
+    entries = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = draw(st.integers(0, height - 1) | st.integers(-3, height + 2))
+        col = draw(st.integers(0, width - 1) | st.integers(-3, width + 2))
+        kind = draw(st.sampled_from(["pair", "own class", "any class"]))
+        entry = (row, col)
+        if kind != "pair":
+            inside = 0 <= row < height and 0 <= col < width
+            own = int(RULE_GRID.labels[row, col]) if inside else 0
+            entry += (own if kind == "own class" and own else draw(st.integers(1, 5)),)
+        entries.append(tuple(map(np.int64, entry)) if draw(st.booleans()) else entry)
+    return entries
+
+
+class TestPixelSetRule:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=pixel_sets(), classes=st.integers(1, 5))
+    def test_check_matches_the_per_entry_reference(self, entries, classes):
+        try:
+            want = [check_pixel(RULE_GRID, classes, e) for e in entries]
+        except SpecnetError as exc:
+            with pytest.raises(SpecnetError) as got:
+                training._labeled_rows(RULE_GRID, classes, entries)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            rows = training._labeled_rows(RULE_GRID, classes, entries)
+            assert rows.dtype == np.int64 and rows.shape == (len(entries), 3)
+            assert rows.tolist() == [list(t) for t in want]
+
+    def test_matrix_is_the_per_pixel_count(self, monkeypatch):
+        # pairs and repeated pixels among triples; the matrix comes in one
+        # count, not pixel by pixel through ConfusionMatrix.add
+        cube, labels, split = overfit_scene()
+        labels.class_names = [f"c{k}" for k in range(1, 10)]
+        model = build_model(ModelConfig(cube.bands, 9, 7), 12)
+        pixels = split.train + [(r, c) for r, c, _ in split.train[::3]] + split.train[:5]
+        grid = predict_map(model, cube)
+        want = ConfusionMatrix.zeros(9)
+        for r, c, *_ in pixels:
+            want.add(int(labels.labels[r, c]), int(grid[r, c]))
+        monkeypatch.setattr(ConfusionMatrix, "add", None)
+        got = evaluate(model, cube, labels, pixels)
+        assert np.array_equal(got.counts, want.counts) and got.counts.dtype == np.int64
+        assert got.class_names == labels.class_names
+
+    @pytest.mark.parametrize("bad", [
+        (0.9, 0.9, 1), ("1", 0), (0, 0, True), (0, 0, 1, 99), (0,), (None, 0), (0, 0, 0),
+        (0, 0, -1), (2**63, 0), "argwhere",
+    ], ids=["float", "string", "bool class", "length 4", "length 1", "None", "class 0",
+            "class -1", "index past int64", "argwhere array"])
+    def test_refused_with_the_error_save_split_gives(self, bad, tmp_path):
+        cube, labels, split = overfit_scene()
+        model = build_model(ModelConfig(cube.bands, 9, 7), 0)
+
+        def side(good):
+            return np.argwhere(labels.labels > 0) if bad == "argwhere" else [good, bad]
+
+        def refusal(call):
+            with pytest.raises(FormatError) as exc:
+                call()
+            return str(exc.value)
+
+        for name in ("train", "test"):
+            sides = {"train": split.train, "test": split.train[:2], name: side((1, 1, 6))}
+            saved = refusal(lambda: save_split(SplitManifest(seed=0, **sides),
+                                               tmp_path / "s.split.json"))
+            assert f"split header field {name!r}" in saved or f"split {name} " in saved
+            manifest = SplitManifest(seed=0, **sides)
+            assert refusal(lambda: train(model, cube, labels, manifest, TrainConfig(epochs=1),
+                                         OptimizerState())) == saved
+            if name == "train":
+                assert refusal(lambda: normalize(cube, manifest)) == saved
+                pixel_set = (saved.replace(f"split header field {name!r}", "pixel set")
+                             .replace(f"split {name} ", "pixel set "))
+                assert refusal(lambda: evaluate(model, cube, labels, side((1, 1, 6)))) == pixel_set
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictMap:
