@@ -227,11 +227,10 @@ def cmd_split(args):
         labels, args.per_class_train, fraction=args.fraction, seed=args.seed
     )
     save_split(manifest, args.out)
-    counts = manifest.train_counts()
-    test_counts = np.bincount(_pixel_rows(manifest.test, "test")[:, 2],
-                              minlength=labels.num_classes + 1)
+    train, test = (np.bincount(_pixel_rows(getattr(manifest, side), side)[:, 2],
+                               minlength=labels.num_classes + 1) for side in ("train", "test"))
     for cls in range(1, labels.num_classes + 1):
-        print(f"{labels.class_name(cls)} {counts.get(cls, 0)} {test_counts[cls]}")
+        print(f"{labels.class_name(cls)} {train[cls]} {test[cls]}")
     print(f"wrote {args.out}")
     return 0
 

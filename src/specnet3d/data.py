@@ -130,16 +130,6 @@ class SplitManifest:
     per_class_train: int | None = None
     fraction: float | None = None
 
-    def train_counts(self):
-        """Training pixels per class; SplitError names the first pair
-        entry, which carries no class."""
-        counts = {}
-        for entry in self.train:
-            if len(entry) != 3:
-                raise SplitError(f"training entry {tuple(entry)} carries no class")
-            counts[entry[2]] = counts.get(entry[2], 0) + 1
-        return counts
-
 
 def _raw_path(json_path):
     s = str(json_path)

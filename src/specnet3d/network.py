@@ -469,7 +469,10 @@ def _layer_table(model: Model):
 
 def save_checkpoint(model: Model, json_path):
     """Write the manifest (.json) and the raw little-endian float32 blob
-    (.raw); layers in network order, weights before bias."""
+    (.raw), layers in network order, weights before bias; a non-finite
+    parameter, which a load refuses, is a FormatError before any write."""
+    if not all(np.isfinite(p).all() for p in model.parameters().values()):
+        raise FormatError("checkpoint payload contains non-finite values")
     manifest = {
         "config": asdict(model.config),
         "rng_seed": model.rng_seed,
@@ -481,8 +484,9 @@ def save_checkpoint(model: Model, json_path):
 
 def load_checkpoint(json_path) -> Model:
     """Rebuild a Model bit-exactly from its manifest + blob pair; the first
-    layer entry that differs from _layer_table is a FormatError.  One walk
-    sizes the blob, checked before the classifier is made, and the model."""
+    layer entry that differs from _layer_table, or a non-finite blob, is a
+    FormatError.  One walk sizes the blob, checked before the classifier is
+    made, and the model."""
     manifest = _read_header(json_path, "checkpoint", (CHECKPOINT_FORMAT_VERSION,),
                             [("config", dict), ("layers", list)])
     config = {f.name: _field(manifest["config"], "checkpoint config", f.name, int)
@@ -497,6 +501,8 @@ def load_checkpoint(json_path) -> Model:
     convs = sum(a.size for b in blocks for s in (b.main, b.proj) for a in (s.weights, s.bias))
     blob = _read_payload(json_path, "checkpoint", "<f4",
                          convs + config.num_classes * (trace[-1][1] + 1))
+    if not np.isfinite(blob).all():
+        raise FormatError("checkpoint payload contains non-finite values")
     model = _assemble(config, rng_seed, blocks, trace)
     declared, table = manifest["layers"], _layer_table(model)
     for i in range(max(len(declared), len(table))):

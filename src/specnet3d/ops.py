@@ -37,10 +37,11 @@ output position is computed from its own patch-stack row alone, so it
 keeps its bits whatever the other rows hold: network.stream relies on
 this when it runs a step over a line buffer it zeroed.  Backward
 contractions carry no such contract: network.backward hands them one
-shard of at most network.SHARD samples at a time, multiplies per-shard
-matrices, and sums the shards' weight gradients in shard order.  col2im
-adds one window offset's slab at a time: kh*kw*kd slabs, or kh*kw for a
-depth-fold layer, whose upstream is first shifted out to every tap.
+shard of at most network.SHARD samples at a time and sums the shards'
+weight gradients in shard order.  A shard's weight gradient is one
+product of its upstream matrix, a depth-fold layer's first spread to its
+depth taps, with its patch stack; only a depth-run layer sums per-sample
+products instead.  col2im adds one window offset's slab at a time.
 
 Every kernel allocates afresh, on each call, the arrays it returns and
 its patch stacks, padded copies and backward scratch: np.zeros where it
@@ -213,7 +214,7 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
     Returns (grad_x, grad_weights, grad_bias) with the shapes of x,
     spec.weights and spec.bias; grad_x is None when input_grad is False.
     cols may reuse the patch stack an earlier forward built for the same x
-    and spec.
+    and spec; grad_weights is the stack's product with the upstream matrix.
     """
     x = _check_conv_input(x, spec)
     n, cin, h, w, d = x.shape
@@ -230,29 +231,25 @@ def conv3d_backward(x, spec: Conv3dSpec, upstream, cols=None, input_grad=True):
         cols = _patch_stack(x, spec, out_dims)
     layout = _layout(spec)
     g = np.ascontiguousarray(_channels_last(upstream))
+    gmat = g.reshape(-1, co)
     # einsum sums the rows ~4x faster than sum(axis=0), whose inner loop
     # covers only one row of co channels
-    grad_bias = np.einsum("mc->c", g.reshape(-1, co))
+    grad_bias = np.einsum("mc->c", gmat)
     wmat = _weight_matrix(spec)
     dtype = np.result_type(g, wmat)
     if layout == "fold":
         # the upstream shifted to every depth tap: column block t at padded
         # depth k * sd + t holds output depth k's gradient
         sd, kd = spec.stride[2], spec.kernel[2]
-        padded_depth = d + 2 * spec.padding[2]
         gmat = np.zeros((n, cols.shape[1], kd * co), g.dtype)
-        taps = gmat.reshape(n, *out_dims[:2], padded_depth, kd, co)
-        span = sd * out_dims[2]
+        taps = gmat.reshape(n, *out_dims[:2], -1, kd, co)
         for t in range(kd):
-            taps[:, :, :, t:t + span:sd, t] = g
+            taps[:, :, :, t:t + sd * out_dims[2]:sd, t] = g
         gmat = gmat.reshape(-1, kd * co)
-        grad_weights = _grad_weights(spec, gmat.T @ cols.reshape(-1, cols.shape[-1]))
-    elif layout == "run":
-        gmat = g.reshape(-1, co)
+    if layout == "run":
         per_sample = np.matmul(cols, g.reshape(n, -1, co))
         grad_weights = _grad_weights(spec, per_sample.sum(axis=0).T)
     else:
-        gmat = g.reshape(-1, co)
         grad_weights = _grad_weights(spec, gmat.T @ cols.reshape(-1, cols.shape[-1]))
     if not input_grad:
         return None, grad_weights, grad_bias

@@ -11,9 +11,9 @@ evaluate and predict_map are the two uses of network.class_grid, the one
 inference pass: predict_map classifies every pixel of the scene, and
 evaluate only the requested ones, each bitwise as predict_map does.
 train and evaluate read a pixel set as data._pixel_rows' (n, 3) int64
-rows, checked against the labels in one vectorized pass (_labeled_rows):
-a training batch is a slice of them, and evaluate's confusion matrix one
-np.bincount over them and the class grid.
+rows, checked against the labels in one pass (_labeled_rows).  A training
+batch is a slice of them, gathered as its pixels' extract_patch cuts
+concatenated; evaluate's confusion matrix is one np.bincount over them.
 """
 
 import json
@@ -114,13 +114,6 @@ def _labeled_rows(labels: LabelGrid, classes, entries, side=None):
     return rows
 
 
-def _patch_batch(cube: HsiCube, coords, window):
-    batch = np.empty((len(coords), 1, window, window, cube.bands), cube.values.dtype)
-    for i, (r, c) in enumerate(coords):
-        batch[i] = extract_patch(cube, r, c, window)[0]
-    return batch
-
-
 def _check_scene(model: Model, cube: HsiCube, labels: LabelGrid | None = None):
     if model.config.spectral_depth != cube.bands:
         raise MismatchError(
@@ -164,7 +157,8 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
         loss_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = train_rows[order[start:start + config.batch_size]]
-            patches = _patch_batch(norm, batch[:, :2].tolist(), window)
+            patches = np.concatenate([extract_patch(norm, r, c, window)
+                                      for r, c in batch[:, :2].tolist()])
             logits, cache = forward(model, patches, keep_intermediates=True)
             losses, grad_logits = softmax_cross_entropy(logits, batch[:, 2] - 1)
             batch_loss = float(losses.sum())

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 
@@ -7,10 +8,11 @@ import pytest
 from specnet3d import cli
 from specnet3d.cli import main
 from specnet3d.data import (
-    HsiCube, LabelGrid, SplitManifest, load_split, save_cube, save_labels, save_split,
+    HsiCube, LabelGrid, SplitManifest, load_labels, load_split, save_cube, save_labels,
+    save_split,
 )
 from specnet3d.metrics import PALETTE
-from specnet3d.network import ModelConfig, build_model, save_checkpoint
+from specnet3d.network import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from specnet3d.training import OptimizerState, TrainConfig, predict_map, train
 
 from synth import overfit_scene
@@ -53,16 +55,26 @@ def _train_one_class(d):
                  "--per-class-train", "5", "--epochs", "1", "--learning-rate", "0.001"])
 
 
+def _split_lines(labels_path, split_path):
+    """What split prints: per class "<name> <train> <test>", counted over
+    the split file it wrote, then the file written."""
+    labels = load_labels(labels_path)
+    split = load_split(split_path)
+    train, test = (collections.Counter(k for _, _, k in side)
+                   for side in (split.train, split.test))
+    return [f"{labels.class_name(k)} {train[k]} {test[k]}"
+            for k in range(1, labels.num_classes + 1)] + [f"wrote {split_path}"]
+
+
 class TestSplitCommand:
     def test_writes_manifest_and_prints_counts(self, tmp_path, scene_dir, capsys):
         out = tmp_path / "s.split.json"
         rc = main(["split", "--labels", str(scene_dir / "scene.lbl.json"),
                    "--out", str(out), "--per-class-train", "2", "--seed", "5"])
         assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        # nine per-class lines: "<name> <train> <test>"
-        per_class = [ln.split() for ln in lines[:9]]
-        assert all(row[-2] == "2" for row in per_class)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == _split_lines(scene_dir / "scene.lbl.json", out)
+        assert all(line.split()[-2] == "2" for line in lines[:9])
         assert len(load_split(out).train) == 18
 
     def test_rerun_same_seed_identical_hash(self, tmp_path, scene_dir, capsys):
@@ -81,6 +93,8 @@ class TestSplitCommand:
         rc = main(["split", "--labels", str(scene_dir / "scene.lbl.json"),
                    "--out", str(out), "--fraction", "0.5", "--seed", "1"])
         assert rc == 0
+        assert capsys.readouterr().out.splitlines() == _split_lines(
+            scene_dir / "scene.lbl.json", out)
         split = load_split(out)
         assert split.fraction == 0.5
         # floor(0.5 * 4) = 2 for four-pixel classes, floor(0.5 * 3) = 1 for
@@ -675,3 +689,23 @@ class TestHelpAndGlobals:
         with pytest.raises(SystemExit):
             main(["split", "--help"])
         assert "default: 200" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["eval", "predict-map"])
+def test_non_finite_checkpoint_is_a_format_error(tmp_path, scene_dir, capsys, command):
+    # one NaN in Conv2.weight used to predict class 1 everywhere and exit 0
+    (tmp_path / "m.ckpt.json").write_bytes((scene_dir / "model.ckpt.json").read_bytes())
+    params = load_checkpoint(scene_dir / "model.ckpt.json").parameters()
+    params["Conv2.weight"].flat[0] = np.nan
+    blob = np.concatenate([p.ravel() for p in params.values()]).astype("<f4")
+    blob.tofile(tmp_path / "m.ckpt.raw")
+    out = tmp_path / ("eval.json" if command == "eval" else "map.ppm")
+    argv = [command, "--checkpoint", str(tmp_path / "m.ckpt.json"),
+            "--cube", str(scene_dir / "scene.hsc.json"),
+            "--split", str(scene_dir / "all.split.json"), "--out", str(out)]
+    if command == "eval":
+        argv += ["--labels", str(scene_dir / "scene.lbl.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error[E_FORMAT]: checkpoint payload contains non-finite values\n")
+    assert not out.exists()

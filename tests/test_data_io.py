@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import json
 import os
@@ -373,11 +374,6 @@ class TestSplitContainer:
         assert loaded.train == [(0, 1, 1), (2, 3)] and loaded.test == [(-1, 4, 2)]
         assert {type(v) for e in loaded.train + loaded.test for v in e} == {int}
 
-    def test_train_counts_name_the_first_pair_entry(self):
-        manifest = SplitManifest(seed=0, train=[(2, 2, 1), (0, 0), (1, 1)], test=[])
-        with pytest.raises(SplitError, match=r"^training entry \(0, 0\) carries no class"):
-            manifest.train_counts()
-
 
 class TestNormalize:
     def test_pair_entries_match_triples(self):
@@ -542,11 +538,9 @@ class TestStratifiedSplit:
         # 6,631 labeled pixels minus 200 training leaves 6,431 for test
         labels = grid_with_sizes([6631, 3000])
         manifest = stratified_split(labels, 200, seed=1)
-        counts = manifest.train_counts()
+        counts = collections.Counter(cls for _, _, cls in manifest.train)
         assert counts == {1: 200, 2: 200}
-        test_counts = {}
-        for _, _, cls in manifest.test:
-            test_counts[cls] = test_counts.get(cls, 0) + 1
+        test_counts = collections.Counter(cls for _, _, cls in manifest.test)
         assert test_counts[1] == 6431
         assert test_counts[2] == 2800
 
@@ -592,7 +586,7 @@ class TestStratifiedSplit:
     def test_fraction_mode_floor_with_minimum(self):
         labels = grid_with_sizes([100, 41, 10], width=10)
         manifest = stratified_split(labels, fraction=0.05, seed=2)
-        counts = manifest.train_counts()
+        counts = collections.Counter(cls for _, _, cls in manifest.train)
         assert counts == {1: 5, 2: 2, 3: 1}
         assert manifest.fraction == 0.05
         assert manifest.per_class_train is None

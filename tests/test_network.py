@@ -352,6 +352,24 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_what_load_refuses(self, tmp_path, value):
+        model = build_model(ModelConfig(24, 5, 7), 0)
+        model.parameters()["Conv2.weight"].flat[3] = value
+        with pytest.raises(FormatError, match="^checkpoint payload contains non-finite values$"):
+            save_checkpoint(model, tmp_path / "model.ckpt.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_blob_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(build_model(ModelConfig(24, 5, 7), 0), path)
+        raw = tmp_path / "model.ckpt.raw"
+        blob = np.fromfile(raw, "<f4")
+        blob[-1] = np.inf
+        blob.tofile(raw)
+        with pytest.raises(FormatError, match="^checkpoint payload contains non-finite values$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", ["missing", "extra", "renamed"])
     def test_layer_list_mismatch_rejected(self, edit, tmp_path):
         model = build_model(ModelConfig(24, 5, 7), 0)

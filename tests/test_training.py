@@ -32,7 +32,6 @@ from specnet3d.training import (
     predict_map,
     sgd_step,
     train,
-    _patch_batch,
 )
 
 from oracles import check_pixel
@@ -177,7 +176,7 @@ class TestTrainLoop:
         norm = normalize(cube, split)
         coords = [(r, c) for r, c, _ in split.train]
         targets = np.asarray([k - 1 for _, _, k in split.train])
-        patches = _patch_batch(norm, coords, 7)
+        patches = np.concatenate([extract_patch(norm, r, c, 7) for r, c in coords])
 
         def batch_loss():
             logits, _ = forward(model, patches)
