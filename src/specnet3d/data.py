@@ -286,14 +286,11 @@ _LOAD_BLOCK_BYTES = 1 << 22
 
 
 def _row_blocks(height, row_bytes, block_bytes, job):
-    """Split height image rows of row_bytes each into blocks of about
-    block_bytes, and run job(blocks) on parallel.fan_out, one call per
-    worker, each given its round-robin share of the blocks as row slices.
-    A cube of one block is one call on the caller, which starts no thread."""
+    """Cut height rows of row_bytes each into slices of about block_bytes
+    and run job(block) for each on fan_out; one block starts no thread."""
     rows = max(1, block_bytes // row_bytes)
     blocks = [slice(r, min(r + rows, height)) for r in range(0, height, rows)]
-    jobs = min(len(blocks), parallel.workers())
-    parallel.fan_out(jobs, lambda j: job(blocks[j::jobs]))
+    parallel.fan_out(len(blocks), lambda j: job(blocks[j]))
 
 
 def save_cube(cube: HsiCube, header_path):
@@ -302,14 +299,19 @@ def save_cube(cube: HsiCube, header_path):
     The payload is filled a row block at a time (_row_blocks), converting
     any dtype or memory order in that copy, so no second cube-sized array
     is made; the bytes are those of values.transpose(2, 0, 1) as f32le,
-    whatever the block size or the number of workers.
+    whatever the block size or the number of workers.  A value not finite
+    as float32 is load_cube's FormatError, raised before any file opens.
     """
     values = cube.values
     bsq = np.empty((cube.bands, cube.height, cube.width), _CUBE.scalar)
 
-    def fill(blocks):
-        for block in blocks:
-            bsq[:, block] = values[block].transpose(2, 0, 1)
+    def fill(block):
+        part = bsq[:, block]
+        with np.errstate(over="ignore"):  # a float64 past float32's range is inf
+            part[...] = values[block].transpose(2, 0, 1)
+        # each band's extremes, which NaN and infinities reach, and no mask
+        if not np.isfinite([part.min(axis=(1, 2)), part.max(axis=(1, 2))]).all():
+            raise FormatError("cube payload contains non-finite values")
 
     _row_blocks(cube.height, values[0].nbytes, _BLOCK_BYTES, fill)
     _write_raster(_CUBE, header_path, values.shape, bsq)
@@ -320,8 +322,8 @@ def load_cube(header_path) -> HsiCube:
 
     The (height, width, bands) array is the one cube-sized allocation.  It
     is filled a row block at a time (_row_blocks): each band's rows of the
-    block come by one positional read into the job's (bands, rows, width)
-    staging buffer, which is checked finite and transposed into place.  A
+    block come by one positional read into the block's (bands, rows, width)
+    staging array, which is checked finite and transposed into place.  A
     block of every row is one read.
     """
     (p, q, s), _ = _read_raster(_CUBE, header_path)
@@ -329,18 +331,16 @@ def load_cube(header_path) -> HsiCube:
     with _open_payload(header_path, _CUBE.kind, _CUBE.scalar, p * q * s) as fd:
         values = np.empty((p, q, s), _CUBE.scalar)
 
-        def read(blocks):
-            staging = np.empty((s, blocks[0].stop - blocks[0].start, q), _CUBE.scalar)
-            for block in blocks:
-                part = staging[:, :block.stop - block.start]
-                if len(part[0]) == p:  # every row: the bands lie back to back
-                    _read_into(fd, _CUBE.kind, part, 0)
-                else:
-                    for band, rows in enumerate(part):
-                        _read_into(fd, _CUBE.kind, rows, (band * p + block.start) * band_row)
-                if not np.isfinite(part).all():
-                    raise FormatError("cube payload contains non-finite values")
-                values[block] = part.transpose(1, 2, 0)
+        def read(block):
+            part = np.empty((s, block.stop - block.start, q), _CUBE.scalar)
+            if len(part[0]) == p:  # every row: the bands lie back to back
+                _read_into(fd, _CUBE.kind, part, 0)
+            else:
+                for band, rows in enumerate(part):
+                    _read_into(fd, _CUBE.kind, rows, (band * p + block.start) * band_row)
+            if not np.isfinite(part).all():
+                raise FormatError("cube payload contains non-finite values")
+            values[block] = part.transpose(1, 2, 0)
 
         _row_blocks(p, s * band_row, _LOAD_BLOCK_BYTES, read)
     return HsiCube(values=values)
@@ -446,10 +446,9 @@ def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:
     scale = np.where(band_range > 0, 1.0 / safe, 0.0).astype(dtype)
     values = np.empty(cube.values.shape, dtype)  # the one scene-sized array
 
-    def scale_rows(blocks):
-        for block in blocks:
-            np.subtract(cube.values[block], band_min, out=values[block], dtype=dtype)
-            values[block] *= scale
+    def scale_rows(block):
+        np.subtract(cube.values[block], band_min, out=values[block], dtype=dtype)
+        values[block] *= scale
 
     _row_blocks(cube.height, values[0].nbytes, _BLOCK_BYTES, scale_rows)
     return HsiCube(values=values)

@@ -31,8 +31,9 @@ the batch: numpy issues one BLAS GEMM of the same shape per sample, and a
 GEMM's blocking, fixed by that shape, fixes each output's accumulation
 order; the depth-fold tap sum then runs element by element in tap order.
 A sample's activations are thus bitwise identical whatever batch it is
-computed in, for a fixed numpy/BLAS build and BLAS thread count; another
-build or thread count may change the last bits.  Within one GEMM, each
+computed in, for one numpy build and one OpenBLAS core type (the CPU's or
+OPENBLAS_CORETYPE's), whatever the thread counts (parallel.fan_out);
+another build or core type may change the last bits.  Within one GEMM, each
 output position is computed from its own patch-stack row alone, so it
 keeps its bits whatever the other rows hold: network.stream relies on
 this when it runs a step over a line buffer it zeroed.  Backward

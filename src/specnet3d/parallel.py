@@ -1,6 +1,6 @@
 """Independent jobs run on the calling thread and helper threads: the
-shards of one batch, the strips of an inference pass, or a cube-sized
-I/O pass's share of row blocks.
+shards of one batch, the strips of an inference pass, or the row blocks
+of a cube-sized I/O pass, dealt round-robin over the workers.
 
 OpenBLAS's thread count is process-wide.  It is read and set through the
 library's own entry points, found with ctypes in the numpy.libs directory
@@ -94,62 +94,47 @@ def workers():
 
 
 def fan_out(count, fn):
-    """[fn(0), ..., fn(count - 1)], the jobs (shards) fanned out over
-    threads: a batch's shards, an inference pass's strips, or the row
-    blocks of a cube-sized pass (data._row_blocks).
+    """[fn(0), ..., fn(count - 1)], the jobs fanned out over threads: a
+    batch's shards, an inference pass's strips, or the row blocks of a
+    cube-sized pass (data._row_blocks).
 
-    The caller runs shard 0 and at most workers() - 1 helper threads take
-    the rest, then the caller too, one shard at a time.  Each helper runs
-    in a copy of the caller's context, which carries numpy's error state.
-    When shards raise, fan_out raises the lowest shard's exception once
-    every shard has stopped, and no shard starts after one has raised.
-    With one shard, one worker, or no way to set OpenBLAS's thread count,
-    the caller runs every shard in turn.
+    Worker w of W = min(count, workers()) runs jobs w, w + W, ... in turn:
+    the caller is worker 0, and W - 1 helper threads, each in a copy of the
+    caller's context (which carries numpy's error state), are the others.
+    With no way to set OpenBLAS's thread count the caller runs every job.
+    When jobs raise, the lowest job's exception is raised once every worker
+    has stopped; before each job but job 0, a worker stops if any has raised.
 
-    OpenBLAS stays at one thread while the shards run, helpers or not
-    (one_blas_thread).  So every GEMM a shard makes runs on one thread,
-    whatever OPENBLAS_NUM_THREADS says: how many threads split a GEMM can
-    change its bits.  It also keeps OpenBLAS's own threads, which spin for
-    a while after a split GEMM waiting for more work, off the cores the
-    helpers need.
+    OpenBLAS stays at one thread while the jobs run (one_blas_thread), so
+    every GEMM runs on its job's thread whatever OPENBLAS_NUM_THREADS says
+    (how many threads split a GEMM can change its bits), and OpenBLAS's own
+    threads, which spin for a while after a split GEMM, keep off the cores
+    the helpers need.
     """
-    helpers = min(count, workers()) - 1 if _openblas() is not None else 0
-    with one_blas_thread():
-        return _run_threaded(count, helpers, fn)
+    width = max(1, min(count, workers())) if _openblas() is not None else 1
+    results, errors = [None] * count, {}
 
-
-def _run_threaded(count, helpers, run):
-    results = [None] * count
-    errors = {}
-    claim = threading.Lock()
-    unclaimed = iter(range(count))
-    first = next(unclaimed, None)  # the caller's, before any helper starts
-
-    def work(shard=None):
-        while True:
-            if shard is None:
-                with claim:
-                    shard = next(unclaimed, None) if not errors else None
-                if shard is None:
-                    return
+    def work(worker):
+        for job in range(worker, count, width):
+            if job and errors:
+                return
             try:
-                results[shard] = run(shard)
+                results[job] = fn(job)
             except BaseException as exc:  # raised on the caller below
-                with claim:
-                    errors[shard] = exc
-            shard = None
+                errors[job] = exc
 
-    threads = []
-    try:
-        for _ in range(helpers):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(work,), name="specnet3d-shard")
-            thread.start()
-            threads.append(thread)
-        work(first)
-    finally:
-        for thread in threads:
-            thread.join()
+    with one_blas_thread():
+        threads = []
+        try:
+            for worker in range(1, width):
+                thread = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(work, worker), name="specnet3d-shard")
+                thread.start()
+                threads.append(thread)
+            work(0)
+        finally:
+            for thread in threads:
+                thread.join()
     if errors:
         raise errors[min(errors)]
     return results

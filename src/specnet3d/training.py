@@ -30,6 +30,10 @@ from .metrics import ConfusionMatrix, overall_accuracy, write_report
 from .network import Model, backward, class_grid, forward, save_checkpoint
 from .ops import softmax_cross_entropy
 
+# the largest global L2 norm of a step's gradients (Pascanu et al. 2013);
+# it keeps training at the default learning rate finite at 100 bands
+CLIP_NORM = 5.0
+
 
 @dataclass
 class OptimizerState:
@@ -86,6 +90,15 @@ def sgd_step(params, grads, state: OptimizerState):
         v = state.momentum * v + g
         state.velocity[name] = v
         w -= state.learning_rate * v
+
+
+def _clip_gradients(grads, names):
+    """Scale grads in place to a global L2 norm of at most CLIP_NORM, the
+    norm summed in float64 in the order of names."""
+    norm = math.sqrt(sum(float(np.square(grads[n], dtype=np.float64).sum()) for n in names))
+    if norm > CLIP_NORM:
+        for name in names:
+            grads[name] *= CLIP_NORM / norm
 
 
 def _labeled_rows(labels: LabelGrid, classes, entries, side=None):
@@ -169,6 +182,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
                 )
             loss_sum += batch_loss
             grads = backward(model, cache, grad_logits / len(batch))
+            _clip_gradients(grads, params)
             sgd_step(params, grads, opt)
         entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_rows)}
         if eval_test and len(test_rows):

@@ -35,6 +35,18 @@ def seeded_cube(shape, seed=0):
     return HsiCube(values=rng.standard_normal(shape).astype(np.float32))
 
 
+def set_payload_value(header_path, pixel, value):
+    """Overwrite the stored scalar of (row, col, band) in a saved cube's
+    band-sequential payload, which save_cube would refuse to write."""
+    with open(header_path) as fh:
+        header = json.load(fh)
+    row, col, band = pixel
+    payload = np.memmap(data._raw_path(header_path), "<f4", "r+")
+    payload[(band * header["height"] + row) * header["width"] + col] = value
+    payload.flush()
+    del payload
+
+
 def whole_array_normalize(values, train):
     """normalize's float32 result as one out-of-place whole-array expression."""
     spectra = values[[r for r, _, _ in train], [c for _, c, _ in train]]
@@ -123,11 +135,29 @@ class TestCubeContainer:
 
     def test_nonfinite_payload_rejected(self, tmp_path):
         cube = seeded_cube((2, 2, 2))
-        cube.values[0, 0, 0] = np.nan
         path = tmp_path / "bad.hsc.json"
         save_cube(cube, path)
+        set_payload_value(path, (0, 0, 0), np.nan)
         with pytest.raises(FormatError, match="non-finite"):
             load_cube(path)
+
+    @pytest.mark.parametrize("dtype, value", [(np.float32, np.nan), (np.float32, -np.inf),
+                                              (np.float64, 1e39)], ids=["nan", "inf", "1e39"])
+    def test_non_finite_cube_refused_before_any_file(self, monkeypatch, tmp_path, dtype, value):
+        # four row blocks over two workers: the bad value is in a helper's
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        values = seeded_cube(self.multi_block_shape(), seed=6).values.astype(dtype)
+        values[len(values) // 3, 5, 7] = value
+        with pytest.raises(FormatError, match="^cube payload contains non-finite values$"):
+            save_cube(HsiCube(values=values), tmp_path / "scene.hsc.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_extremes_saved(self, tmp_path):
+        values = seeded_cube((3, 4, 5), seed=7).values
+        values[0, 0] = np.finfo(np.float32).max
+        values[2, 3] = np.finfo(np.float32).min
+        save_cube(HsiCube(values=values.astype(np.float64)), tmp_path / "scene.hsc.json")
+        assert load_cube(tmp_path / "scene.hsc.json").values.tobytes() == values.tobytes()
 
     def test_unknown_version_rejected(self, tmp_path):
         cube = seeded_cube((2, 2, 2))
@@ -213,9 +243,9 @@ class TestRowBlockPasses:
         # with two workers the helper reads blocks 1, 3 and 5
         blocks(2)
         cube = seeded_cube(self.SHAPE, seed=13)
-        cube.values[row, 15, 11] = np.nan
         path = tmp_path / "scene.hsc.json"
         save_cube(cube, path)
+        set_payload_value(path, (row, 15, 11), np.nan)
         with pytest.raises(FormatError, match="^cube payload contains non-finite values$"):
             load_cube(path)
 

@@ -43,3 +43,59 @@ class TestSerialFanOut:
             parallel.fan_out(5, failing_at_2)
         assert ran == [0, 1, 2]
         assert (serial and serial()) == before
+
+
+needs_openblas = pytest.mark.skipif(
+    parallel._openblas() is None,
+    reason="OpenBLAS's thread count cannot be set here, so jobs never leave "
+           "the calling thread")
+
+
+@needs_openblas
+class TestDeal:
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(parallel, "workers", lambda: 3)
+
+    def test_jobs_dealt_round_robin_over_the_workers(self):
+        # each job waits until every worker holds one, so all three run at once
+        started = threading.Barrier(3, timeout=30)
+        ran = {}
+
+        def job(i):
+            if i < 3:
+                started.wait()
+            ran[i] = threading.get_ident()
+            return i
+
+        assert parallel.fan_out(7, job) == list(range(7))
+        assert ran[0] == threading.get_ident()
+        assert len(set(ran.values())) == 3
+        for i in range(7):
+            assert ran[i] == ran[i % 3], i
+
+    def test_no_jobs(self):
+        assert parallel.fan_out(0, lambda i: i) == []
+
+    def test_raising_helper_job_stops_later_jobs(self):
+        # job 0 holds the caller until job 1 has raised on a helper and that
+        # worker has stopped, so no later job starts on either worker
+        started, helper = threading.Event(), []
+        ran = []
+
+        def job(i):
+            ran.append(i)
+            if i == 0:
+                assert started.wait(timeout=30)
+                helper[0].join(timeout=30)
+                assert not helper[0].is_alive()
+            if i == 1:
+                helper.append(threading.current_thread())
+                started.set()
+                raise RuntimeError("job 1 failed")
+            return i
+
+        with pytest.raises(RuntimeError, match="^job 1 failed$"):
+            parallel.fan_out(8, job)
+        # workers 0 and 1 hold jobs 0, 3, 6 and 1, 4, 7; worker 2 may run 5
+        assert {0, 1} <= set(ran) and not {3, 4, 6, 7} & set(ran)

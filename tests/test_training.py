@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
@@ -244,6 +246,52 @@ class TestTrainLoop:
             TrainConfig(log_every=0)
 
 
+class TestGradientClip:
+    def test_long_gradients_scale_to_the_clip_norm(self):
+        rng = np.random.default_rng(60)
+        grads = {"a": rng.standard_normal((3, 4)).astype(np.float32),
+                 "b": rng.standard_normal(5).astype(np.float32)}
+        want = {name: g.astype(np.float64) for name, g in grads.items()}
+        total = np.sqrt(sum((g ** 2).sum() for g in want.values()))
+        grads = {name: g * np.float32(4 * training.CLIP_NORM / total)
+                 for name, g in grads.items()}
+        training._clip_gradients(grads, ["a", "b"])
+        norm = np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads.values()))
+        assert norm == pytest.approx(training.CLIP_NORM, rel=1e-6)
+        for name, g in grads.items():
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, want[name] * training.CLIP_NORM / total, rtol=1e-5)
+
+    def test_short_gradients_keep_their_bits(self):
+        grads = {"a": np.full((2, 3), 0.5, np.float32), "b": np.ones(4, np.float32)}
+        before = {name: g.tobytes() for name, g in grads.items()}
+        training._clip_gradients(grads, ["a", "b"])  # norm sqrt(5.5) < 5
+        assert {name: g.tobytes() for name, g in grads.items()} == before
+
+    def _scene(self):
+        """The 103-band striped scene split 64 per class, 2,124 pixels held out."""
+        cube, labels = striped_scene(bands=103, per_class=300)
+        return cube, labels, stratified_split(labels, 64, seed=0)
+
+    def test_defaults_finish_an_epoch_at_103_bands(self):
+        # without the clip, seeds 0-3 all stop with E_NUMERIC in epoch 1
+        cube, labels, split = self._scene()
+        for seed in range(4):
+            model = build_model(ModelConfig(103, 9, 7), seed)
+            history = train(model, cube, labels, split, TrainConfig(epochs=1),
+                            OptimizerState())
+            assert np.isfinite(history[0]["mean_loss"]), seed
+
+    def test_defaults_learn_the_103_band_scene(self):
+        # the bar was fixed before this test ran: 8 seeds probed 0.983-0.996
+        cube, labels, split = self._scene()
+        model = build_model(ModelConfig(103, 9, 7), 0)
+        train(model, cube, labels, split, TrainConfig(epochs=10), OptimizerState())
+        matrix = evaluate(model, normalize(cube, split), labels, split.test)
+        assert matrix.total == 2124
+        assert overall_accuracy(matrix) >= 0.95
+
+
 def train_digest(out_dir):
     """sha256 of the history and checkpoint of a small two-epoch run whose
     batches of 64, 64 and 52 samples each make two shards."""
@@ -314,6 +362,77 @@ def assert_same_digest_at_one_and_two_blas_threads(tmp_path, digest):
         runs.append(proc.stdout.split()[-2:])
     assert [count for count, _ in runs] == ["1", "2"]
     assert runs[0][1] == runs[1][1]
+
+
+def openblas_core():
+    """The name of the core type numpy's OpenBLAS picked its kernels for,
+    or None where it cannot be read."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def core_type_run(out_dir):
+    """OpenBLAS's core name and the sha256 of the history and checkpoint of
+    a short default-settings run on a well-separated 4-class scene; the
+    scene's predict_map grid goes to out_dir/map.npy."""
+    cube, labels = striped_scene(num_classes=4, per_class=100, bands=30, seed=61)
+    split = stratified_split(labels, 20, seed=62)
+    model = build_model(ModelConfig(cube.bands, 4, 7), 63)
+    ckpt = os.path.join(out_dir, "m.ckpt.json")
+    hist = os.path.join(out_dir, "history.jsonl")
+    train(model, cube, labels, split, TrainConfig(epochs=5, batch_size=16, shuffle_seed=64),
+          OptimizerState(), checkpoint_path=ckpt, history_path=hist)
+    np.save(os.path.join(out_dir, "map.npy"), predict_map(model, normalize(cube, split)))
+    h = hashlib.sha256()
+    for path in (hist, ckpt, os.path.join(out_dir, "m.ckpt.raw")):
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return openblas_core(), h.hexdigest()
+
+
+def has_avx2():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2"))
+
+
+class TestPortableBits:
+    """The bits hold for one numpy build and one OpenBLAS core type; two
+    core types may differ in trained bits, not in a clear prediction."""
+
+    @pytest.mark.skipif(parallel._openblas() is None or openblas_core() is None
+                        or not has_avx2(),
+                        reason="needs numpy's OpenBLAS, its core name, and AVX2")
+    def test_each_core_type_is_run_to_run_identical(self, tmp_path):
+        script = ("import sys; from test_training import core_type_run; "
+                  "print(*core_type_run(sys.argv[1]))")
+        digests, grids = {}, {}
+        for core in ("Haswell", "SandyBridge"):
+            for run in range(2):
+                out = tmp_path / f"{core}{run}"
+                out.mkdir()
+                proc = run_python(["-c", script, str(out)], OPENBLAS_CORETYPE=core)
+                assert proc.returncode == 0, proc.stderr
+                name, digest = proc.stdout.split()[-2:]
+                assert name.lower() == core.lower()
+                digests.setdefault(core, set()).add(digest)
+                grids.setdefault(core, []).append(np.load(out / "map.npy"))
+        assert all(len(seen) == 1 for seen in digests.values()), digests
+        for core, (first, second) in grids.items():
+            assert first.tobytes() == second.tobytes(), core
+        cube, labels = striped_scene(num_classes=4, per_class=100, bands=30, seed=61)
+        assert np.array_equal(grids["Haswell"][0], grids["SandyBridge"][0])
+        assert np.mean(grids["Haswell"][0] == labels.labels) > 0.9
 
 
 class TestShardedTraining:
