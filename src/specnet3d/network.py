@@ -28,6 +28,8 @@ block stack and then the classifier.  A shard's cache keeps, per block,
 the block's input x_in, the main conv's patch stack main_cols, and the
 ReLU output y, which is all backward needs: y is the projection's patch
 stack, its dims are the pool's input dims, and y > 0 is ReLU's mask.
+backward spends the cache: a shard pops each block's activations as it
+walks back, so they are freed once that block's gradients exist.
 backward's contractions multiply per-shard matrices, and each gradient,
 the classifier's included, is the sum of the shards' in shard order.
 
@@ -44,6 +46,12 @@ thread.  A step's bits depend on its input rows alone, not on which
 other pixels are wanted, the worker or the BLAS thread count.  They
 match forward on each pixel's own patch to float32 rounding, not
 bitwise: a step and a patch hand BLAS GEMMs of different shapes.
+
+Every job of the network, a shard or a strip, runs with float32
+subnormals flushed to zero (parallel.flush_subnormals), and the first
+one keeps freed heap pages in the process (parallel.steady_heap), so a
+long run of train steps neither slows on subnormal gradients nor faults
+its working set in again every step.
 """
 
 import math
@@ -65,7 +73,7 @@ from .ops import (
     relu,
     relu_backward,
 )
-from .parallel import fan_out
+from .parallel import fan_out, flush_subnormals, steady_heap
 from .tensor import Conv3dSpec, Pool3dSpec, out_dim
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -219,6 +227,18 @@ def _run_blocks(model: Model, x, cache=None):
     return x
 
 
+def _fan_out(count, job):
+    """fan_out for the network's jobs: each runs with subnormals flushed,
+    on a heap that keeps its freed pages (see the module docstring)."""
+    steady_heap()
+
+    def flushed(i):
+        with flush_subnormals():
+            return job(i)
+
+    return fan_out(count, flushed)
+
+
 def _shards(n):
     """The batch's SHARD-sample slices."""
     return [slice(start, start + SHARD) for start in range(0, n, SHARD)]
@@ -235,7 +255,9 @@ def forward(model: Model, x, keep_intermediates=False):
     rows of the batch's cache["flat"], and shard i's cache["shards"][i]
     ["blocks"] holds one {"x_in", "y", "main_cols"} dict per block (see
     the module docstring).  Returns (n, classes) logits.  The logits and
-    the cache are the caller's: no later call writes into them.
+    the cache are the caller's: no later call writes into them.  The
+    cache is backward's to spend: backward empties each shard's
+    ["blocks"] as it goes.
     """
     x = np.asarray(x)
     w = model.config.spatial_window
@@ -255,7 +277,7 @@ def forward(model: Model, x, keep_intermediates=False):
         np.copyto(features.reshape(out.shape), out)
         return linear_forward(features, model.fc_weights, model.fc_bias), cache
 
-    logits, caches = zip(*fan_out(len(slices), shard))
+    logits, caches = zip(*_fan_out(len(slices), shard))
     cache = {"shards": caches, "flat": flat} if keep_intermediates else None
     return np.concatenate(logits), cache
 
@@ -353,7 +375,7 @@ def class_grid(model: Model, values, pixels=None):
                 np.argmax(logits, axis=2) + 1
             )
 
-    fan_out(len(plan), strip)
+    _fan_out(len(plan), strip)
     return grid
 
 
@@ -395,10 +417,14 @@ def backward(model: Model, cache, grad_logits):
     Each shard runs the classifier's backward and then the block stack's,
     fanned out like forward, and each gradient is the sum of the shards'
     in shard order, so its bits depend on SHARD and not on how many
-    threads ran the shards.
+    threads ran the shards.  backward spends the cache (_block_grads): a
+    cache it has walked, even in part, is a ConfigError.
     """
     if cache is None:
         raise ConfigError("backward requires a cache from forward(keep_intermediates=True)")
+    if any(len(shard["blocks"]) != len(model.blocks) for shard in cache["shards"]):
+        raise ConfigError("backward has already spent this cache; run forward("
+                          "keep_intermediates=True) again")
     flat = cache["flat"]
     slices = _shards(len(flat))
 
@@ -412,7 +438,7 @@ def backward(model: Model, cache, grad_logits):
         return {"FC.weight": grad_fcw, "FC.bias": grad_fcb,
                 **_block_grads(model, saved, g)}
 
-    per_shard = fan_out(len(slices), shard)
+    per_shard = _fan_out(len(slices), shard)
     grads = per_shard[0]
     for shard_grads in per_shard[1:]:
         for name, grad in shard_grads.items():
@@ -422,9 +448,12 @@ def backward(model: Model, cache, grad_logits):
 
 def _block_grads(model: Model, saved_blocks, g):
     """Conv parameter gradients of one shard, from its saved block
-    activations and the gradient on its block-4 output."""
+    activations and the gradient on its block-4 output.  It pops each
+    block's activations off saved_blocks as it walks back, so they are
+    freed once the block's gradients exist."""
     grads = {}
-    for block, saved in zip(reversed(model.blocks), reversed(saved_blocks)):
+    for block in reversed(model.blocks):
+        saved = saved_blocks.pop()
         if block.pool is not None:
             g = avgpool3d_backward(saved["y"].shape, block.pool, g)
         # out = z + y: the skip feeds g straight back to y alongside the

@@ -11,6 +11,11 @@ out the cores instead of BLAS splitting small GEMMs between them.
 fan_out(count, fn) is a plain call that returns [fn(0), ..., fn(count - 1)]
 with the pin held inside it.  Each job writes its own output, or its own
 rows of a shared one, so no caller work has to sit inside the pin.
+
+Two more process and thread settings go through ctypes, on glibc only,
+for the network's jobs (see network): steady_heap keeps freed heap pages
+in the process, and flush_subnormals runs a job with x86-64's FTZ and DAZ
+set.  Elsewhere both do nothing.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ import ctypes
 import functools
 import glob
 import os
+import platform
 import threading
 
 import numpy as np
@@ -83,6 +89,77 @@ def one_blas_thread():
             _pins -= 1
             if _pins == 0:
                 set_(_unpinned)
+
+
+def _glibc(name):
+    """ctypes handle of glibc's shared library name, or None off glibc."""
+    return ctypes.CDLL(name) if platform.libc_ver()[0] == "glibc" else None
+
+
+# mallopt's parameters, and the values steady_heap sets: glibc's ceiling
+# for the mmap threshold, so cube-sized arrays still map and unmap, and a
+# trim threshold above a train step's heap working set
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def steady_heap():
+    """Keep freed heap pages in the process, once per process; True when
+    glibc's mallopt took both settings, None off glibc.
+
+    By default glibc gives the top of a freed heap back to the kernel and
+    maps every array over a threshold on its own, so each train step
+    faults its whole working set in again.  Setting the trim threshold
+    alone would pin the mmap threshold at its 128 KiB default, so both
+    are set."""
+    libc = _glibc("libc.so.6")
+    if libc is None:
+        return None
+    libc.mallopt.restype, libc.mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    return (libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+
+
+# MXCSR's flush-to-zero and denormals-are-zero bits
+_FTZ_DAZ = 0x8000 | 0x40
+
+
+@functools.cache
+def _fenv():
+    """(fegetenv, fesetenv) of glibc's libm on x86-64, or None.  There a
+    fenv_t is 28 bytes of x87 state and then the 32-bit MXCSR."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return None
+    libm = _glibc("libm.so.6")
+    if libm is None:
+        return None
+    for fn in (libm.fegetenv, libm.fesetenv):
+        fn.restype, fn.argtypes = ctypes.c_int, [ctypes.POINTER(ctypes.c_uint32 * 8)]
+    return libm.fegetenv, libm.fesetenv
+
+
+@contextlib.contextmanager
+def flush_subnormals():
+    """Run the with block with FTZ and DAZ set on the calling thread, so a
+    float32 subnormal result is 0 and a subnormal operand reads as 0, and
+    give the thread its floating-point environment back on the way out,
+    even when the block raises.  A no-op where _fenv is None."""
+    fenv = _fenv()
+    if fenv is None:
+        yield
+        return
+    get, set_ = fenv
+    saved = (ctypes.c_uint32 * 8)()
+    get(saved)
+    flushed = type(saved).from_buffer_copy(saved)
+    flushed[7] |= _FTZ_DAZ  # the MXCSR, after 28 bytes of x87 state
+    set_(flushed)
+    try:
+        yield
+    finally:
+        set_(saved)
 
 
 def workers():

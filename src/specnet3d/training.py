@@ -13,7 +13,9 @@ evaluate only the requested ones, each bitwise as predict_map does.
 train and evaluate read a pixel set as data._pixel_rows' (n, 3) int64
 rows, checked against the labels in one pass (_labeled_rows).  A training
 batch is a slice of them, gathered as its pixels' extract_patch cuts
-concatenated; evaluate's confusion matrix is one np.bincount over them.
+concatenated; a confusion matrix is one np.bincount over them
+(_confusion), in evaluate and in train's per-epoch evaluations, which
+count over the test rows train checked before its first step.
 """
 
 import json
@@ -186,7 +188,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
             sgd_step(params, grads, opt)
         entry = {"epoch": epoch, "mean_loss": loss_sum / len(train_rows)}
         if eval_test and len(test_rows):
-            matrix = evaluate(model, norm, labels, split.test)
+            matrix = _confusion(model, norm, labels, test_rows)
             entry["test_overall_accuracy"] = overall_accuracy(matrix)
         history.append(entry)
         if log and (epoch % config.log_every == 0 or epoch == config.epochs):
@@ -220,10 +222,15 @@ def evaluate(model: Model, cube: HsiCube, labels: LabelGrid, pixel_set) -> Confu
     predict_map gives it.
     """
     _check_scene(model, cube, labels)
-    classes = model.config.num_classes
-    rows = _labeled_rows(labels, classes, pixel_set)
+    rows = _labeled_rows(labels, model.config.num_classes, pixel_set)
     if not len(rows):
         raise ConfigError("the pixel set to evaluate is empty")
+    return _confusion(model, cube, labels, rows)
+
+
+def _confusion(model: Model, cube: HsiCube, labels: LabelGrid, rows) -> ConfusionMatrix:
+    """Confusion matrix over rows already checked by _labeled_rows."""
+    classes = model.config.num_classes
     grid = class_grid(model, cube.values, rows)
     cells = (rows[:, 2] - 1) * classes + grid[rows[:, 0], rows[:, 1]] - 1
     counts = np.bincount(cells, minlength=classes * classes).reshape(classes, classes)

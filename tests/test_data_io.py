@@ -28,6 +28,7 @@ from specnet3d.data import (
     stratified_split,
 )
 from specnet3d.errors import ConfigError, FormatError, SplitError
+from specnet3d.network import ModelConfig, build_model, forward
 
 
 def seeded_cube(shape, seed=0):
@@ -184,6 +185,27 @@ class TestRowBlockPasses:
         monkeypatch.setattr(data, "_BLOCK_BYTES", self.BLOCK)
         monkeypatch.setattr(data, "_LOAD_BLOCK_BYTES", self.BLOCK)
         return lambda n: monkeypatch.setattr(parallel, "workers", lambda: n)
+
+    def test_subnormals_keep_their_bits_after_a_network_pass(self, blocks, tmp_path):
+        # the network's jobs flush subnormals to zero; the row blocks do not,
+        # and the network leaves the calling thread as it found it
+        blocks(2)
+        model = build_model(ModelConfig(12, 2, 7), 0)
+        forward(model, np.ones((1, 1, 7, 7, 12), np.float32))
+        cube = seeded_cube(self.SHAPE, seed=12)
+        cube.values[:, :, 0] = 0.0
+        cube.values[0, 1, 0] = 1.0  # band 0 scales by 1 from 0
+        subnormal = 0x12345  # as float32 bits; on the caller's block and a helper's
+        cube.values.view(np.uint32)[[2, 22], 15, 0] = subnormal
+        path = tmp_path / "scene.hsc.json"
+        save_cube(cube, path)
+        assert ((tmp_path / "scene.hsc.raw").read_bytes()
+                == cube.values.transpose(2, 0, 1).astype("<f4").tobytes())
+        loaded = load_cube(path)
+        assert loaded.values.tobytes() == cube.values.tobytes()
+        train = [(r, c, 1) for r in range(0, 23, 4) for c in range(1, 16, 3)]
+        scaled = normalize(loaded, SplitManifest(seed=0, train=train, test=[]))
+        assert scaled.values.view(np.uint32)[[2, 22], 15, 0].tolist() == [subnormal] * 2
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bitwise_the_whole_array_expressions_at_any_worker_count(

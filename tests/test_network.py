@@ -1,15 +1,17 @@
+import ctypes
 import json
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from specnet3d import network, parallel
-from specnet3d.errors import FormatError, ShapeError
+from specnet3d.errors import ConfigError, FormatError, ShapeError
 from specnet3d.network import (
     CONV_LAYER_NAMES,
     LAYER_NAMES,
@@ -600,3 +602,146 @@ class TestShards:
             backward(model, cache, up)
         assert parallel.blas_threads() == before
         assert during == [1] * 4
+
+
+class TestSpentCache:
+    # one shard, and two
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_backward_empties_every_shard(self, n):
+        model = small_model(seed=50)
+        x, up = _inputs(51, n)
+        _, cache = forward(model, x, keep_intermediates=True)
+        cols = [weakref.ref(saved["main_cols"])
+                for shard in cache["shards"] for saved in shard["blocks"]]
+        backward(model, cache, up)
+        assert [shard["blocks"] for shard in cache["shards"]] == [[]] * -(-n // SHARD)
+        assert [ref() for ref in cols] == [None] * len(cols)
+
+    def test_each_block_freed_once_its_gradients_exist(self, monkeypatch):
+        # when Conv1's gradients are computed, blocks 2-4's saved
+        # activations are already gone, and block 1's are still there
+        model = small_model(seed=52)
+        x, up = _inputs(53, 13)
+        _, cache = forward(model, x, keep_intermediates=True)
+        refs = [weakref.ref(saved[key]) for saved in cache["shards"][0]["blocks"]
+                for key in ("x_in", "y", "main_cols")]
+        alive_at_conv1 = []
+        conv_backward = network.conv3d_backward
+
+        def recording(x, spec, *args, **kwargs):
+            if spec is model.blocks[0].main:
+                alive_at_conv1.append([ref() is not None for ref in refs])
+            return conv_backward(x, spec, *args, **kwargs)
+
+        monkeypatch.setattr(network, "conv3d_backward", recording)
+        backward(model, cache, up)
+        assert alive_at_conv1 == [[True] * 3 + [False] * 9]
+
+    def test_a_spent_cache_is_refused(self):
+        model = small_model(seed=54)
+        x, up = _inputs(55, 40)
+        _, cache = forward(model, x, keep_intermediates=True)
+        backward(model, cache, up)
+        with pytest.raises(ConfigError, match="already spent this cache") as exc:
+            backward(model, cache, up)
+        assert exc.value.code == "E_CONFIG"
+
+
+needs_fenv = pytest.mark.skipif(
+    parallel._fenv() is None,
+    reason="FTZ and DAZ are set through x86-64 glibc's libm only")
+
+# MXCSR's sticky exception flags, which any float operation may raise;
+# the other bits are its control bits
+_FLAGS = 0x3F
+_DEFAULT_MXCSR = 0x1F80
+
+
+def _fenv_buffer():
+    env = (ctypes.c_uint32 * 8)()
+    parallel._fenv()[0](env)
+    return env
+
+
+def _control():
+    """The calling thread's MXCSR control bits."""
+    return _fenv_buffer()[7] & ~_FLAGS
+
+
+@pytest.fixture
+def caller_mxcsr():
+    """Sets the test thread's MXCSR control bits; gives the thread its
+    floating-point environment back afterwards."""
+    saved = _fenv_buffer()
+
+    def set_control(bits):
+        env = _fenv_buffer()
+        env[7] = env[7] & _FLAGS | bits
+        parallel._fenv()[1](env)
+
+    yield set_control
+    parallel._fenv()[1](saved)
+
+
+@needs_fenv
+class TestFlushedJobs:
+    def test_subnormal_upstream_gives_zero_gradients(self):
+        # unflushed, FC.bias alone would be 40 x 1e-40, still subnormal
+        model = small_model(seed=56)
+        x, _ = _inputs(57, 40)
+        _, cache = forward(model, x, keep_intermediates=True)
+        up = np.full((40, 9), 1e-40, np.float32)
+        assert 0 < up[0, 0] < np.finfo(np.float32).smallest_normal
+        grads = backward(model, cache, up)
+        for name, grad in grads.items():
+            assert not grad.any(), name
+
+    # the default, and DAZ alone, which the jobs must not leave behind
+    # as FTZ | DAZ
+    @pytest.mark.parametrize("caller", [_DEFAULT_MXCSR, _DEFAULT_MXCSR | 0x40],
+                             ids=["default", "daz"])
+    def test_jobs_flush_and_the_caller_keeps_its_mxcsr(self, caller, caller_mxcsr,
+                                                       monkeypatch):
+        model = small_model(seed=58)
+        x, up = _inputs(59, SHARD + 8)
+        values = np.random.default_rng(60).standard_normal((6, 13, 20)).astype(np.float32)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        seen = []
+        run_blocks, stream = network._run_blocks, network.stream
+
+        def recording(original):
+            def job(*args):
+                seen.append(_control())
+                return original(*args)
+            return job
+
+        monkeypatch.setattr(network, "_run_blocks", recording(run_blocks))
+        monkeypatch.setattr(network, "stream", recording(stream))
+        caller_mxcsr(caller)
+        _, cache = forward(model, x, keep_intermediates=True)
+        assert _control() == caller
+        backward(model, cache, up)
+        assert _control() == caller
+        network.class_grid(model, values)
+        assert _control() == caller
+        # two shards, then two strips
+        assert seen == [_DEFAULT_MXCSR | 0x8040] * 4
+
+    def test_the_caller_keeps_its_mxcsr_when_a_job_raises(self, caller_mxcsr,
+                                                          monkeypatch):
+        model = small_model(seed=61)
+        x, up = _inputs(62, SHARD + 8)
+        values = np.random.default_rng(63).standard_normal((6, 13, 20)).astype(np.float32)
+        _, cache = forward(model, x, keep_intermediates=True)
+        caller_mxcsr(_DEFAULT_MXCSR)
+
+        def failing(*args):
+            raise RuntimeError("job failed")
+
+        for name, call in (("_run_blocks", lambda: forward(model, x)),
+                           ("_block_grads", lambda: backward(model, cache, up)),
+                           ("stream", lambda: network.class_grid(model, values))):
+            monkeypatch.setattr(network, name, failing)
+            with pytest.raises(RuntimeError, match="job failed"):
+                call()
+            assert _control() == _DEFAULT_MXCSR, name

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -99,3 +102,30 @@ class TestDeal:
             parallel.fan_out(8, job)
         # workers 0 and 1 hold jobs 0, 3, 6 and 1, 4, 7; worker 2 may run 5
         assert {0, 1} <= set(ran) and not {3, 4, 6, 7} & set(ran)
+
+
+class TestSteadyHeap:
+    def test_mallopt_takes_both_settings_on_glibc(self):
+        if parallel._glibc("libc.so.6") is None:
+            pytest.skip("the heap policy is set through glibc's mallopt only")
+        assert parallel.steady_heap() is True
+
+    def test_only_the_network_sets_it(self, tmp_path):
+        # a process that only moves cubes keeps the allocator's defaults;
+        # the first network pass sets the policy
+        script = "\n".join([
+            "import numpy as np",
+            "from specnet3d import HsiCube, load_cube, network, parallel, save_cube",
+            "save_cube(HsiCube(np.ones((4, 5, 12), np.float32)), 'scene.hsc.json')",
+            "load_cube('scene.hsc.json')",
+            "print(parallel.steady_heap.cache_info().currsize)",
+            "model = network.build_model(network.ModelConfig(12, 2, 7), 0)",
+            "network.forward(model, np.ones((1, 1, 7, 7, 12), np.float32))",
+            "print(parallel.steady_heap.cache_info().currsize)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True, timeout=120, check=False)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "1"]

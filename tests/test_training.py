@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specnet3d import parallel, training
+from specnet3d import data, parallel, training
 from specnet3d.cli import main
 from specnet3d.data import (
     HsiCube, LabelGrid, SplitManifest, extract_patch, normalize, save_cube, save_labels,
@@ -453,6 +453,28 @@ class TestShardedTraining:
 
 
 class TestEvaluate:
+    def test_eval_test_reads_the_split_once_per_run(self, monkeypatch):
+        # each epoch's evaluation counts over the test rows train checked
+        # before its first step: one read per side, one for normalize
+        cube, labels, split = overfit_scene()
+        split = SplitManifest(seed=0, train=split.train[:18], test=split.train[18:])
+        reads = []
+        for module in (data, training):
+            def counting(*args, _read=module._pixel_rows):
+                reads.append(args)
+                return _read(*args)
+            monkeypatch.setattr(module, "_pixel_rows", counting)
+        counts = []
+        for epochs in (1, 3):
+            reads.clear()
+            model = build_model(ModelConfig(cube.bands, 9, 7), 3)
+            history = train(model, cube, labels, split, TrainConfig(epochs=epochs),
+                            OptimizerState(), eval_test=True)
+            counts.append(len(reads))
+        assert counts == [3, 3]
+        matrix = evaluate(model, normalize(cube, split), labels, split.test)
+        assert history[-1]["test_overall_accuracy"] == overall_accuracy(matrix)
+
     def test_constant_logits_predict_lowest_class(self):
         cube, labels, split = overfit_scene()
         model = build_model(ModelConfig(cube.bands, 9, 7), 5)
