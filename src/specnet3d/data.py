@@ -15,11 +15,11 @@ row-major unsigned bytes (`.lbl.json` + `.lbl.raw`).  A split manifest
 (`.split.json` + `.split.raw`, format 2) declares train_count and
 test_count, and its payload holds that many int64 [row, col, class] rows,
 the train rows first; class 0 marks a [row, col] pair, which gives no
-class.  Format 1 splits, header only with the entries as JSON lists,
-still load.  _read_header checks optional fields (class_names,
-per_class_train, fraction) unless absent or null.  Every pixel set, a
-split side or what normalize, train and evaluate read, goes through one
-entry rule and converter to the payload's int64 rows, _pixel_rows.
+class.  Format 2 is the only split format read.  _read_header checks
+optional fields (class_names, per_class_train, fraction) unless absent
+or null.  Every pixel set, a split side or what normalize, train and
+evaluate read, goes through one entry rule and converter to the
+payload's int64 rows, _pixel_rows.
 
 Every file the package writes, the history and class map too, goes
 through _write_file, a container's payload before its header.
@@ -118,8 +118,8 @@ class LabelGrid:
 class SplitManifest:
     """Reproducible train/test pixel assignment, one entry per labeled pixel.
 
-    Entries are (row, col, class) triples, or (row, col) pairs where a
-    loaded split gives no class.  per_class_train is set for the
+    Entries are (row, col, class) triples, or (row, col) pairs, which give
+    no class (a payload row of class 0).  per_class_train is set for the
     fixed-count protocol; fraction for the percentage protocol (per-class
     counts then vary and are floor(fraction * class size), minimum 1).
     """
@@ -367,12 +367,11 @@ def _pixel_rows(entries, side=None):
     numpy integers (bools, JSON true and false among them, are not), its
     class >= 1 and each index in int64; any other is a FormatError naming
     the split side, if any, else the pixel set."""
+    name = f"split {side}" if side else "pixel set"
     if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2, 3}
             and all(t is int or issubclass(t, np.integer)
                     for t in set(map(type, itertools.chain.from_iterable(entries))))):
-        where = f"split header field {side!r}" if side else "pixel set"
-        raise FormatError(f"{where} must hold [row, col] or [row, col, class] integers")
-    name = f"split {side}" if side else "pixel set"
+        raise FormatError(f"{name} must hold [row, col] or [row, col, class] integers")
     padded = itertools.chain.from_iterable(e if len(e) == 3 else (*e, 0) for e in entries)
     try:
         rows = np.fromiter(padded, np.int64, 3 * len(entries)).reshape(-1, 3)
@@ -393,7 +392,8 @@ def _entries(rows):
 
 def save_split(manifest: SplitManifest, path):
     """Write the split manifest in format 2 (see the module docstring); a
-    field or entry load_split refuses is a FormatError before any write."""
+    field load_split refuses, or an entry _pixel_rows refuses, is a
+    FormatError before any write."""
     header = {name: getattr(manifest, name) for name in ("seed", "per_class_train", "fraction")}
     header = {k: v.item() if isinstance(v, np.generic) else v for k, v in header.items()}
     _check_fields(header, "split", *_SPLIT_FIELDS)
@@ -403,22 +403,17 @@ def save_split(manifest: SplitManifest, path):
 
 
 def load_split(path) -> SplitManifest:
-    """A split manifest of format 2, or of format 1, whose entries
-    _pixel_rows reads.  Format 2's counts are checked before its payload is read, and that
-    payload's size before any allocation; a negative class there is a
-    FormatError."""
-    doc = _read_header(path, "split", (1, SPLIT_FORMAT_VERSION), *_SPLIT_FIELDS)
-    if doc["format_version"] == 1:
-        train, test = (_entries(_pixel_rows(_field(doc, "split", name, list), name))
-                       for name in ("train", "test"))
-    else:
-        n, m = (_field(doc, "split", name, int, 0) for name in ("train_count", "test_count"))
-        rows = _read_payload(path, "split", "<i8", 3 * (n + m)).reshape(-1, 3)
-        if (rows[:, 2] < 0).any():
-            raise FormatError("split payload holds a negative class")
-        train, test = _entries(rows[:n]), _entries(rows[n:])
+    """A split manifest of format 2, the only one read.  Its counts are
+    checked before its payload is read, and the payload's size before any
+    allocation; a negative class there is a FormatError."""
+    doc = _read_header(path, "split", (SPLIT_FORMAT_VERSION,), *_SPLIT_FIELDS)
+    n, m = (_field(doc, "split", name, int, 0) for name in ("train_count", "test_count"))
+    rows = _read_payload(path, "split", "<i8", 3 * (n + m)).reshape(-1, 3)
+    if (rows[:, 2] < 0).any():
+        raise FormatError("split payload holds a negative class")
     return SplitManifest(seed=doc["seed"], per_class_train=doc.get("per_class_train"),
-                         fraction=doc.get("fraction"), train=train, test=test)
+                         fraction=doc.get("fraction"), train=_entries(rows[:n]),
+                         test=_entries(rows[n:]))
 
 
 def normalize(cube: HsiCube, stats_source: SplitManifest) -> HsiCube:

@@ -135,7 +135,7 @@ class Model:
     blocks: list
     fc_weights: np.ndarray
     fc_bias: np.ndarray
-    rng_seed: int = 0
+    rng_seed: int
 
     def parameters(self):
         """Live parameter arrays keyed '<layer>.weight' / '<layer>.bias'."""
@@ -512,15 +512,15 @@ def save_checkpoint(model: Model, json_path):
 
 
 def load_checkpoint(json_path) -> Model:
-    """Rebuild a Model bit-exactly from its manifest + blob pair; the first
-    layer entry that differs from _layer_table, or a non-finite blob, is a
-    FormatError.  One walk sizes the blob, checked before the classifier is
-    made, and the model."""
+    """Rebuild a Model bit-exactly from its manifest + blob pair.  config,
+    rng_seed and layers are required fields, each checked by _field; the
+    first layer entry that differs from _layer_table, or a non-finite blob,
+    is a FormatError.  One walk sizes the blob, checked before the
+    classifier is made, and the model."""
     manifest = _read_header(json_path, "checkpoint", (CHECKPOINT_FORMAT_VERSION,),
-                            [("config", dict), ("layers", list)])
+                            [("config", dict), ("rng_seed", int), ("layers", list)])
     config = {f.name: _field(manifest["config"], "checkpoint config", f.name, int)
               for f in fields(ModelConfig)}
-    rng_seed = _field(manifest, "checkpoint", "rng_seed", int) if "rng_seed" in manifest else 0
     try:
         config = ModelConfig(**config)
         blocks, trace = _walk(config)
@@ -532,7 +532,7 @@ def load_checkpoint(json_path) -> Model:
                          convs + config.num_classes * (trace[-1][1] + 1))
     if not np.isfinite(blob).all():
         raise FormatError("checkpoint payload contains non-finite values")
-    model = _assemble(config, rng_seed, blocks, trace)
+    model = _assemble(config, manifest["rng_seed"], blocks, trace)
     declared, table = manifest["layers"], _layer_table(model)
     for i in range(max(len(declared), len(table))):
         got, want = declared[i:i + 1] or "nothing", table[i:i + 1] or "nothing"

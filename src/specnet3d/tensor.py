@@ -2,10 +2,11 @@
 
 Activations and gradients travel as numpy arrays of shape
 (batch, channels, height, width, depth), float32 by default.  A parallel
-float64 path (same code, wider dtype) exists for gradient-check tests.
+float64 path (same code, wider dtype) exists for gradient-check tests,
+which assign float64 arrays to a Conv3dSpec's weights and bias.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +77,9 @@ class Conv3dSpec(_WindowSpec):
     """One 3D convolution layer: geometry plus its weight and bias arrays.
 
     weights has shape (out_channels, in_channels, kh, kw, kd); bias has
-    shape (out_channels,).  Convolution is cross-correlation (no kernel
-    flip) with zero-valued virtual elements in padded regions.
+    shape (out_channels,).  Both start as float32 zeros, filled in place
+    or assigned after construction.  Convolution is cross-correlation (no
+    kernel flip) with zero-valued virtual elements in padded regions.
     """
 
     name: str
@@ -86,30 +88,16 @@ class Conv3dSpec(_WindowSpec):
     kernel: tuple
     stride: tuple = (1, 1, 1)
     padding: tuple = (0, 0, 0)
-    weights: np.ndarray = None
-    bias: np.ndarray = None
+    weights: np.ndarray = field(init=False)
+    bias: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.out_channels < 1 or self.in_channels < 1:
             raise ShapeError(f"{self.name}: channel counts must be >= 1")
         self._check_window()
         wshape = (self.out_channels, self.in_channels) + self.kernel
-        if self.weights is None:
-            self.weights = np.zeros(wshape, dtype=np.float32)
-        else:
-            self.weights = np.asarray(self.weights)
-            if self.weights.shape != wshape:
-                raise ShapeError(
-                    f"{self.name}: weights shape {self.weights.shape} != {wshape}"
-                )
-        if self.bias is None:
-            self.bias = np.zeros(self.out_channels, dtype=self.weights.dtype)
-        else:
-            self.bias = np.asarray(self.bias)
-            if self.bias.shape != (self.out_channels,):
-                raise ShapeError(
-                    f"{self.name}: bias shape {self.bias.shape} != ({self.out_channels},)"
-                )
+        self.weights = np.zeros(wshape, dtype=np.float32)
+        self.bias = np.zeros(self.out_channels, dtype=np.float32)
 
 
 @dataclass

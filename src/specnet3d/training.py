@@ -14,8 +14,8 @@ train and evaluate read a pixel set as data._pixel_rows' (n, 3) int64
 rows, checked against the labels in one pass (_labeled_rows).  A training
 batch is a slice of them, gathered as its pixels' extract_patch cuts
 concatenated; a confusion matrix is one np.bincount over them
-(_confusion), in evaluate and in train's per-epoch evaluations, which
-count over the test rows train checked before its first step.
+(_confusion), in evaluate and in train's per-epoch evaluations and
+report, which count over the rows train checked before its first step.
 """
 
 import json
@@ -201,7 +201,7 @@ def train(model: Model, cube: HsiCube, labels: LabelGrid, split: SplitManifest,
             )
     if report_path and matrix is None:
         # evaluated before the first write, so its failure leaves no file
-        matrix = evaluate(model, norm, labels, split.test if len(test_rows) else split.train)
+        matrix = _confusion(model, norm, labels, test_rows if len(test_rows) else train_rows)
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     if history_path:

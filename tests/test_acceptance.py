@@ -111,9 +111,9 @@ def test_criterion_3_gradient_suite(capsys):
         cin = int(rng.integers(1, 3))
         cout = int(rng.integers(1, 3))
         x = rng.standard_normal((1, cin) + dims)
-        spec = Conv3dSpec("g", cout, cin, kernel, stride, padding,
-                          weights=rng.standard_normal((cout, cin) + kernel),
-                          bias=rng.standard_normal(cout))
+        spec = Conv3dSpec("g", cout, cin, kernel, stride, padding)
+        spec.weights = rng.standard_normal((cout, cin) + kernel)
+        spec.bias = rng.standard_normal(cout)
         up = rng.standard_normal((1, cout) + spec.output_dims(dims))
 
         def loss():
@@ -234,11 +234,9 @@ def test_criterion_4_convolution_oracle(capsys):
         cin = int(rng.integers(1, 4))
         cout = int(rng.integers(1, 4))
         x = rng.standard_normal((n, cin) + dims).astype(np.float32)
-        spec = Conv3dSpec(
-            "o", cout, cin, kernel, stride, padding,
-            weights=rng.standard_normal((cout, cin) + kernel).astype(np.float32),
-            bias=rng.standard_normal(cout).astype(np.float32),
-        )
+        spec = Conv3dSpec("o", cout, cin, kernel, stride, padding)
+        spec.weights = rng.standard_normal((cout, cin) + kernel).astype(np.float32)
+        spec.bias = rng.standard_normal(cout).astype(np.float32)
         want = conv3d_reference(x, spec.weights, spec.bias, stride, padding)
         assert_close(conv3d_forward(x, spec), want, 1e-5, f"case {case}")
     elapsed = watch.done()

@@ -166,7 +166,7 @@ GOLDEN_PAYLOADS = {
     # int64 [row, col, class] rows: the train side's, then the test side's
     "split": struct.pack("<6q", 0, 1, 1, 1, 0, 2),
 }
-# the same split as format 1 wrote it, header only, which still loads
+# the same split as format 1 wrote it, header only, which no longer loads
 V1_SPLIT_HEADER = """{
   "format_version": 1,
   "fraction": 0.5,
@@ -213,11 +213,23 @@ class TestGoldenBytes:
         # Conv1.weight starts (0 % 7 - 3) / 8, (1 % 7 - 3) / 8, ...
         assert _raw(path).read_bytes()[:12] == struct.pack("<3f", -0.375, -0.25, -0.125)
 
-    def test_v1_split_loads_to_the_same_manifest(self, tmp_path):
+    def test_v1_split_is_refused_by_its_version(self, tmp_path, capsys):
+        from specnet3d.cli import main
+
         path = tmp_path / "v1.split.json"
         path.write_text(V1_SPLIT_HEADER)
-        assert load_split(path) == load_split(_written("split", tmp_path)) == SplitManifest(
-            seed=5, train=[(0, 1, 1)], test=[(1, 0, 2)], fraction=0.5)
+        with pytest.raises(FormatError) as exc:
+            load_split(path)
+        assert str(exc.value) == "unknown split format_version 1"
+        inputs = ["--checkpoint", str(_written("checkpoint", tmp_path)),
+                  "--cube", str(_written("cube", tmp_path)), "--split", str(path)]
+        for argv in (["eval", *inputs, "--labels", str(_written("labels", tmp_path)),
+                      "--out", str(tmp_path / "eval.json")],
+                     ["predict-map", *inputs, "--out", str(tmp_path / "map.ppm")]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error[E_FORMAT]: unknown split format_version 1\n"), argv[0]
 
 
 @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
@@ -310,13 +322,6 @@ def test_bad_header_field_raises_format_error(kind, edit, tmp_path):
         assert repr(field) in message
 
 
-def _v1(doc):
-    """doc, its contents replaced by the format 1 split's header."""
-    doc.clear()
-    doc.update(json.loads(V1_SPLIT_HEADER))
-    return doc
-
-
 @pytest.mark.parametrize("kind, edit", [
     ("checkpoint", lambda doc: doc["config"].pop("spectral_depth")),
     ("checkpoint", lambda doc: doc["config"].update(num_classes=2.5)),
@@ -332,16 +337,10 @@ def _v1(doc):
     # a layer entry with a key the table lacks, and two swapped entries
     ("checkpoint", lambda doc: doc["layers"][5].update(dtype="<f4")),
     ("checkpoint", lambda doc: doc["layers"].insert(1, doc["layers"].pop(0))),
-    # format 1 splits, whose entries are in the header
-    ("split", lambda doc: _v1(doc)["test"].append(5)),
-    ("split", lambda doc: _v1(doc)["test"].append([5])),
-    ("split", lambda doc: _v1(doc)["test"].append([])),
-    ("split", lambda doc: _v1(doc)["train"].append([1, 2, 3, 4])),
-    ("split", lambda doc: _v1(doc)["train"][0].__setitem__(2, True)),
-    ("split", lambda doc: _v1(doc).update(per_class_train="lots")),
-    ("split", lambda doc: _v1(doc).update(per_class_train=True)),
-    ("split", lambda doc: _v1(doc).update(fraction=[1, 2])),
-    ("split", lambda doc: _v1(doc).update(fraction=True)),
+    # optional split fields of the wrong type
+    ("split", lambda doc: doc.update(per_class_train="lots")),
+    ("split", lambda doc: doc.update(fraction=[1, 2])),
+    ("split", lambda doc: doc.update(fraction=True)),
     ("labels", lambda doc: doc.update(class_names="a,b")),
     ("report", lambda doc: doc.update(class_names="a,b")),
     ("report", lambda doc: doc.update(history={"epoch": 1})),
@@ -361,6 +360,16 @@ def test_bad_nested_header_field_raises_format_error(kind, edit, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=f"^{kind}"):
         CONTAINERS[kind][2](path)
+
+
+def test_checkpoint_without_rng_seed_is_refused(tmp_path):
+    path = _written("checkpoint", tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["rng_seed"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == "checkpoint header has no 'rng_seed' field"
 
 
 def test_cli_reports_missing_header_field(tmp_path, capsys):

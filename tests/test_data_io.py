@@ -346,9 +346,10 @@ class TestSplitContainer:
 
     def test_pair_entries_round_trip(self, tmp_path):
         path = tmp_path / "s.split.json"
-        path.write_text(json.dumps({"format_version": 1, "seed": 0,
-                                    "train": [[1, 1], [2, 2, 1]], "test": [[0, 2]]}))
+        save_split(SplitManifest(seed=0, train=[[1, 1], [2, 2, 1]], test=[[0, 2]]), path)
         loaded = load_split(path)
+        assert loaded.train == [(1, 1), (2, 2, 1)]
+        assert loaded.test == [(0, 2)]
         again = tmp_path / "again.split.json"
         save_split(loaded, again)
         reloaded = load_split(again)
@@ -366,12 +367,8 @@ class TestSplitContainer:
         with pytest.raises(FormatError) as saved:
             save_split(SplitManifest(seed=0, **entries), path)
         assert not path.exists()
-        path.write_text(json.dumps({"format_version": 1, "seed": 0, **entries},
-                                   default=lambda v: v.item()))
-        with pytest.raises(FormatError) as loaded:
-            load_split(path)
-        assert str(saved.value) == str(loaded.value) == (
-            f"split header field {side!r} must hold [row, col] or [row, col, class] integers")
+        assert str(saved.value) == (
+            f"split {side} must hold [row, col] or [row, col, class] integers")
 
     @pytest.mark.parametrize("field, value, expected", [
         ("seed", True, "int"), ("seed", None, "int"), ("seed", "3", "int"),

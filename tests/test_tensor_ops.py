@@ -45,11 +45,9 @@ LAYOUT_GEOMETRIES = [
 def random_conv(rng, n, cin, cout, dims, kernel, stride=(1, 1, 1), padding=(0, 0, 0),
                 dtype=np.float32):
     x = rng.standard_normal((n, cin) + dims).astype(dtype)
-    spec = Conv3dSpec(
-        "test", cout, cin, kernel, stride, padding,
-        weights=rng.standard_normal((cout, cin) + kernel).astype(dtype),
-        bias=rng.standard_normal(cout).astype(dtype),
-    )
+    spec = Conv3dSpec("test", cout, cin, kernel, stride, padding)
+    spec.weights = rng.standard_normal((cout, cin) + kernel).astype(dtype)
+    spec.bias = rng.standard_normal(cout).astype(dtype)
     return x, spec
 
 
@@ -93,14 +91,15 @@ class TestConv3dForward:
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 1, 3, 4, 5)).astype(np.float32)
-        spec = Conv3dSpec("id", 1, 1, (1, 1, 1), weights=np.ones((1, 1, 1, 1, 1), np.float32))
+        spec = Conv3dSpec("id", 1, 1, (1, 1, 1))
+        spec.weights[...] = 1
         assert np.array_equal(conv3d_forward(x, spec), x)
 
     def test_zero_weights_give_bias(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 3, 4, 4, 6)).astype(np.float32)
-        spec = Conv3dSpec("zb", 2, 3, (3, 3, 3),
-                          bias=np.asarray([1.5, -2.0], dtype=np.float32))
+        spec = Conv3dSpec("zb", 2, 3, (3, 3, 3))
+        spec.bias = np.asarray([1.5, -2.0], dtype=np.float32)
         out = conv3d_forward(x, spec)
         assert np.array_equal(out[:, 0], np.full_like(out[:, 0], 1.5))
         assert np.array_equal(out[:, 1], np.full_like(out[:, 1], -2.0))
@@ -211,7 +210,8 @@ class TestConv3dBackward:
     def test_identity_kernel_transports_upstream(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 1, 3, 3, 4)).astype(np.float32)
-        spec = Conv3dSpec("id", 1, 1, (1, 1, 1), weights=np.ones((1, 1, 1, 1, 1), np.float32))
+        spec = Conv3dSpec("id", 1, 1, (1, 1, 1))
+        spec.weights[...] = 1
         up = rng.standard_normal(x.shape).astype(np.float32)
         gx, _, _ = conv3d_backward(x, spec, up)
         assert np.array_equal(gx, up)

@@ -148,10 +148,10 @@ class TestTrainLoop:
         cube, labels, split = overfit_scene()
         model = build_model(ModelConfig(cube.bands, 9, 7), 3)
 
-        def failing_evaluate(*args, **kwargs):
+        def failing_confusion(*args, **kwargs):
             raise MismatchError("evaluation failed")
 
-        monkeypatch.setattr(training, "evaluate", failing_evaluate)
+        monkeypatch.setattr(training, "_confusion", failing_confusion)
         with pytest.raises(MismatchError, match="evaluation failed"):
             train(model, cube, labels, split, TrainConfig(epochs=1), OptimizerState(),
                   checkpoint_path=tmp_path / "m.ckpt.json",
@@ -453,9 +453,10 @@ class TestShardedTraining:
 
 
 class TestEvaluate:
-    def test_eval_test_reads_the_split_once_per_run(self, monkeypatch):
-        # each epoch's evaluation counts over the test rows train checked
-        # before its first step: one read per side, one for normalize
+    def test_eval_test_reads_the_split_once_per_run(self, monkeypatch, tmp_path):
+        # each epoch's evaluation, and the report without them, counts over
+        # the rows train checked before its first step: one read per side,
+        # one for normalize
         cube, labels, split = overfit_scene()
         split = SplitManifest(seed=0, train=split.train[:18], test=split.train[18:])
         reads = []
@@ -465,13 +466,14 @@ class TestEvaluate:
                 return _read(*args)
             monkeypatch.setattr(module, "_pixel_rows", counting)
         counts = []
-        for epochs in (1, 3):
+        for epochs, eval_test in ((1, False), (1, True), (3, True)):
             reads.clear()
             model = build_model(ModelConfig(cube.bands, 9, 7), 3)
             history = train(model, cube, labels, split, TrainConfig(epochs=epochs),
-                            OptimizerState(), eval_test=True)
+                            OptimizerState(), eval_test=eval_test,
+                            report_path=None if eval_test else tmp_path / "report.json")
             counts.append(len(reads))
-        assert counts == [3, 3]
+        assert counts == [3, 3, 3]
         matrix = evaluate(model, normalize(cube, split), labels, split.test)
         assert history[-1]["test_overall_accuracy"] == overall_accuracy(matrix)
 
